@@ -5,15 +5,16 @@ perturbation series with remainder-order certification, the relaxed
 second-order design objective, and a volume-constrained projected
 gradient optimizer.
 """
-from .eig import EigenPair, ShiftedSolver, SolverError, second_eigenvalue, smallest_eigenpair
+from .eig import Discretization, EigenPair, ShiftedSolver, SolverError, second_eigenvalue, smallest_eigenpair
 from .expansion import ExpansionSeries, RemainderReport, compute_series, direct_eigenvalue, remainder_report
 from .fem import SparsePencil, assemble_mass, assemble_stiffness, build_pencil, divergence_rhs, element_gradient, nodal_project
 from .mesh import Mesh, MshParseError, compute_geometry, generate_unit_square, import_msh
 from .optimizer import OptimizerConfig, OptimizerState, project_volume, run
-from .relax import RelaxedEval, RelaxedObjective, eval_gradient, eval_hessian_form, eval_objective, kkt_residual, solve_v_inf
+from .relax import RelaxedEval, RelaxedObjective
 from .vtkio import export_vtk
 
 __all__ = [
+    "Discretization",
     "EigenPair",
     "ExpansionSeries",
     "Mesh",
@@ -34,20 +35,15 @@ __all__ = [
     "direct_eigenvalue",
     "divergence_rhs",
     "element_gradient",
-    "eval_gradient",
-    "eval_hessian_form",
-    "eval_objective",
     "export_vtk",
     "generate_unit_square",
     "import_msh",
-    "kkt_residual",
     "nodal_project",
     "project_volume",
     "remainder_report",
     "run",
     "second_eigenvalue",
     "smallest_eigenpair",
-    "solve_v_inf",
 ]
 
 __version__ = "0.1.0"

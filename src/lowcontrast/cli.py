@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import expansion, fem, optimizer, relax, vtkio
-from .eig import SolverError, smallest_eigenpair
+from . import expansion, optimizer, relax, vtkio
+from .eig import Discretization, SolverError
 from .mesh import MshParseError, generate_unit_square, import_msh
 
 EXIT_USAGE = 2
@@ -146,9 +146,10 @@ def cmd_expand(args) -> int:
     m = _load_mesh(args)
     theta = _theta_from_args(args, m)
     eps = [float(x) for x in args.eps.split(",") if x.strip()]
+    disc = Discretization(m, args.alpha, tol=args.tol)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # excluded points printed below
-        report = expansion.remainder_report(m, theta, args.alpha, args.order, eps, tol=args.tol)
+        report = expansion.remainder_report(disc, theta, args.order, eps)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -164,7 +165,7 @@ def cmd_expand(args) -> int:
     if report.excluded:
         print(f"excluded eps (floor): {report.excluded}")
     if args.bounds_samples > 0:
-        diag = expansion.mode_bound_diagnostic(m, args.alpha, samples=args.bounds_samples, seed=args.seed or 0)
+        diag = expansion.mode_bound_diagnostic(disc, samples=args.bounds_samples, seed=args.seed or 0)
         print(
             "mode energy norms over {samples} random densities: "
             "max |u1|_E = {max_energy_norm_u1:.6g}, max |u2|_E = {max_energy_norm_u2:.6g}".format(**diag)
@@ -176,9 +177,7 @@ def cmd_expand(args) -> int:
 def cmd_optimize(args) -> int:
     m = _load_mesh(args)
     config = optimizer.OptimizerConfig(
-        epsilon=args.epsilon,
         volume_fraction=args.volume_fraction,
-        alpha=args.alpha,
         rho0=args.rho0,
         max_iters=args.max_iters,
         tol_step=args.tol_step,
@@ -187,8 +186,8 @@ def cmd_optimize(args) -> int:
         armijo_shrink=args.armijo_shrink,
         seed=args.seed,
     )
-    problem = relax.RelaxedObjective(m, config.alpha, config.epsilon)
-    state, final, kkt = optimizer.run(m, config, problem=problem)
+    problem = relax.RelaxedObjective(Discretization(m, args.alpha), args.epsilon)
+    state, final, kkt = optimizer.run(problem, config)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -217,14 +216,14 @@ def cmd_optimize(args) -> int:
 def cmd_eval(args) -> int:
     m = _load_mesh(args)
     theta = _theta_from_args(args, m)
-    problem = relax.RelaxedObjective(m, args.alpha, args.epsilon)
+    problem = relax.RelaxedObjective(Discretization(m, args.alpha), args.epsilon)
     ev = problem.evaluate(theta)
     lumped = problem.lumped
     if args.multiplier is None:
         multiplier = -float(lumped @ ev.grad_density) / float(lumped.sum())
     else:
         multiplier = args.multiplier
-    kkt = problem.kkt(theta, multiplier, band=args.band)
+    kkt = problem.kkt(theta, ev.grad_density, multiplier, band=args.band)
     print(f"F = {ev.F:.12g}")
     print(f"lambda1 = {ev.lambda1:.12g}")
     print(f"volume = {float(lumped @ theta):.12g}")

@@ -13,18 +13,19 @@ from __future__ import annotations
 import csv
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import fem
-from .eig import DEFAULT_TOL, ShiftedSolver, SolverError, smallest_eigenpair
+from .eig import SolverError, smallest_eigenpair
 
 
 def check_density(theta, n_nodes: int) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (n_nodes,):
         raise ValueError(f"density must have one value per node ({n_nodes})")
+    if not np.isfinite(theta).all():
+        raise ValueError("density values must be finite")
     if (theta < 0).any() or (theta > 1).any():
         raise ValueError("density values must lie in [0, 1]")
     return theta
@@ -52,55 +53,50 @@ class ExpansionSeries:
         return float(np.polyval(self.lambdas[: n + 1][::-1], eps))
 
 
-def compute_series(mesh, theta, alpha: float, order: int, tol: float = DEFAULT_TOL) -> ExpansionSeries:
+def compute_series(disc, theta, order: int) -> ExpansionSeries:
     """Run the perturbation cascade to the requested order.
 
-    Order 0 is the ground state of the alpha-Laplacian.  Each further order
-    costs one bordered solve; the Fredholm compatibility of every load is
-    checked and the normalization identities
+    Order 0 is the ground state of the discretization's α-Laplacian.  Each
+    further order costs one bordered solve; the Fredholm compatibility of
+    every load is checked and the normalization identities
     u0ᵀMu_i = −½ Σ_{k=1}^{i−1} u_kᵀMu_{i−k} are enforced by shifting along u0.
     """
-    theta = check_density(theta, mesh.n_nodes)
+    theta = check_density(theta, disc.mesh.n_nodes)
     if order < 0:
         raise ValueError("order must be >= 0")
 
-    pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems), alpha)
-    ground = smallest_eigenpair(pencil, tol)
-    lam0, u0f = ground.lam, pencil.restrict(ground.u)
-
-    theta_e = fem.element_average(mesh, theta)
-    Kt = fem.restrict_matrix(fem.assemble_stiffness(mesh, alpha * theta_e), pencil.free)
+    pencil = disc.pencil
+    lam0, u0f = disc.ground.lam, pencil.restrict(disc.ground.u)
+    Kt = disc.theta_stiffness(theta)
     M = pencil.M
 
     lams = [lam0]
     modes = [u0f]
     Mmodes = [M @ u0f]  # cache M @ u_k
 
-    if order >= 1:
-        solver = ShiftedSolver(pencil, lam0, ground.u)
-        for i in range(1, order + 1):
-            Ku_prev = Kt @ modes[i - 1]
-            # u0ᵀ M u_k for k < i (u0 is M-normalized, u1 orthogonal)
-            mdots = [float(u0f @ Mm) for Mm in Mmodes]
-            lam_i = float(u0f @ Ku_prev) - sum(
-                lams[i - k] * mdots[k] for k in range(2, i)
-            )
-            lams.append(lam_i)
+    for i in range(1, order + 1):
+        Ku_prev = Kt @ modes[i - 1]
+        # u0ᵀ M u_k for k < i (u0 is M-normalized, u1 orthogonal)
+        mdots = [float(u0f @ Mm) for Mm in Mmodes]
+        lam_i = float(u0f @ Ku_prev) - sum(
+            lams[i - k] * mdots[k] for k in range(2, i)
+        )
+        lams.append(lam_i)
 
-            f = -Ku_prev
-            for k in range(1, i + 1):
-                f = f + lams[k] * Mmodes[i - k]
-            try:
-                v, _ = solver.solve(f)
-            except SolverError as exc:
-                raise SolverError(f"cascade order {i}: {exc}") from exc
+        f = -Ku_prev
+        for k in range(1, i + 1):
+            f = f + lams[k] * Mmodes[i - k]
+        try:
+            v, _ = disc.solver.solve(f)
+        except SolverError as exc:
+            raise SolverError(f"cascade order {i}: {exc}") from exc
 
-            shift = -0.5 * sum(
-                float(modes[k] @ Mmodes[i - k]) for k in range(1, i)
-            )
-            u_i = v + shift * u0f
-            modes.append(u_i)
-            Mmodes.append(M @ u_i)
+        shift = -0.5 * sum(
+            float(modes[k] @ Mmodes[i - k]) for k in range(1, i)
+        )
+        u_i = v + shift * u0f
+        modes.append(u_i)
+        Mmodes.append(M @ u_i)
 
     full_modes = np.array([pencil.extend(m) for m in modes])
     return ExpansionSeries(
@@ -108,23 +104,24 @@ def compute_series(mesh, theta, alpha: float, order: int, tol: float = DEFAULT_T
         lambdas=np.array(lams),
         modes=full_modes,
         theta=theta,
-        alpha=alpha,
+        alpha=disc.alpha,
     )
 
 
-def direct_eigenvalue(mesh, theta, alpha: float, epsilon: float, tol: float = DEFAULT_TOL):
-    """Smallest eigenpair of the two-phase operator at finite contrast.
+def direct_eigenvalue(disc, theta, epsilon: float):
+    """Smallest eigenpair of the two-phase pencil (K0 + ε·Kθ, M) at finite contrast.
 
-    The coefficient alpha·(1 + epsilon·theta) uses the per-element vertex
-    average of theta, so this is exactly the pencil (K0 + eps·K_theta, M).
+    Kθ uses the per-element vertex average of θ, so the coefficient is
+    α·(1 + ε·avg θ); K0 and M are the discretization's α-pencil.
     """
+    if not np.isfinite(epsilon):
+        raise ValueError("epsilon must be finite")
     if epsilon <= -1:
         raise ValueError("epsilon must exceed -1 for a positive coefficient")
-    theta = check_density(theta, mesh.n_nodes)
-    theta_e = fem.element_average(mesh, theta)
-    coeff = alpha * (1.0 + epsilon * theta_e)
-    pencil = fem.build_pencil(mesh, coeff, alpha)
-    return smallest_eigenpair(pencil, tol)
+    theta = check_density(theta, disc.mesh.n_nodes)
+    pencil0 = disc.pencil
+    pencil = replace(pencil0, K=(pencil0.K + epsilon * disc.theta_stiffness(theta)).tocsr())
+    return smallest_eigenpair(pencil, disc.tol)
 
 
 @dataclass(frozen=True)
@@ -167,52 +164,33 @@ class RemainderReport:
             fh.write("\n")
 
 
-def remainder_report(
-    mesh,
-    theta,
-    alpha: float,
-    order: int,
-    eps_values,
-    tol: float = 1e-12,
-    series: ExpansionSeries | None = None,
-) -> RemainderReport:
+def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     """Certify the truncation order of the series against direct eigensolves.
 
     Both sides live on the same mesh and the same pencils, so the expected
     slope of the order-n remainder is n+1 exactly.  Remainders at the solver
     noise floor (100·tol·max(1, λ0)) are excluded from the fit with a warning.
+    The ε-sweep runs before the cascade, so on a fresh discretization the
+    sweep's eigensolves run before the bordered factorization exists.
     """
     eps = np.sort(np.asarray(eps_values, dtype=float))[::-1]
     if eps.size == 0:
         raise ValueError("need at least one eps value")
-    if (eps <= 0).any():
-        raise ValueError("eps values must be positive")
+    if not np.isfinite(eps).all() or (eps <= 0).any():
+        raise ValueError("eps values must be positive and finite")
     if np.unique(eps).size != eps.size:
         raise ValueError("eps values must be distinct")
+    if order < 0:
+        raise ValueError("order must be >= 0")
 
-    if series is None or series.order < order:
-        series = compute_series(mesh, theta, alpha, order, tol=min(tol, DEFAULT_TOL))
-
-    theta_e = fem.element_average(mesh, series.theta)
-    pencil0 = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems), alpha)
-    Kt = fem.restrict_matrix(fem.assemble_stiffness(mesh, alpha * theta_e), pencil0.free)
-
-    lam_eps = np.empty(eps.size)
-    for j, e in enumerate(eps):
-        pencil_e = fem.SparsePencil(
-            K=(pencil0.K + e * Kt).tocsr(),
-            M=pencil0.M,
-            free=pencil0.free,
-            n_nodes=pencil0.n_nodes,
-            alpha=alpha,
-            lumped=pencil0.lumped,
-        )
-        lam_eps[j] = smallest_eigenpair(pencil_e, tol).lam
+    theta = check_density(theta, disc.mesh.n_nodes)
+    lam_eps = np.array([direct_eigenvalue(disc, theta, e).lam for e in eps])
+    series = compute_series(disc, theta, order)
 
     trunc = np.array([series.truncated(e, order) for e in eps])
     rem = np.abs(lam_eps - trunc)
 
-    floor = 100.0 * tol * max(1.0, abs(series.lambdas[0]))
+    floor = 100.0 * disc.tol * max(1.0, abs(series.lambdas[0]))
     keep = rem > floor
     excluded = [float(e) for e in eps[~keep]]
     if excluded:
@@ -240,7 +218,7 @@ def remainder_report(
     )
 
 
-def mode_bound_diagnostic(mesh, alpha: float, samples: int = 10, seed: int = 0, tol: float = DEFAULT_TOL):
+def mode_bound_diagnostic(disc, samples: int = 10, seed: int = 0):
     """Max discrete energy norms of the first two modes over random densities.
 
     The continuous theory bounds ‖u1‖ and ‖u2‖ uniformly in the design but
@@ -248,11 +226,11 @@ def mode_bound_diagnostic(mesh, alpha: float, samples: int = 10, seed: int = 0, 
     threshold.
     """
     rng = np.random.default_rng(seed)
-    pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems), alpha)
+    pencil = disc.pencil
     max_u1 = max_u2 = 0.0
     for _ in range(samples):
-        theta = rng.uniform(0.0, 1.0, mesh.n_nodes)
-        series = compute_series(mesh, theta, alpha, 2, tol=tol)
+        theta = rng.uniform(0.0, 1.0, disc.mesh.n_nodes)
+        series = compute_series(disc, theta, 2)
         u1 = pencil.restrict(series.modes[1])
         u2 = pencil.restrict(series.modes[2])
         max_u1 = max(max_u1, float(np.sqrt(u1 @ (pencil.K @ u1))))

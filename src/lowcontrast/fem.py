@@ -165,8 +165,8 @@ def build_pencil(mesh, coeff, alpha: float) -> SparsePencil:
     free = mesh.free_nodes
     if free.size == 0:
         raise ValueError("mesh has no free (interior) nodes")
-    K = K_full[free][:, free].tocsr()
-    M = M_full[free][:, free].tocsr()
+    K = restrict_matrix(K_full, free)
+    M = restrict_matrix(M_full, free)
     return SparsePencil(K=K, M=M, free=free, n_nodes=mesh.n_nodes, alpha=alpha, lumped=lumped)
 
 

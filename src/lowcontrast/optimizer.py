@@ -8,11 +8,12 @@ monotone-descent invariant the acceptance tests rely on.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eig import DEFAULT_TOL
 from .relax import RelaxedObjective
 
 _RHO_FLOOR_FACTOR = 1e-12
@@ -25,12 +26,11 @@ class OptimizerConfig:
 
     volume_fraction is the target m/|Ω| in (0,1).  rho0 defaults to 1/λ0 at
     setup; tol_vol defaults to 1e-10·|Ω|.  A seed switches the uniform
-    feasible initialization to a projected random one.
+    feasible initialization to a projected random one.  The contrast ε and
+    the discretization belong to the :class:`RelaxedObjective` being run.
     """
 
-    epsilon: float
     volume_fraction: float
-    alpha: float = 1.0
     rho0: float | None = None
     max_iters: int = 2000
     tol_step: float = 1e-7
@@ -38,23 +38,24 @@ class OptimizerConfig:
     armijo_c: float = 1e-4
     armijo_shrink: float = 0.5
     seed: int | None = None
-    eig_tol: float = DEFAULT_TOL
     kkt_band: float = 0.01
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value is None and name in ("rho0", "tol_vol", "seed"):
+                continue
+            integral = name in ("max_iters", "seed")
+            kind = numbers.Integral if integral else numbers.Real
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or (not integral and not math.isfinite(value))):
+                expected = "an integer" if integral else "a finite real number"
+                raise ValueError(f"{name} must be {expected}, got {value!r}")
+            if name in ("max_iters", "tol_step", "rho0", "tol_vol") and value <= 0:
+                raise ValueError(f"{name} must be positive")
         if not 0.0 < self.volume_fraction < 1.0:
             raise ValueError("volume_fraction must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if not 0.0 < self.armijo_c < 1.0 or not 0.0 < self.armijo_shrink < 1.0:
             raise ValueError("armijo parameters must lie in (0, 1)")
-        for name in ("tol_step", "max_iters"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("rho0", "tol_vol"):
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"{name} must be positive when given")
 
 
 @dataclass
@@ -112,7 +113,7 @@ def project_volume(lumped, theta_tilde, m: float, tol_vol: float):
     return np.clip(theta_tilde + lam, 0.0, 1.0), lam
 
 
-def step(state: OptimizerState, config: OptimizerConfig, mesh, problem: RelaxedObjective):
+def step(state: OptimizerState, config: OptimizerConfig, problem: RelaxedObjective):
     """One projected-descent step with Armijo backtracking.
 
     Mutates and returns ``state``; on step-size underflow the best strictly
@@ -175,7 +176,7 @@ def step(state: OptimizerState, config: OptimizerConfig, mesh, problem: RelaxedO
     return state
 
 
-def run(mesh, config: OptimizerConfig, problem: RelaxedObjective | None = None):
+def run(problem: RelaxedObjective, config: OptimizerConfig):
     """Minimize the relaxed objective from a feasible uniform start.
 
     Returns (state, final RelaxedEval, (interior_residual, sign_violation)).
@@ -184,18 +185,17 @@ def run(mesh, config: OptimizerConfig, problem: RelaxedObjective | None = None):
     last accepted step belongs to the projection that produced the iterate,
     which lags one step behind stationarity).
     """
-    if problem is None:
-        problem = RelaxedObjective(mesh, config.alpha, config.epsilon, tol=config.eig_tol)
+    n_nodes = problem.mesh.n_nodes
     lumped = problem.lumped
     total = float(lumped.sum())
     m = config.volume_fraction * total
     tol_vol = config.tol_vol if config.tol_vol is not None else 1e-10 * total
 
     if config.seed is None:
-        theta0 = np.full(mesh.n_nodes, config.volume_fraction)
+        theta0 = np.full(n_nodes, config.volume_fraction)
     else:
         rng = np.random.default_rng(config.seed)
-        theta0, _ = project_volume(lumped, rng.uniform(0.0, 1.0, mesh.n_nodes), m, tol_vol)
+        theta0, _ = project_volume(lumped, rng.uniform(0.0, 1.0, n_nodes), m, tol_vol)
 
     rho0 = config.rho0 if config.rho0 is not None else 1.0 / problem.ground.lam
     ev0 = problem.evaluate(theta0)
@@ -209,14 +209,14 @@ def run(mesh, config: OptimizerConfig, problem: RelaxedObjective | None = None):
     state.l1_history.append(0.0)
 
     for _ in range(config.max_iters):
-        step(state, config, mesh, problem)
+        step(state, config, problem)
         if state.l1_history[-1] <= config.tol_step * total or state.stalled or state.converged:
             break
 
     tilde = state.theta - state.rho_accepted * state.last_eval.grad_density
     _, lam_probe = project_volume(lumped, tilde, m, tol_vol)
     multiplier = -lam_probe / state.rho_accepted
-    kkt = problem.kkt(state.theta, multiplier, band=config.kkt_band)
+    kkt = problem.kkt(state.theta, state.last_eval.grad_density, multiplier, band=config.kkt_band)
     return state, state.last_eval, kkt
 
 

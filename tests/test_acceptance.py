@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import eigh
 
 from lowcontrast import cli, fem
-from lowcontrast.eig import second_eigenvalue, smallest_eigenpair
+from lowcontrast.eig import Discretization, second_eigenvalue, smallest_eigenpair
 from lowcontrast.expansion import compute_series, remainder_report
 from lowcontrast.mesh import generate_unit_square
 from lowcontrast.optimizer import OptimizerConfig, project_volume, run
@@ -31,7 +31,7 @@ def mesh16():
 
 @pytest.fixture(scope="module")
 def prob16(mesh16):
-    return RelaxedObjective(mesh16, alpha=1.0, epsilon=0.1, tol=1e-12)
+    return RelaxedObjective(Discretization(mesh16, 1.0, tol=1e-12), 0.1)
 
 
 def test_01_analytic_ground_state():
@@ -58,9 +58,10 @@ def _binary_densities(mesh, count, seed):
 def test_02_first_order_remainder():
     t0 = time.perf_counter()
     mesh = generate_unit_square(32, 32)
+    disc = Discretization(mesh, 1.0, tol=1e-12)
     slopes = []
     for theta in _binary_densities(mesh, 5, seed=2):
-        rep = remainder_report(mesh, theta, 1.0, 1, EPS_GRID)
+        rep = remainder_report(disc, theta, 1, EPS_GRID)
         slopes.append(rep.slope)
     elapsed = time.perf_counter() - t0
     assert all(s >= 1.95 for s in slopes)
@@ -70,10 +71,11 @@ def test_02_first_order_remainder():
 
 def test_03_second_order_remainder():
     mesh = generate_unit_square(32, 32)
+    disc = Discretization(mesh, 1.0, tol=1e-12)
     slopes = []
     with pytest.warns(UserWarning, match="floor"):
         for theta in _binary_densities(mesh, 5, seed=3):
-            rep = remainder_report(mesh, theta, 1.0, 2, EPS_GRID)
+            rep = remainder_report(disc, theta, 2, EPS_GRID)
             slopes.append(rep.slope)
     assert all(s >= 2.95 for s in slopes)
     report(3, f"order-2 slopes {['%.3f' % s for s in slopes]} all >= 2.95")
@@ -86,7 +88,7 @@ def test_04_general_cascade_order4():
     mesh = generate_unit_square(4, 4)
     rng = np.random.default_rng(4)
     theta = (rng.random(mesh.n_nodes) < 0.5).astype(float)
-    series = compute_series(mesh, theta, 1.0, 4, tol=1e-12)
+    series = compute_series(Discretization(mesh, 1.0, tol=1e-12), theta, 4)
 
     pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems), 1.0)
     theta_e = fem.element_average(mesh, theta)
@@ -125,7 +127,7 @@ def test_05_lambda1_bound(mesh16, prob16):
     # cross-check the quadratic-form route on a few samples
     for _ in range(3):
         theta = rng.uniform(0, 1, mesh16.n_nodes)
-        series = compute_series(mesh16, theta, 1.0, 1, tol=1e-12)
+        series = compute_series(prob16.disc, theta, 1)
         assert series.lambdas[1] == pytest.approx(prob16.lambda1(theta), rel=1e-10)
     report(5, f"lambda1 in [0, lam0] for 100 random densities (max excess {worst:.2e})")
 
@@ -200,9 +202,9 @@ def test_09_projection(mesh16):
 def test_10_figure1_square():
     t0 = time.perf_counter()
     mesh = generate_unit_square(100, 100)
-    problem = RelaxedObjective(mesh, alpha=1.0, epsilon=1e-6)
-    config = OptimizerConfig(epsilon=1e-6, volume_fraction=0.2, max_iters=2000, tol_step=1e-9)
-    state, final, kkt = run(mesh, config, problem=problem)
+    problem = RelaxedObjective(Discretization(mesh, 1.0), 1e-6)
+    config = OptimizerConfig(volume_fraction=0.2, max_iters=2000, tol_step=1e-9)
+    state, final, kkt = run(problem, config)
     elapsed = time.perf_counter() - t0
 
     F = np.array(state.F_history)
@@ -230,11 +232,12 @@ def test_10_figure1_square():
 def test_11_mixture_grows_with_contrast():
     mesh = generate_unit_square(64, 64)
     w = fem.lumped_mass(mesh)
+    disc = Discretization(mesh, 1.0)
     fractions = {}
     for eps in (1e-6, 0.1):
-        problem = RelaxedObjective(mesh, alpha=1.0, epsilon=eps)
-        config = OptimizerConfig(epsilon=eps, volume_fraction=0.4, max_iters=2000, tol_step=1e-9)
-        state, _, _ = run(mesh, config, problem=problem)
+        problem = RelaxedObjective(disc, eps)
+        config = OptimizerConfig(volume_fraction=0.4, max_iters=2000, tol_step=1e-9)
+        state, _, _ = run(problem, config)
         mixed = (state.theta > 0.05) & (state.theta < 0.95)
         fractions[eps] = float(w[mixed].sum() / w.sum())
     assert fractions[0.1] >= 2.0 * fractions[1e-6]

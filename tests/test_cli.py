@@ -120,6 +120,16 @@ class TestExpandCommand:
         )
         assert code == 2
 
+    def test_fine_mesh_meets_residual_contract(self, tmp_path, capsys):
+        # the eigen residual is a backward error, so the default --tol holds at 200^2
+        code = run_cli(
+            ["expand", "--nx", 200, "--ny", 200, "--random-theta", "--seed", 1,
+             "--order", 2, "--out-dir", tmp_path]
+        )
+        assert code == 0
+        slope = float(capsys.readouterr().out.split("slope:")[1].split()[0])
+        assert slope >= 2.95
+
     def test_bounds_diagnostic(self, tmp_path, capsys):
         code = run_cli(
             ["expand", "--nx", 6, "--ny", 6, "--random-theta", "--seed", 2,
@@ -157,6 +167,24 @@ class TestOptimizeCommand:
         )
         assert code == 2
 
+    def test_nan_epsilon_exit_2(self, tmp_path, capsys):
+        code = run_cli(
+            ["optimize", "--nx", 4, "--ny", 4, "--epsilon", "nan",
+             "--volume-fraction", 0.4, "--out-dir", tmp_path]
+        )
+        assert code == 2
+        assert "error: epsilon" in capsys.readouterr().err
+
+    def test_float_max_iters_in_config_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max-iters": 2.5}))
+        code = run_cli(
+            ["--config", cfg, "optimize", "--nx", 4, "--ny", 4, "--epsilon", 0.1,
+             "--volume-fraction", 0.4, "--out-dir", tmp_path]
+        )
+        assert code == 2
+        assert "error: max_iters must be an integer" in capsys.readouterr().err
+
     def test_imported_domain_with_hole(self, tmp_path, capsys):
         # perforated-domain analogue: optimize on an imported annulus
         from test_mesh import annulus_mesh_arrays, write_msh
@@ -192,6 +220,27 @@ class TestEvalCommand:
         lam0 = smallest_eigenpair(build_pencil(mesh, np.ones(mesh.n_elems), 1.0)).lam
         assert F == pytest.approx(lam0, rel=1e-10)  # theta = 1: F equals discrete lam0
         assert out.exists()
+
+
+    @pytest.mark.parametrize("epsilon", ["inf", "nan"])
+    def test_non_finite_epsilon_exit_2(self, epsilon, capsys):
+        code = run_cli(
+            ["eval", "--nx", 4, "--ny", 4, "--chi", "rect", 0, 0, 1, 1, "--epsilon", epsilon]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error: epsilon" in captured.err
+        assert "multiplier" not in captured.out
+
+    def test_infinite_density_exit_2(self, tmp_path, capsys):
+        m = generate_unit_square(4, 4)
+        theta = np.full(m.n_nodes, 0.5)
+        theta[2] = np.inf
+        path = tmp_path / "theta.csv"
+        cli.write_field_csv(path, theta)
+        code = run_cli(["eval", "--nx", 4, "--ny", 4, "--theta", path, "--epsilon", 0.1])
+        assert code == 2
+        assert "error: density values must be finite" in capsys.readouterr().err
 
 
 class TestExportCommand:

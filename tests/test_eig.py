@@ -4,11 +4,11 @@ from scipy.linalg import eigh
 
 from lowcontrast import fem
 from lowcontrast.eig import (
+    Discretization,
     ShiftedSolver,
     SolverError,
     second_eigenvalue,
     smallest_eigenpair,
-    solve_shifted_singular,
 )
 from lowcontrast.mesh import generate_unit_square
 
@@ -124,8 +124,9 @@ def setup():
 class TestShiftedSolver:
     def test_zero_load(self, setup):
         _, pencil, ground = setup
-        v = solve_shifted_singular(pencil, ground.lam, ground.u, np.zeros(pencil.n_free))
+        v, mu = ShiftedSolver(pencil, ground.lam, ground.u).solve(np.zeros(pencil.n_free))
         assert np.abs(v).max() == 0.0
+        assert mu == 0.0
 
     def test_spectral_oracle(self, setup):
         # f = M w for the second eigenvector w  =>  v = w / (lam2 - lam0)
@@ -133,9 +134,9 @@ class TestShiftedSolver:
         vals, vecs = eigh(pencil.K.toarray(), pencil.M.toarray())
         w = vecs[:, 1] / np.sqrt(vecs[:, 1] @ (pencil.M @ vecs[:, 1]))
         f = pencil.M @ w
-        v = solve_shifted_singular(pencil, ground.lam, ground.u, f)
+        v, _ = ShiftedSolver(pencil, ground.lam, ground.u).solve(f)
         expected = w / (vals[1] - ground.lam)
-        np.testing.assert_allclose(pencil.restrict(v), expected, atol=1e-9 * np.abs(expected).max())
+        np.testing.assert_allclose(v, expected, atol=1e-9 * np.abs(expected).max())
 
     def test_orthogonality_enforced(self, setup):
         # u0' M v = 0 holds for any load, compatible or not
@@ -171,3 +172,33 @@ class TestShiftedSolver:
         solver = ShiftedSolver(pencil, ground.lam, ground.u)
         with pytest.raises(ValueError):
             solver.solve(np.zeros(3))
+
+
+class TestDiscretization:
+    def test_shares_pencil_and_ground(self):
+        mesh, pencil = unit_pencil(6)
+        disc = Discretization(mesh, 1.0)
+        assert (disc.pencil.K != pencil.K).nnz == 0
+        assert disc.ground.lam == smallest_eigenpair(pencil).lam
+
+    def test_solver_built_on_first_use(self):
+        disc = Discretization(generate_unit_square(6, 6), 1.0)
+        assert "solver" not in vars(disc)
+        solver = disc.solver
+        assert disc.solver is solver
+        assert solver.lambda0 == disc.ground.lam
+
+    def test_theta_stiffness_kept_for_last_density(self):
+        mesh = generate_unit_square(6, 6)
+        disc = Discretization(mesh, 1.0)
+        theta = np.linspace(0, 1, mesh.n_nodes)
+        Kt = disc.theta_stiffness(theta)
+        assert disc.theta_stiffness(theta.copy()) is Kt
+        ones = disc.theta_stiffness(np.ones(mesh.n_nodes))
+        assert ones is not Kt
+        np.testing.assert_allclose(ones.toarray(), disc.pencil.K.toarray(), rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    def test_rejects_bad_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha"):
+            Discretization(generate_unit_square(4, 4), alpha)

@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh
 
 from lowcontrast import fem
+from lowcontrast.eig import Discretization
 from lowcontrast.expansion import (
     compute_series,
     direct_eigenvalue,
@@ -19,6 +20,16 @@ def mesh8():
     return generate_unit_square(8, 8)
 
 
+@pytest.fixture(scope="module")
+def disc8(mesh8):
+    return Discretization(mesh8, 1.0)
+
+
+@pytest.fixture(scope="module")
+def disc8_tight(mesh8):
+    return Discretization(mesh8, 1.0, tol=1e-12)
+
+
 def dense_smallest(mesh, theta, alpha, eps):
     """Independent oracle: dense full-spectrum solve of (K0 + eps K_theta, M)."""
     pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems), alpha)
@@ -31,23 +42,23 @@ def dense_smallest(mesh, theta, alpha, eps):
 
 
 class TestComputeSeries:
-    def test_zero_density(self, mesh8):
-        series = compute_series(mesh8, np.zeros(mesh8.n_nodes), 1.0, 3)
+    def test_zero_density(self, mesh8, disc8):
+        series = compute_series(disc8, np.zeros(mesh8.n_nodes), 3)
         assert np.abs(series.lambdas[1:]).max() <= 1e-12
         assert np.abs(series.modes[1:]).max() <= 1e-12
 
-    def test_uniform_density(self, mesh8):
+    def test_uniform_density(self, mesh8, disc8_tight):
         # theta = 1: the exact eigenvalue is (1+eps) lam0, so the series stops at order 1
-        series = compute_series(mesh8, np.ones(mesh8.n_nodes), 1.0, 3, tol=1e-12)
+        series = compute_series(disc8_tight, np.ones(mesh8.n_nodes), 3)
         lam0 = series.lambdas[0]
         assert series.lambdas[1] == pytest.approx(lam0, rel=1e-10)
         assert np.abs(series.lambdas[2:]).max() <= 1e-8 * lam0
         assert np.abs(series.modes[1]).max() <= 1e-8
 
-    def test_normalization_identities(self, mesh8):
+    def test_normalization_identities(self, mesh8, disc8_tight):
         rng = np.random.default_rng(21)
         theta = rng.uniform(0, 1, mesh8.n_nodes)
-        series = compute_series(mesh8, theta, 1.0, 4, tol=1e-12)
+        series = compute_series(disc8_tight, theta, 4)
         pencil = fem.build_pencil(mesh8, np.ones(mesh8.n_elems), 1.0)
         modes_f = [pencil.restrict(u) for u in series.modes]
         M = pencil.M
@@ -60,27 +71,27 @@ class TestComputeSeries:
             )
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
-    def test_lambda1_bound(self, mesh8):
+    def test_lambda1_bound(self, mesh8, disc8):
         rng = np.random.default_rng(22)
-        lam0 = compute_series(mesh8, np.zeros(mesh8.n_nodes), 1.0, 0).lambdas[0]
+        lam0 = compute_series(disc8, np.zeros(mesh8.n_nodes), 0).lambdas[0]
         for _ in range(20):
             theta = rng.uniform(0, 1, mesh8.n_nodes)
-            lam1 = compute_series(mesh8, theta, 1.0, 1).lambdas[1]
+            lam1 = compute_series(disc8, theta, 1).lambdas[1]
             assert -1e-12 <= lam1 <= lam0 + 1e-10
 
-    def test_lambda1_linear_in_theta(self, mesh8):
+    def test_lambda1_linear_in_theta(self, mesh8, disc8):
         rng = np.random.default_rng(23)
         t1 = rng.uniform(0, 1, mesh8.n_nodes)
         t2 = rng.uniform(0, 1, mesh8.n_nodes)
         a, b = 0.4, 0.5
-        lam = lambda th: compute_series(mesh8, th, 1.0, 1).lambdas[1]
+        lam = lambda th: compute_series(disc8, th, 1).lambdas[1]
         assert lam(a * t1 + b * t2) == pytest.approx(a * lam(t1) + b * lam(t2), rel=1e-9)
 
-    def test_lambda2_two_code_paths(self, mesh8):
+    def test_lambda2_two_code_paths(self, mesh8, disc8_tight):
         # general recursion vs direct elementwise integral of grad(u1).grad(u0)
         rng = np.random.default_rng(24)
         theta = rng.uniform(0, 1, mesh8.n_nodes)
-        series = compute_series(mesh8, theta, 1.0, 2, tol=1e-12)
+        series = compute_series(disc8_tight, theta, 2)
         theta_e = fem.element_average(mesh8, theta)
         g0 = fem.element_gradient(mesh8, series.modes[0])
         g1 = fem.element_gradient(mesh8, series.modes[1])
@@ -94,7 +105,7 @@ class TestComputeSeries:
         mesh = generate_unit_square(4, 4)
         rng = np.random.default_rng(7)
         theta = (rng.random(mesh.n_nodes) < 0.5).astype(float)
-        series = compute_series(mesh, theta, 1.0, 4, tol=1e-12)
+        series = compute_series(Discretization(mesh, 1.0, tol=1e-12), theta, 4)
         eps_grid = np.logspace(-1, -2, 5)
         rem = np.array(
             [
@@ -107,39 +118,57 @@ class TestComputeSeries:
         slope = np.polyfit(np.log(eps_grid[keep]), np.log(rem[keep]), 1)[0]
         assert slope >= 4.9
 
-    def test_rejects_bad_density(self, mesh8):
+    def test_rejects_bad_density(self, mesh8, disc8):
         with pytest.raises(ValueError):
-            compute_series(mesh8, np.full(mesh8.n_nodes, 1.5), 1.0, 1)
+            compute_series(disc8, np.full(mesh8.n_nodes, 1.5), 1)
         with pytest.raises(ValueError):
-            compute_series(mesh8, np.zeros(mesh8.n_nodes), 1.0, -1)
+            compute_series(disc8, np.zeros(mesh8.n_nodes), -1)
 
-    def test_truncated_requires_computed_order(self, mesh8):
-        series = compute_series(mesh8, np.zeros(mesh8.n_nodes), 1.0, 1)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_density(self, mesh8, disc8, bad):
+        theta = np.full(mesh8.n_nodes, 0.5)
+        theta[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            compute_series(disc8, theta, 1)
+
+    def test_truncated_requires_computed_order(self, mesh8, disc8):
+        series = compute_series(disc8, np.zeros(mesh8.n_nodes), 1)
         with pytest.raises(ValueError):
             series.truncated(0.1, order=3)
 
 
 class TestDirectEigenvalue:
-    def test_eps_zero(self, mesh8):
+    def test_eps_zero(self, mesh8, disc8):
         theta = np.linspace(0, 1, mesh8.n_nodes)
-        lam0 = compute_series(mesh8, theta, 1.0, 0).lambdas[0]
-        assert direct_eigenvalue(mesh8, theta, 1.0, 0.0).lam == pytest.approx(lam0, rel=1e-12)
+        lam0 = compute_series(disc8, theta, 0).lambdas[0]
+        assert direct_eigenvalue(disc8, theta, 0.0).lam == pytest.approx(lam0, rel=1e-12)
 
-    def test_uniform_density_exact(self, mesh8):
+    def test_uniform_density_exact(self, mesh8, disc8):
         eps = 0.3
-        lam0 = compute_series(mesh8, np.ones(mesh8.n_nodes), 1.0, 0).lambdas[0]
-        lam = direct_eigenvalue(mesh8, np.ones(mesh8.n_nodes), 1.0, eps).lam
+        lam0 = compute_series(disc8, np.ones(mesh8.n_nodes), 0).lambdas[0]
+        lam = direct_eigenvalue(disc8, np.ones(mesh8.n_nodes), eps).lam
         assert lam == pytest.approx((1 + eps) * lam0, rel=1e-12)
 
-    def test_monotone_in_eps(self, mesh8):
+    def test_monotone_in_eps(self, mesh8, disc8):
         rng = np.random.default_rng(25)
         theta = rng.uniform(0, 1, mesh8.n_nodes)
-        lams = [direct_eigenvalue(mesh8, theta, 1.0, e).lam for e in (0.0, 0.05, 0.2, 0.8)]
+        lams = [direct_eigenvalue(disc8, theta, e).lam for e in (0.0, 0.05, 0.2, 0.8)]
         assert all(lams[i] < lams[i + 1] for i in range(len(lams) - 1))
 
-    def test_coefficient_positivity(self, mesh8):
+    def test_coefficient_positivity(self, mesh8, disc8):
         with pytest.raises(ValueError):
-            direct_eigenvalue(mesh8, np.ones(mesh8.n_nodes), 1.0, -1.0)
+            direct_eigenvalue(disc8, np.ones(mesh8.n_nodes), -1.0)
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_epsilon(self, mesh8, disc8, eps):
+        with pytest.raises(ValueError, match="finite"):
+            direct_eigenvalue(disc8, np.ones(mesh8.n_nodes), eps)
+
+    def test_matches_dense_oracle(self, mesh8, disc8):
+        rng = np.random.default_rng(26)
+        theta = rng.uniform(0, 1, mesh8.n_nodes)
+        lam = direct_eigenvalue(disc8, theta, 0.3).lam
+        assert lam == pytest.approx(dense_smallest(mesh8, theta, 1.0, 0.3), rel=1e-10)
 
 
 @pytest.fixture(scope="module")
@@ -147,50 +176,55 @@ def mesh16():
     return generate_unit_square(16, 16)
 
 
+@pytest.fixture(scope="module")
+def disc16(mesh16):
+    return Discretization(mesh16, 1.0, tol=1e-12)
+
+
 class TestRemainderReport:
     EPS = [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
 
-    def test_order1_slope(self, mesh16):
+    def test_order1_slope(self, mesh16, disc16):
         rng = np.random.default_rng(31)
         theta = (rng.random(mesh16.n_nodes) < 0.5).astype(float)
-        report = remainder_report(mesh16, theta, 1.0, 1, self.EPS)
+        report = remainder_report(disc16, theta, 1, self.EPS)
         assert report.slope >= 1.95
 
-    def test_order2_slope(self, mesh16):
+    def test_order2_slope(self, mesh16, disc16):
         rng = np.random.default_rng(32)
         theta = (rng.random(mesh16.n_nodes) < 0.5).astype(float)
         # the 1e-3 point sits at the conservative floor and is excluded
         with pytest.warns(UserWarning, match="floor"):
-            report = remainder_report(mesh16, theta, 1.0, 2, self.EPS)
+            report = remainder_report(disc16, theta, 2, self.EPS)
         assert report.slope >= 2.95
 
-    def test_order0_slope(self, mesh16):
+    def test_order0_slope(self, mesh16, disc16):
         rng = np.random.default_rng(33)
         theta = (rng.random(mesh16.n_nodes) < 0.5).astype(float)
-        report = remainder_report(mesh16, theta, 1.0, 0, self.EPS)
+        report = remainder_report(disc16, theta, 0, self.EPS)
         assert report.slope >= 0.95
 
-    def test_exact_series_floors_out(self, mesh8):
+    def test_exact_series_floors_out(self, mesh8, disc8_tight):
         # theta = 1 reproduces (1+eps) lam0 at any order >= 1: everything floors
         with pytest.warns(UserWarning, match="floor"):
-            report = remainder_report(mesh8, np.ones(mesh8.n_nodes), 1.0, 1, self.EPS)
+            report = remainder_report(disc8_tight, np.ones(mesh8.n_nodes), 1, self.EPS)
         assert report.slope is None
         assert (report.remainders <= report.floor).all()
         assert len(report.excluded) == len(self.EPS)
 
-    def test_eps_validation(self, mesh8):
+    def test_eps_validation(self, mesh8, disc8_tight):
         theta = np.zeros(mesh8.n_nodes)
         with pytest.raises(ValueError):
-            remainder_report(mesh8, theta, 1.0, 1, [1e-1, 1e-1])
+            remainder_report(disc8_tight, theta, 1, [1e-1, 1e-1])
         with pytest.raises(ValueError):
-            remainder_report(mesh8, theta, 1.0, 1, [-0.1])
+            remainder_report(disc8_tight, theta, 1, [-0.1])
         with pytest.raises(ValueError):
-            remainder_report(mesh8, theta, 1.0, 1, [])
+            remainder_report(disc8_tight, theta, 1, [])
 
-    def test_serialization(self, mesh8, tmp_path):
+    def test_serialization(self, mesh8, tmp_path, disc8_tight):
         rng = np.random.default_rng(34)
         theta = (rng.random(mesh8.n_nodes) < 0.5).astype(float)
-        report = remainder_report(mesh8, theta, 1.0, 1, self.EPS)
+        report = remainder_report(disc8_tight, theta, 1, self.EPS)
         csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
         report.write_csv(csv_path)
         report.write_json(json_path)
@@ -206,8 +240,8 @@ class TestRemainderReport:
         assert summary["excluded_eps"] == []
 
 
-def test_mode_bound_diagnostic(mesh8):
-    diag = mode_bound_diagnostic(mesh8, 1.0, samples=3, seed=5)
+def test_mode_bound_diagnostic(mesh8, disc8):
+    diag = mode_bound_diagnostic(disc8, samples=3, seed=5)
     assert diag["max_energy_norm_u1"] > 0
     assert diag["max_energy_norm_u2"] > 0
     assert np.isfinite(diag["max_energy_norm_u1"])

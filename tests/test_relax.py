@@ -2,16 +2,10 @@ import numpy as np
 import pytest
 
 from lowcontrast import fem
+from lowcontrast.eig import Discretization
 from lowcontrast.expansion import compute_series
 from lowcontrast.mesh import generate_unit_square
-from lowcontrast.relax import (
-    RelaxedObjective,
-    eval_gradient,
-    eval_hessian_form,
-    eval_objective,
-    kkt_residual,
-    solve_v_inf,
-)
+from lowcontrast.relax import RelaxedObjective
 
 EPS = 0.08
 
@@ -22,8 +16,13 @@ def mesh():
 
 
 @pytest.fixture(scope="module")
-def prob(mesh):
-    return RelaxedObjective(mesh, alpha=1.0, epsilon=EPS, tol=1e-12)
+def disc(mesh):
+    return Discretization(mesh, 1.0, tol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def prob(disc):
+    return RelaxedObjective(disc, EPS)
 
 
 class TestStateEquation:
@@ -31,10 +30,10 @@ class TestStateEquation:
         v = prob.v_inf(np.full(mesh.n_nodes, 0.4))
         assert np.abs(v).max() <= 1e-8
 
-    def test_matches_first_cascade_mode(self, mesh, prob):
+    def test_matches_first_cascade_mode(self, mesh, disc, prob):
         rng = np.random.default_rng(41)
         chi = (rng.random(mesh.n_nodes) < 0.5).astype(float)
-        series = compute_series(mesh, chi, 1.0, 1, tol=1e-12)
+        series = compute_series(disc, chi, 1)
         v = prob.v_inf(chi)
         assert np.abs(v - series.modes[1]).max() <= 1e-11
 
@@ -47,12 +46,6 @@ class TestStateEquation:
             assert abs(float(u0f @ (prob.pencil.M @ vf))) <= 1e-11
             assert abs(float(u0f @ (prob.pencil.K @ vf))) <= 1e-10 * lam0
 
-    def test_wrapper_equivalent(self, mesh, prob):
-        rng = np.random.default_rng(43)
-        theta = rng.uniform(0, 1, mesh.n_nodes)
-        v1 = solve_v_inf(mesh, theta, 1.0, prob.ground)
-        np.testing.assert_allclose(v1, prob.v_inf(theta), atol=1e-12)
-
 
 class TestObjective:
     def test_zero_density(self, mesh, prob):
@@ -63,11 +56,11 @@ class TestObjective:
             prob.ground.lam, rel=1e-12
         )
 
-    def test_binary_density_matches_series(self, mesh, prob):
+    def test_binary_density_matches_series(self, mesh, disc, prob):
         # for nodal 0/1 densities the mixing term vanishes: F = lam1 + eps lam2
         rng = np.random.default_rng(44)
         chi = (rng.random(mesh.n_nodes) < 0.5).astype(float)
-        series = compute_series(mesh, chi, 1.0, 2, tol=1e-12)
+        series = compute_series(disc, chi, 2)
         expected = series.lambdas[1] + EPS * series.lambdas[2]
         assert prob.evaluate(chi).F == pytest.approx(expected, rel=1e-11)
 
@@ -86,15 +79,10 @@ class TestObjective:
         )
         assert ev.F < first  # strictly, since theta(1-theta)|grad u0|^2 > 0 somewhere
 
-    def test_eval_objective_wrapper(self, mesh, prob):
-        theta = np.linspace(0, 1, mesh.n_nodes)
-        ev = eval_objective(mesh, theta, 1.0, EPS, prob.ground)
-        assert ev.F == pytest.approx(prob.evaluate(theta).F, rel=1e-13)
-
 
 class TestGradient:
     def test_full_density_formula(self, mesh, prob):
-        g = prob.gradient(np.ones(mesh.n_nodes))
+        g = prob.evaluate(np.ones(mesh.n_nodes)).grad_density
         expected = (1 + EPS) * prob.p_nodal
         np.testing.assert_allclose(g, expected, rtol=1e-12)
 
@@ -104,7 +92,7 @@ class TestGradient:
         phi = rng.uniform(-0.2, 0.2, mesh.n_nodes)
         t = 1e-3
         fd = (prob.evaluate(theta + t * phi).F - prob.evaluate(theta - t * phi).F) / (2 * t)
-        an = float(prob.lumped @ (prob.gradient(theta) * phi))
+        an = float(prob.lumped @ (prob.evaluate(theta).grad_density * phi))
         assert fd == pytest.approx(an, rel=1e-8)
 
     def test_integral_identity(self, mesh, prob):
@@ -121,17 +109,9 @@ class TestGradient:
         rng = np.random.default_rng(48)
         t1 = rng.uniform(0, 1, mesh.n_nodes)
         t2 = rng.uniform(0, 1, mesh.n_nodes)
-        g_mid = prob.gradient(0.5 * (t1 + t2))
-        g_avg = 0.5 * (prob.gradient(t1) + prob.gradient(t2))
+        g_mid = prob.evaluate(0.5 * (t1 + t2)).grad_density
+        g_avg = 0.5 * (prob.evaluate(t1).grad_density + prob.evaluate(t2).grad_density)
         assert np.abs(g_mid - g_avg).max() <= 1e-12 * np.abs(g_avg).max()
-
-    def test_wrapper(self, mesh, prob):
-        theta = np.linspace(0, 1, mesh.n_nodes)
-        np.testing.assert_allclose(
-            eval_gradient(mesh, theta, 1.0, EPS, prob.ground),
-            prob.gradient(theta),
-            rtol=1e-12,
-        )
 
 
 class TestHessian:
@@ -157,39 +137,38 @@ class TestHessian:
             )
             assert abs(F1.F - taylor) <= 1e-9 * (1 + abs(F0.F))
 
-    def test_wrapper(self, mesh, prob):
-        phi = np.linspace(-0.5, 0.5, mesh.n_nodes)
-        assert eval_hessian_form(mesh, phi, 1.0, EPS, prob.ground) == pytest.approx(
-            prob.hessian_form(phi), rel=1e-12
-        )
-
 
 class TestKKT:
     def test_pure_binary_empty_interior(self, mesh, prob):
         rng = np.random.default_rng(50)
         chi = (rng.random(mesh.n_nodes) < 0.3).astype(float)
-        interior_res, _ = prob.kkt(chi, multiplier=0.0)
+        interior_res, _ = prob.kkt(chi, prob.evaluate(chi).grad_density, multiplier=0.0)
         assert interior_res == 0.0
 
     def test_uniform_design_spread(self, mesh, prob):
         theta = np.full(mesh.n_nodes, 0.5)
-        g = prob.gradient(theta)
+        g = prob.evaluate(theta).grad_density
         mult = -float(np.mean(g))
-        interior_res, sign_v = prob.kkt(theta, mult)
+        interior_res, sign_v = prob.kkt(theta, g, mult)
         assert interior_res == pytest.approx(np.abs(g - g.mean()).max(), rel=1e-12)
         assert interior_res > 0  # a uniform design is not critical
         assert sign_v == 0.0  # no nodes at the bounds
 
     def test_band_validation(self, mesh, prob):
         with pytest.raises(ValueError):
-            prob.kkt(np.full(mesh.n_nodes, 0.5), 0.0, band=0.7)
+            prob.kkt(np.full(mesh.n_nodes, 0.5), np.zeros(mesh.n_nodes), 0.0, band=0.7)
 
-    def test_wrapper(self, mesh, prob):
-        theta = np.full(mesh.n_nodes, 0.3)
-        got = kkt_residual(mesh, theta, -1.0, 1.0, EPS, prob.ground)
-        assert got == pytest.approx(prob.kkt(theta, -1.0))
+    def test_multiplier_must_be_finite(self, mesh, prob):
+        with pytest.raises(ValueError, match="multiplier"):
+            prob.kkt(np.full(mesh.n_nodes, 0.5), np.zeros(mesh.n_nodes), np.nan)
 
 
-def test_epsilon_must_be_positive(mesh):
+def test_epsilon_must_be_positive(disc):
     with pytest.raises(ValueError):
-        RelaxedObjective(mesh, 1.0, epsilon=0.0)
+        RelaxedObjective(disc, epsilon=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf])
+def test_epsilon_must_be_finite(disc, epsilon):
+    with pytest.raises(ValueError, match="finite"):
+        RelaxedObjective(disc, epsilon)
