@@ -8,7 +8,7 @@ gradient optimizer.
 from .eig import Discretization, EigenPair, ShiftedSolver, SolverError, second_eigenvalue, smallest_eigenpair
 from .expansion import ExpansionSeries, RemainderReport, compute_series, direct_eigenvalue, remainder_report
 from .fem import SparsePencil, assemble_mass, assemble_stiffness, build_pencil, divergence_rhs, element_gradient, nodal_project
-from .mesh import Mesh, MshParseError, compute_geometry, generate_unit_square, import_msh
+from .mesh import Mesh, MshParseError, generate_unit_square, import_msh
 from .optimizer import OptimizerConfig, OptimizerState, project_volume, run
 from .relax import RelaxedEval, RelaxedObjective
 from .vtkio import export_vtk
@@ -30,7 +30,6 @@ __all__ = [
     "assemble_mass",
     "assemble_stiffness",
     "build_pencil",
-    "compute_geometry",
     "compute_series",
     "direct_eigenvalue",
     "divergence_rhs",

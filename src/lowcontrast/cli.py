@@ -41,7 +41,8 @@ def _load_mesh(args):
 
 def read_field_csv(path, n_nodes: int) -> np.ndarray:
     """Read a node-indexed CSV (node_id,value); every node must appear once."""
-    values = np.full(n_nodes, np.nan)
+    values = np.zeros(n_nodes)
+    seen = np.zeros(n_nodes, dtype=bool)
     try:
         with open(path, newline="") as fh:
             for row in csv.reader(fh):
@@ -55,12 +56,14 @@ def read_field_csv(path, n_nodes: int) -> np.ndarray:
                     raise InputError(f"{path}: row for node {idx} has no value")
                 if not 0 <= idx < n_nodes:
                     raise InputError(f"{path}: node id {idx} out of range (mesh has {n_nodes})")
+                if seen[idx]:
+                    raise InputError(f"{path}: node id {idx} appears more than once")
                 values[idx] = float(row[1])
+                seen[idx] = True
     except OSError as exc:
         raise InputError(f"cannot read field file: {exc}") from exc
-    if np.isnan(values).any():
-        missing = int(np.isnan(values).sum())
-        raise InputError(f"{path}: {missing} node(s) missing a value")
+    if not seen.all():
+        raise InputError(f"{path}: {n_nodes - int(seen.sum())} node(s) missing a value")
     return values
 
 
@@ -347,7 +350,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args) -> None:
+def _flag_types(parser) -> dict:
+    """dest -> value type of every single-valued flag, subcommands included.
+
+    A flag without a declared ``type`` takes its value as a string.
+    """
+    types = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                types.update(_flag_types(sub))
+        elif isinstance(action, argparse._StoreAction):
+            types[action.dest] = action.type or str
+    return types
+
+
+def _apply_config(args, parser) -> None:
     try:
         with open(args.config) as fh:
             overrides = json.load(fh)
@@ -357,10 +375,19 @@ def _apply_config(args) -> None:
         raise InputError(f"malformed config JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ValueError("config JSON must be an object of flag values")
+    types = _flag_types(parser)
     for key, value in overrides.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             raise ValueError(f"config key '{key}' does not match any flag")
+        kind = types.get(attr)
+        if kind is not None:
+            # parse the value as the flag would parse it on the command line
+            try:
+                value = kind(str(value))
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise ValueError(f"{attr} must be {what}, got {value}") from None
         setattr(args, attr, value)
 
 
@@ -369,7 +396,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.config:
-            _apply_config(args)
+            _apply_config(args, parser)
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

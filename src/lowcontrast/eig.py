@@ -16,12 +16,14 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse import linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from . import fem
 
 
 DEFAULT_TOL = 1e-10
 MAX_OUTER_ITERS = 10_000
+FREDHOLM_TOL = 1e-9  # largest |u₀ᵀf|/|f| a singular-solve load may carry
 _DENSE_CUTOFF = 12
 
 
@@ -154,41 +156,39 @@ class ShiftedSolver:
         # load counts as zero and the relative compatibility test is moot
         self._load_scale = (abs(self.lambda0) + 1.0) * np.linalg.norm(self.Mu0)
 
-    def solve(self, f: np.ndarray, check_compat: bool = True, compat_tol: float = 1e-9):
-        """Solve for (v, μ) given a free-node load f.
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """Solve for v given a free-node load f.
 
-        With ``check_compat`` the Fredholm condition |u₀ᵀf| ≤ compat_tol·|f|
-        is enforced; a violation signals an inconsistent load upstream.
+        The Fredholm condition |u₀ᵀf| ≤ FREDHOLM_TOL·|f| is enforced; a
+        violation signals an inconsistent load upstream.
         """
         f = np.asarray(f, dtype=float)
         if f.shape != (self.pencil.n_free,):
             raise ValueError("load vector must live on free nodes")
         fnorm = np.linalg.norm(f)
         if fnorm == 0.0:
-            return np.zeros_like(f), 0.0
+            return np.zeros_like(f)
         mu_expected = float(self.u0f @ f)
-        if (
-            check_compat
-            and fnorm > 1e-10 * self._load_scale
-            and abs(mu_expected) > compat_tol * fnorm
-        ):
+        if fnorm > 1e-10 * self._load_scale and abs(mu_expected) > FREDHOLM_TOL * fnorm:
             raise SolverError(
                 f"compatibility violation: |u0.f| = {abs(mu_expected):.3e} "
-                f"> {compat_tol:.1e}*|f| = {compat_tol * fnorm:.3e}"
+                f"> {FREDHOLM_TOL:.1e}*|f| = {FREDHOLM_TOL * fnorm:.3e}"
             )
         sol = self._lu.solve(np.append(f, 0.0))
         v, mu = sol[:-1], float(sol[-1])
         resid = np.linalg.norm(self._A @ v + mu * self.Mu0 - f) / fnorm
         if not np.isfinite(resid) or resid > 1e-8:
             raise SolverError(f"bordered solve breakdown: residual {resid:.3e}")
-        return v, mu
+        return v
 
 
 class Discretization:
     """One mesh at background conductivity α, set up once and shared.
 
     Holds the α-pencil (K, M) on free nodes, its ground pair (λ₀, u₀) and
-    the bordered solver for the singular operator K − λ₀M.
+    the bordered solver for the singular operator K − λ₀M.  A domain whose
+    free nodes fall into several connected parts is rejected: its ground
+    eigenvalue can be repeated, and the cascade assumes it is simple.
     The perturbation cascade, the remainder certificate and the relaxed
     objective all reuse it.  The bordered factorization is built on the
     first singular solve, so eigensolves run before it (the ε-sweep of a
@@ -201,7 +201,12 @@ class Discretization:
         self.mesh = mesh
         self.alpha = alpha
         self.tol = tol
-        self.pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems), alpha)
+        self.pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
+        parts, _ = connected_components(self.pencil.K, directed=False)
+        if parts > 1:
+            raise ValueError(
+                f"domain has {parts} disconnected parts; its ground state need not be simple"
+            )
         self.ground = smallest_eigenpair(self.pencil, tol)
         self._last_theta_stiffness = None
 

@@ -42,8 +42,6 @@ class ExpansionSeries:
     order: int
     lambdas: np.ndarray
     modes: np.ndarray
-    theta: np.ndarray
-    alpha: float
 
     def truncated(self, eps: float, order: int | None = None) -> float:
         """Partial sum Σ_{i<=order} λ_i eps^i."""
@@ -87,7 +85,7 @@ def compute_series(disc, theta, order: int) -> ExpansionSeries:
         for k in range(1, i + 1):
             f = f + lams[k] * Mmodes[i - k]
         try:
-            v, _ = disc.solver.solve(f)
+            v = disc.solver.solve(f)
         except SolverError as exc:
             raise SolverError(f"cascade order {i}: {exc}") from exc
 
@@ -99,13 +97,7 @@ def compute_series(disc, theta, order: int) -> ExpansionSeries:
         Mmodes.append(M @ u_i)
 
     full_modes = np.array([pencil.extend(m) for m in modes])
-    return ExpansionSeries(
-        order=order,
-        lambdas=np.array(lams),
-        modes=full_modes,
-        theta=theta,
-        alpha=disc.alpha,
-    )
+    return ExpansionSeries(order=order, lambdas=np.array(lams), modes=full_modes)
 
 
 def direct_eigenvalue(disc, theta, epsilon: float):

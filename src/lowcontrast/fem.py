@@ -95,27 +95,18 @@ def divergence_rhs(mesh, theta_elem, g, alpha: float) -> np.ndarray:
     return out
 
 
-def nodal_project(mesh, e, lumped: np.ndarray | None = None) -> np.ndarray:
+def nodal_project(mesh, e, lumped: np.ndarray) -> np.ndarray:
     """Lumped-mass projection of an element field onto nodes.
 
-    Node value = Σ_{T∋j} (area_T/3)·e_T / lumped_j.  Constants are
-    reproduced exactly and Σ_j lumped_j·out_j = Σ_T area_T·e_T.
+    Node value = Σ_{T∋j} (area_T/3)·e_T / lumped_j, with ``lumped`` the
+    lumped mass of :func:`assemble_mass`.  Constants are reproduced exactly
+    and Σ_j lumped_j·out_j = Σ_T area_T·e_T.
     """
     e = _check_elem(mesh, e)
-    if lumped is None:
-        lumped = lumped_mass(mesh)
     contrib = (mesh.elem_area / 3.0 * e)[:, None].repeat(3, axis=1)
     out = np.zeros(mesh.n_nodes)
     np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
     return out / lumped
-
-
-def lumped_mass(mesh) -> np.ndarray:
-    """Lumped mass vector without assembling the consistent matrix."""
-    out = np.zeros(mesh.n_nodes)
-    contrib = (mesh.elem_area / 3.0)[:, None].repeat(3, axis=1)
-    np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
-    return out
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,6 @@ class SparsePencil:
         M: free-restricted mass, SPD.
         free: free node indices into the full node numbering.
         n_nodes: size of the full numbering (for extension by zero).
-        alpha: background conductivity scale the coefficient was built from.
         lumped: lumped mass over all nodes (discrete integration weights).
     """
 
@@ -135,19 +125,11 @@ class SparsePencil:
     M: sparse.csr_matrix
     free: np.ndarray
     n_nodes: int
-    alpha: float
     lumped: np.ndarray
 
     @property
     def n_free(self) -> int:
         return self.free.size
-
-    @property
-    def free_index(self) -> np.ndarray:
-        """Map node -> free slot; -1 for Dirichlet nodes."""
-        idx = np.full(self.n_nodes, -1, dtype=np.int64)
-        idx[self.free] = np.arange(self.free.size)
-        return idx
 
     def restrict(self, nodal: np.ndarray) -> np.ndarray:
         return np.asarray(nodal, dtype=float)[self.free]
@@ -158,7 +140,7 @@ class SparsePencil:
         return out
 
 
-def build_pencil(mesh, coeff, alpha: float) -> SparsePencil:
+def build_pencil(mesh, coeff) -> SparsePencil:
     """Assemble and restrict the (stiffness, mass) pencil for ``coeff``."""
     K_full = assemble_stiffness(mesh, coeff)
     M_full, lumped = assemble_mass(mesh)
@@ -167,7 +149,7 @@ def build_pencil(mesh, coeff, alpha: float) -> SparsePencil:
         raise ValueError("mesh has no free (interior) nodes")
     K = restrict_matrix(K_full, free)
     M = restrict_matrix(M_full, free)
-    return SparsePencil(K=K, M=M, free=free, n_nodes=mesh.n_nodes, alpha=alpha, lumped=lumped)
+    return SparsePencil(K=K, M=M, free=free, n_nodes=mesh.n_nodes, lumped=lumped)
 
 
 def restrict_matrix(A: sparse.spmatrix, free: np.ndarray) -> sparse.csr_matrix:

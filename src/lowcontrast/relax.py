@@ -63,21 +63,13 @@ class RelaxedObjective:
 
     # -- state equation ----------------------------------------------------
 
-    def lambda1(self, theta) -> float:
-        theta_e = fem.element_average(self.mesh, theta)
-        return self.alpha * float(np.sum(self._area * theta_e * self.gu0_sq))
-
     def _state(self, theta_e: np.ndarray):
         """Solve the shifted state equation for an element-averaged density."""
         lam1 = self.alpha * float(np.sum(self._area * theta_e * self.gu0_sq))
         rhs_full = fem.divergence_rhs(self.mesh, theta_e, self.ground.u, self.alpha)
         f = rhs_full[self.pencil.free] + lam1 * self.solver.Mu0
-        v, _ = self.solver.solve(f)
+        v = self.solver.solve(f)
         return self.pencil.extend(v), lam1
-
-    def v_inf(self, theta) -> np.ndarray:
-        theta = check_density(theta, self.mesh.n_nodes)
-        return self._state(fem.element_average(self.mesh, theta))[0]
 
     # -- objective / derivatives --------------------------------------------
 

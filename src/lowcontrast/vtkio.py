@@ -8,10 +8,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def export_vtk(mesh, fields: dict, path) -> None:
     """Write an UNSTRUCTURED_GRID file with one SCALARS block per field.
 
@@ -22,25 +18,19 @@ def export_vtk(mesh, fields: dict, path) -> None:
         if v.shape != (mesh.n_nodes,):
             raise ValueError(f"field '{name}' is not a nodal array")
 
-    lines = [
-        "# vtk DataFile Version 3.0",
-        "lowcontrast output",
-        "ASCII",
-        "DATASET UNSTRUCTURED_GRID",
-        f"POINTS {mesh.n_nodes} double",
-    ]
-    for x, y in mesh.node_coords:
-        lines.append(f"{_fmt(x)} {_fmt(y)} 0")
-    lines.append(f"CELLS {mesh.n_elems} {4 * mesh.n_elems}")
-    for a, b, c in mesh.triangles:
-        lines.append(f"3 {a} {b} {c}")
-    lines.append(f"CELL_TYPES {mesh.n_elems}")
-    lines.extend(["5"] * mesh.n_elems)
-    if fields:
-        lines.append(f"POINT_DATA {mesh.n_nodes}")
-        for name, values in fields.items():
-            lines.append(f"SCALARS {name} double 1")
-            lines.append("LOOKUP_TABLE default")
-            lines.extend(_fmt(v) for v in np.asarray(values, dtype=float))
+    # lines go straight to the file: a list of every line would raise the
+    # caller's peak memory by its whole size
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(
+            "# vtk DataFile Version 3.0\nlowcontrast output\nASCII\n"
+            f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_nodes} double\n"
+        )
+        fh.writelines(f"{x:.17g} {y:.17g} 0\n" for x, y in mesh.node_coords.tolist())
+        fh.write(f"CELLS {mesh.n_elems} {4 * mesh.n_elems}\n")
+        fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist())
+        fh.write(f"CELL_TYPES {mesh.n_elems}\n" + "5\n" * mesh.n_elems)
+        if fields:
+            fh.write(f"POINT_DATA {mesh.n_nodes}\n")
+            for name, values in fields.items():
+                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                fh.writelines(f"{v:.17g}\n" for v in np.asarray(values, dtype=float).tolist())

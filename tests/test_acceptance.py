@@ -37,7 +37,7 @@ def prob16(mesh16):
 def test_01_analytic_ground_state():
     t0 = time.perf_counter()
     mesh = generate_unit_square(64, 64)
-    pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems), 1.0)
+    pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems))
     ground = smallest_eigenpair(pencil)
     lam2 = second_eigenvalue(pencil, ground)
     elapsed = time.perf_counter() - t0
@@ -90,7 +90,7 @@ def test_04_general_cascade_order4():
     theta = (rng.random(mesh.n_nodes) < 0.5).astype(float)
     series = compute_series(Discretization(mesh, 1.0, tol=1e-12), theta, 4)
 
-    pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems), 1.0)
+    pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems))
     theta_e = fem.element_average(mesh, theta)
     Kt = fem.restrict_matrix(fem.assemble_stiffness(mesh, theta_e), pencil.free)
     K0, M = pencil.K.toarray(), pencil.M.toarray()
@@ -121,14 +121,14 @@ def test_05_lambda1_bound(mesh16, prob16):
     worst = -np.inf
     for _ in range(100):
         theta = rng.uniform(0, 1, mesh16.n_nodes)
-        lam1 = prob16.lambda1(theta)
+        lam1 = prob16.evaluate(theta).lambda1
         assert 0.0 <= lam1 <= lam0 + 1e-10
         worst = max(worst, lam1 - lam0)
     # cross-check the quadratic-form route on a few samples
     for _ in range(3):
         theta = rng.uniform(0, 1, mesh16.n_nodes)
         series = compute_series(prob16.disc, theta, 1)
-        assert series.lambdas[1] == pytest.approx(prob16.lambda1(theta), rel=1e-10)
+        assert series.lambdas[1] == pytest.approx(prob16.evaluate(theta).lambda1, rel=1e-10)
     report(5, f"lambda1 in [0, lam0] for 100 random densities (max excess {worst:.2e})")
 
 
@@ -138,7 +138,7 @@ def test_06_state_equation_identities(mesh16, prob16):
     lam0 = prob16.ground.lam
     worst_m = worst_k = 0.0
     for _ in range(100):
-        vf = prob16.pencil.restrict(prob16.v_inf(rng.uniform(0, 1, mesh16.n_nodes)))
+        vf = prob16.pencil.restrict(prob16.evaluate(rng.uniform(0, 1, mesh16.n_nodes)).v_inf)
         worst_m = max(worst_m, abs(float(u0f @ (prob16.pencil.M @ vf))))
         worst_k = max(worst_k, abs(float(u0f @ (prob16.pencil.K @ vf))))
     assert worst_m <= 1e-11
@@ -180,7 +180,7 @@ def test_08_gradient_integral_identity(mesh16, prob16):
 
 def test_09_projection(mesh16):
     rng = np.random.default_rng(9)
-    lumped = fem.lumped_mass(mesh16)
+    lumped = fem.assemble_mass(mesh16)[1]
     total = float(lumped.sum())
     tol = 1e-10 * total
     for _ in range(1000):
@@ -231,7 +231,7 @@ def test_10_figure1_square():
 
 def test_11_mixture_grows_with_contrast():
     mesh = generate_unit_square(64, 64)
-    w = fem.lumped_mass(mesh)
+    w = fem.assemble_mass(mesh)[1]
     disc = Discretization(mesh, 1.0)
     fractions = {}
     for eps in (1e-6, 0.1):

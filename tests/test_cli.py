@@ -175,16 +175,6 @@ class TestOptimizeCommand:
         assert code == 2
         assert "error: epsilon" in capsys.readouterr().err
 
-    def test_float_max_iters_in_config_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"max-iters": 2.5}))
-        code = run_cli(
-            ["--config", cfg, "optimize", "--nx", 4, "--ny", 4, "--epsilon", 0.1,
-             "--volume-fraction", 0.4, "--out-dir", tmp_path]
-        )
-        assert code == 2
-        assert "error: max_iters must be an integer" in capsys.readouterr().err
-
     def test_imported_domain_with_hole(self, tmp_path, capsys):
         # perforated-domain analogue: optimize on an imported annulus
         from test_mesh import annulus_mesh_arrays, write_msh
@@ -217,7 +207,7 @@ class TestEvalCommand:
         text = capsys.readouterr().out
         F = float(text.split("F = ")[1].splitlines()[0])
         mesh = generate_unit_square(8, 8)
-        lam0 = smallest_eigenpair(build_pencil(mesh, np.ones(mesh.n_elems), 1.0)).lam
+        lam0 = smallest_eigenpair(build_pencil(mesh, np.ones(mesh.n_elems))).lam
         assert F == pytest.approx(lam0, rel=1e-10)  # theta = 1: F equals discrete lam0
         assert out.exists()
 
@@ -231,6 +221,27 @@ class TestEvalCommand:
         captured = capsys.readouterr()
         assert "error: epsilon" in captured.err
         assert "multiplier" not in captured.out
+
+    def test_nan_density_row_exit_2(self, tmp_path, capsys):
+        # a row that is present but not finite reaches the density check
+        m = generate_unit_square(4, 4)
+        theta = np.full(m.n_nodes, 0.5)
+        theta[3] = np.nan
+        path = tmp_path / "theta.csv"
+        cli.write_field_csv(path, theta)
+        code = run_cli(["eval", "--nx", 4, "--ny", 4, "--theta", path, "--epsilon", 0.1])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_repeated_node_row_exit_3(self, tmp_path, capsys):
+        m = generate_unit_square(4, 4)
+        path = tmp_path / "theta.csv"
+        cli.write_field_csv(path, np.full(m.n_nodes, 0.5))
+        with open(path, "a") as fh:
+            fh.write("3,0.25\n")
+        code = run_cli(["eval", "--nx", 4, "--ny", 4, "--theta", path, "--epsilon", 0.1])
+        assert code == 3
+        assert "node id 3 appears more than once" in capsys.readouterr().err
 
     def test_infinite_density_exit_2(self, tmp_path, capsys):
         m = generate_unit_square(4, 4)
@@ -297,6 +308,67 @@ class TestConfigFile:
         code = run_cli(["--config", cfg, "mesh", "square", "--nx", 1, "--ny", 1])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key,value,command,message",
+        [
+            ("max-iters", 2.5, "optimize", "max_iters must be an integer, got 2.5"),
+            ("seed", 2.5, "eval", "seed must be an integer, got 2.5"),
+            ("nx", 2.5, "optimize", "nx must be an integer, got 2.5"),
+            ("alpha", "abc", "eval", "alpha must be a number, got abc"),
+        ],
+        ids=["max-iters", "seed", "nx", "alpha"],
+    )
+    def test_mistyped_value_exit_2(self, tmp_path, capsys, key, value, command, message):
+        # each value is parsed with its flag's own type, as on the command line
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        args = {
+            "optimize": ["--volume-fraction", 0.4, "--out-dir", tmp_path],
+            "eval": ["--random-theta"],
+        }[command]
+        code = run_cli(["--config", cfg, command, "--nx", 4, "--ny", 4, "--epsilon", 0.1] + args)
+        assert code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    def test_string_flag_takes_string_form(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"eps": 0.1, "order": 0}))
+        code = run_cli(["--config", cfg, "expand", "--nx", 4, "--ny", 4, "--random-theta",
+                        "--out-dir", tmp_path])
+        assert code == 0
+        assert json.loads((tmp_path / "remainder_order0.json").read_text())["n_points"] == 1
+
     def test_missing_config_exit_3(self, tmp_path):
         code = run_cli(["--config", tmp_path / "nope.json", "mesh", "square", "--nx", 1, "--ny", 1])
         assert code == 3
+
+
+class TestDisconnectedDomain:
+    @pytest.fixture
+    def two_squares(self, tmp_path):
+        # two congruent 8x8 squares side by side, sharing no node
+        from test_mesh import write_msh
+
+        sq = generate_unit_square(8, 8)
+        coords = np.vstack([sq.node_coords, sq.node_coords + [2.0, 0.0]])
+        tris = np.vstack([sq.triangles, sq.triangles + sq.n_nodes])
+        path = tmp_path / "two.msh"
+        write_msh(path, coords, tris)
+        return path
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["expand", "--random-theta", "--seed", 1, "--order", 2],
+            ["eval", "--random-theta", "--seed", 1, "--epsilon", 0.1],
+            ["optimize", "--epsilon", 0.1, "--volume-fraction", 0.4],
+        ],
+        ids=["expand", "eval", "optimize"],
+    )
+    def test_rejected_exit_2(self, two_squares, tmp_path, capsys, args):
+        out = ["--out-dir", tmp_path] if args[0] != "eval" else []
+        code = run_cli([args[0], "--mesh-file", two_squares] + args[1:] + out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "2 disconnected parts" in err
+        assert "ground state need not be simple" in err

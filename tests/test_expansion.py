@@ -32,7 +32,7 @@ def disc8_tight(mesh8):
 
 def dense_smallest(mesh, theta, alpha, eps):
     """Independent oracle: dense full-spectrum solve of (K0 + eps K_theta, M)."""
-    pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems), alpha)
+    pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
     theta_e = fem.element_average(mesh, theta)
     Kt = fem.restrict_matrix(fem.assemble_stiffness(mesh, alpha * theta_e), pencil.free)
     vals = eigh(
@@ -59,7 +59,7 @@ class TestComputeSeries:
         rng = np.random.default_rng(21)
         theta = rng.uniform(0, 1, mesh8.n_nodes)
         series = compute_series(disc8_tight, theta, 4)
-        pencil = fem.build_pencil(mesh8, np.ones(mesh8.n_elems), 1.0)
+        pencil = fem.build_pencil(mesh8, np.ones(mesh8.n_elems))
         modes_f = [pencil.restrict(u) for u in series.modes]
         M = pencil.M
         assert float(modes_f[0] @ (M @ modes_f[0])) == pytest.approx(1.0, abs=1e-12)

@@ -95,7 +95,7 @@ class TestMass:
         assert abs(M - M.T).max() <= 1e-13 * abs(M).max()
 
     def test_lumped_volume_of_ones(self, square):
-        lumped = fem.lumped_mass(square)
+        lumped = fem.assemble_mass(square)[1]
         assert float(lumped @ np.ones(square.n_nodes)) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -145,20 +145,20 @@ class TestDivergenceRhs:
 
 class TestNodalProject:
     def test_constant_reproduction(self, square):
-        out = fem.nodal_project(square, np.full(square.n_elems, 5.0))
+        out = fem.nodal_project(square, np.full(square.n_elems, 5.0), fem.assemble_mass(square)[1])
         np.testing.assert_allclose(out, 5.0, rtol=1e-13)
 
     def test_locality(self, square):
         e = np.zeros(square.n_elems)
         e[10] = 1.0
-        out = fem.nodal_project(square, e)
+        out = fem.nodal_project(square, e, fem.assemble_mass(square)[1])
         support = set(np.flatnonzero(out != 0.0))
         assert support == set(square.triangles[10])
 
     def test_mass_conservation(self, square):
         rng = np.random.default_rng(5)
         e = rng.standard_normal(square.n_elems)
-        lumped = fem.lumped_mass(square)
+        lumped = fem.assemble_mass(square)[1]
         out = fem.nodal_project(square, e, lumped)
         assert float(lumped @ out) == pytest.approx(
             float(np.sum(square.elem_area * e)), rel=1e-12
@@ -167,21 +167,15 @@ class TestNodalProject:
 
 class TestPencil:
     def test_build_and_restrict(self, square):
-        pencil = fem.build_pencil(square, np.ones(square.n_elems), 1.0)
+        pencil = fem.build_pencil(square, np.ones(square.n_elems))
         assert pencil.n_free == square.n_nodes - square.boundary_nodes.size
         assert pencil.K.shape == (pencil.n_free, pencil.n_free)
         v = np.arange(square.n_nodes, dtype=float)
         assert pencil.extend(pencil.restrict(v))[square.boundary_nodes].max() == 0.0
 
-    def test_free_index_map(self, square):
-        pencil = fem.build_pencil(square, np.ones(square.n_elems), 1.0)
-        idx = pencil.free_index
-        assert (idx[square.boundary_nodes] == -1).all()
-        assert (idx[pencil.free] == np.arange(pencil.n_free)).all()
-
     def test_spd_probes(self, square):
         rng = np.random.default_rng(6)
-        pencil = fem.build_pencil(square, rng.uniform(0.5, 2.0, square.n_elems), 1.0)
+        pencil = fem.build_pencil(square, rng.uniform(0.5, 2.0, square.n_elems))
         assert (pencil.M.diagonal() > 0).all()
         for _ in range(5):
             x = rng.standard_normal(pencil.n_free)
@@ -191,7 +185,7 @@ class TestPencil:
     def test_no_free_nodes_rejected(self):
         single = from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
         with pytest.raises(ValueError, match="free"):
-            fem.build_pencil(single, np.ones(1), 1.0)
+            fem.build_pencil(single, np.ones(1))
 
     def test_element_average(self, square):
         theta = square.node_coords[:, 0]  # linear in x

@@ -1,10 +1,12 @@
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from lowcontrast.mesh import (
     Mesh,
     MshParseError,
-    compute_geometry,
     from_arrays,
     generate_unit_square,
     import_msh,
@@ -102,13 +104,10 @@ class TestComputeGeometry:
             from_arrays(coords, [(0, 1, 2), (0, 1, 3)])  # second is collinear
 
     def test_bad_index(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="out of range"):
             from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 5)])
-
-    def test_returns_new_mesh(self):
-        m = generate_unit_square(2, 2)
-        m2 = compute_geometry(m)
-        np.testing.assert_allclose(m2.elem_area, m.elem_area)
+        with pytest.raises(ValueError, match="out of range"):
+            from_arrays([(0, 0), (1, 0), (0, 1), (1, 1)], [(0, 1, 2), (1, 3, -2)])
 
 
 class TestImportMsh:
@@ -186,6 +185,13 @@ class TestImportMsh:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             import_msh(tmp_path / "nope.msh")
+
+
+@pytest.mark.parametrize("mesh", [generate_unit_square(7, 5), from_arrays(*annulus_mesh_arrays())])
+def test_boundary_matches_edge_count_reference(mesh):
+    counts = Counter(tuple(sorted(e)) for t in mesh.triangles.tolist() for e in combinations(t, 2))
+    expected = sorted({n for e, c in counts.items() if c == 1 for n in e})
+    np.testing.assert_array_equal(mesh.boundary_nodes, expected)
 
 
 def test_free_nodes_complement_boundary():

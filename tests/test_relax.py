@@ -27,14 +27,14 @@ def prob(disc):
 
 class TestStateEquation:
     def test_constant_density_gives_zero(self, mesh, prob):
-        v = prob.v_inf(np.full(mesh.n_nodes, 0.4))
+        v = prob.evaluate(np.full(mesh.n_nodes, 0.4)).v_inf
         assert np.abs(v).max() <= 1e-8
 
     def test_matches_first_cascade_mode(self, mesh, disc, prob):
         rng = np.random.default_rng(41)
         chi = (rng.random(mesh.n_nodes) < 0.5).astype(float)
         series = compute_series(disc, chi, 1)
-        v = prob.v_inf(chi)
+        v = prob.evaluate(chi).v_inf
         assert np.abs(v - series.modes[1]).max() <= 1e-11
 
     def test_state_identities(self, mesh, prob):
@@ -42,7 +42,7 @@ class TestStateEquation:
         u0f = prob.pencil.restrict(prob.ground.u)
         lam0 = prob.ground.lam
         for _ in range(10):
-            vf = prob.pencil.restrict(prob.v_inf(rng.uniform(0, 1, mesh.n_nodes)))
+            vf = prob.pencil.restrict(prob.evaluate(rng.uniform(0, 1, mesh.n_nodes)).v_inf)
             assert abs(float(u0f @ (prob.pencil.M @ vf))) <= 1e-11
             assert abs(float(u0f @ (prob.pencil.K @ vf))) <= 1e-10 * lam0
 
