@@ -58,7 +58,12 @@ def read_field_csv(path, n_nodes: int) -> np.ndarray:
                     raise InputError(f"{path}: node id {idx} out of range (mesh has {n_nodes})")
                 if seen[idx]:
                     raise InputError(f"{path}: node id {idx} appears more than once")
-                values[idx] = float(row[1])
+                try:
+                    values[idx] = float(row[1])
+                except ValueError:
+                    raise InputError(
+                        f"{path}: value {row[1].strip()!r} for node {idx} is not a number"
+                    ) from None
                 seen[idx] = True
     except OSError as exc:
         raise InputError(f"cannot read field file: {exc}") from exc

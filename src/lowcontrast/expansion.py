@@ -104,7 +104,9 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     """Smallest eigenpair of the two-phase pencil (K0 + ε·Kθ, M) at finite contrast.
 
     Kθ uses the per-element vertex average of θ, so the coefficient is
-    α·(1 + ε·avg θ); K0 and M are the discretization's α-pencil.
+    α·(1 + ε·avg θ); K0 and M are the discretization's α-pencil.  K0 + εKθ
+    has K0's pattern, so its factorization follows the discretization's
+    ordering.
     """
     if not np.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -113,7 +115,7 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     theta = check_density(theta, disc.mesh.n_nodes)
     pencil0 = disc.pencil
     pencil = replace(pencil0, K=(pencil0.K + epsilon * disc.theta_stiffness(theta)).tocsr())
-    return smallest_eigenpair(pencil, disc.tol)
+    return smallest_eigenpair(pencil, disc.tol, disc.ordering)
 
 
 @dataclass(frozen=True)

@@ -243,6 +243,17 @@ class TestEvalCommand:
         assert code == 3
         assert "node id 3 appears more than once" in capsys.readouterr().err
 
+    def test_non_numeric_value_exit_3(self, tmp_path, capsys):
+        m = generate_unit_square(4, 4)
+        path = tmp_path / "theta.csv"
+        rows = [f"{i},{'abc' if i == 5 else 0.5}" for i in range(m.n_nodes)]
+        path.write_text("node_id,value\n" + "\n".join(rows) + "\n")
+        code = run_cli(["eval", "--nx", 4, "--ny", 4, "--theta", path, "--epsilon", 0.1])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(path) in err
+        assert "'abc' for node 5 is not a number" in err
+
     def test_infinite_density_exit_2(self, tmp_path, capsys):
         m = generate_unit_square(4, 4)
         theta = np.full(m.n_nodes, 0.5)

@@ -1,16 +1,22 @@
+import time
+
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import eigh
+from scipy.sparse import linalg as spla
 
 from lowcontrast import fem
 from lowcontrast.eig import (
     Discretization,
     ShiftedSolver,
     SolverError,
+    _polish,
+    _rel_residual,
     second_eigenvalue,
     smallest_eigenpair,
 )
-from lowcontrast.mesh import generate_unit_square
+from lowcontrast.mesh import from_arrays, generate_unit_square
 
 PI2 = np.pi**2
 
@@ -204,3 +210,54 @@ class TestDiscretization:
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             Discretization(generate_unit_square(4, 4), alpha)
+
+
+class TestOrdering:
+    def test_random_numbering_keeps_diagonal_pivots(self):
+        # a minimum-degree order with partial pivoting took 14 s here; the
+        # shared order in symmetric mode takes a fraction of a second
+        mesh = generate_unit_square(150, 150)
+        q = np.random.default_rng(3).permutation(mesh.n_nodes)  # new node i is old node q[i]
+        shuffled = from_arrays(mesh.node_coords[q], np.argsort(q)[mesh.triangles])
+        t0 = time.perf_counter()
+        disc = Discretization(shuffled, 1.0)
+        solver = disc.solver
+        elapsed = time.perf_counter() - t0
+        ref = Discretization(mesh, 1.0)
+        assert disc.ground.lam == pytest.approx(ref.ground.lam, rel=1e-12)
+
+        g = np.sin(3.0 * mesh.node_coords[:, 0]) * mesh.node_coords[:, 1]
+        f_ref = compatible(ref.solver, ref.pencil.restrict(g))
+        v_ref = ref.pencil.extend(ref.solver.solve(f_ref))[q]
+        f = disc.pencil.restrict(ref.pencil.extend(f_ref)[q])
+        v = disc.pencil.extend(solver.solve(f))
+        assert np.linalg.norm(v - v_ref) <= 1e-10 * np.linalg.norm(v_ref)
+        assert elapsed < 3.0
+
+    def test_fill_below_colamd(self):
+        disc = Discretization(generate_unit_square(64, 64), 1.0)
+        K = disc.pencil.K.tocsc()
+        colamd = spla.splu(K)
+        assert disc.fill < colamd.nnz
+
+        solver = disc.solver
+        A = (K - disc.ground.lam * disc.pencil.M).tocsr()
+        col = sparse.csc_matrix(solver.Mu0.reshape(-1, 1))
+        bordered = spla.splu(sparse.bmat([[A, col], [col.T, None]], format="csc"))
+        assert solver.fill < bordered.nnz
+
+    def test_polish_restores_residual_contract(self):
+        disc = Discretization(generate_unit_square(16, 16), 1.0, tol=1e-12)
+        pencil, perm = disc.pencil, disc.ordering.perm
+        K, M = pencil.K, pencil.M
+        u = pencil.restrict(disc.ground.u)
+        u = u + 1e-3 * np.random.default_rng(5).standard_normal(u.size)
+        u /= np.sqrt(u @ (M @ u))
+        lam = float(u @ (K @ u))
+        assert _rel_residual(K, M, lam, u) > disc.tol
+
+        lam, u, res = _polish(K, M, lam, u, disc.tol, disc.ordering)
+        assert res <= disc.tol
+        assert res == pytest.approx(_rel_residual(K, M, lam, u))
+        assert lam == pytest.approx(disc.ground.lam, rel=1e-12)
+        assert disc.ordering.perm is perm
