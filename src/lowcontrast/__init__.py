@@ -7,7 +7,7 @@ gradient optimizer.
 """
 from .eig import Discretization, EigenPair, ShiftedSolver, SolverError, second_eigenvalue, smallest_eigenpair
 from .expansion import ExpansionSeries, RemainderReport, compute_series, direct_eigenvalue, remainder_report
-from .fem import SparsePencil, assemble_mass, assemble_stiffness, build_pencil, divergence_rhs, element_gradient, nodal_project
+from .fem import SparsePencil, assemble_mass, assemble_stiffness, build_pencil, element_gradient, nodal_project
 from .mesh import Mesh, MshParseError, generate_unit_square, import_msh
 from .optimizer import OptimizerConfig, OptimizerState, project_volume, run
 from .relax import RelaxedEval, RelaxedObjective
@@ -32,7 +32,6 @@ __all__ = [
     "build_pencil",
     "compute_series",
     "direct_eigenvalue",
-    "divergence_rhs",
     "element_gradient",
     "export_vtk",
     "generate_unit_square",

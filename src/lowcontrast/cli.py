@@ -83,33 +83,34 @@ def write_field_csv(path, values) -> None:
 def rasterize_shapes(mesh, specs) -> np.ndarray:
     """0/1 density from shape specs evaluated at element centroids.
 
-    Each spec is ``disk cx cy r`` or ``rect x0 y0 x1 y1``; repeated specs
-    take the union.  The element indicator is lifted to nodes by maximum
-    over adjacent elements, so it stays 0/1-valued.
+    Each spec is ``disk cx cy r`` or ``rect x0 y0 x1 y1`` with finite
+    numbers; repeated specs take the union.  The element indicator is
+    lifted to nodes by maximum over adjacent elements, so it stays 0/1-valued.
     """
     centroids = mesh.node_coords[mesh.triangles].mean(axis=1)
     inside = np.zeros(mesh.n_elems, dtype=bool)
     for spec in specs:
         kind = spec[0]
+        if kind not in ("disk", "rect"):
+            raise ValueError(f"unknown shape '{kind}' (use disk or rect)")
         try:
-            if kind == "disk":
-                cx, cy, r = (float(x) for x in spec[1:4])
-                d2 = (centroids[:, 0] - cx) ** 2 + (centroids[:, 1] - cy) ** 2
-                inside |= d2 <= r * r
-            elif kind == "rect":
-                x0, y0, x1, y1 = (float(x) for x in spec[1:5])
-                inside |= (
-                    (centroids[:, 0] >= x0)
-                    & (centroids[:, 0] <= x1)
-                    & (centroids[:, 1] >= y0)
-                    & (centroids[:, 1] <= y1)
-                )
-            else:
-                raise ValueError(f"unknown shape '{kind}' (use disk or rect)")
-        except (IndexError, ValueError) as exc:
-            if isinstance(exc, ValueError) and "unknown shape" in str(exc):
-                raise
-            raise ValueError(f"malformed --chi spec {spec}") from exc
+            values = [float(x) for x in spec[1:]]
+        except ValueError:
+            values = []  # reported as malformed below
+        if len(values) != (3 if kind == "disk" else 4) or not np.isfinite(values).all():
+            raise ValueError(f"malformed --chi spec {spec}")
+        if kind == "disk":
+            cx, cy, r = values
+            d2 = (centroids[:, 0] - cx) ** 2 + (centroids[:, 1] - cy) ** 2
+            inside |= d2 <= r * r
+        else:
+            x0, y0, x1, y1 = values
+            inside |= (
+                (centroids[:, 0] >= x0)
+                & (centroids[:, 0] <= x1)
+                & (centroids[:, 1] >= y0)
+                & (centroids[:, 1] <= y1)
+            )
     elem = inside.astype(float)
     theta = np.zeros(mesh.n_nodes)
     np.maximum.at(theta, mesh.triangles.ravel(), np.repeat(elem, 3))
@@ -151,6 +152,8 @@ def cmd_mesh(args) -> int:
 def cmd_expand(args) -> int:
     import warnings
 
+    if args.bounds_samples < 0:
+        raise ValueError("--bounds-samples must be >= 0")
     m = _load_mesh(args)
     theta = _theta_from_args(args, m)
     eps = [float(x) for x in args.eps.split(",") if x.strip()]

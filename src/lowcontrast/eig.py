@@ -193,8 +193,8 @@ def smallest_eigenpair(pencil, tol: float = DEFAULT_TOL, ordering=None) -> Eigen
     ``ordering`` is the :class:`Ordering` of a pencil with the same pattern
     (a discretization's); by default the pencil's K is ordered afresh.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError("tol must be positive and finite")
     ((lam, u, res),) = _smallest_pairs(pencil, 1, tol, ordering)
     if pencil.lumped[pencil.free] @ u < 0:
         u = -u

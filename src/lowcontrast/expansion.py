@@ -181,7 +181,15 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     lam_eps = np.array([direct_eigenvalue(disc, theta, e).lam for e in eps])
     series = compute_series(disc, theta, order)
 
-    trunc = np.array([series.truncated(e, order) for e in eps])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        trunc = np.array([series.truncated(e, order) for e in eps])
+    finite = np.isfinite(lam_eps) & np.isfinite(trunc)
+    if not finite.all():
+        i = int(np.flatnonzero(~finite)[0])
+        raise ValueError(
+            f"eps = {eps[i]:g}: lambda_eps = {lam_eps[i]:g}, truncated sum = {trunc[i]:g} "
+            "(both must be finite)"
+        )
     rem = np.abs(lam_eps - trunc)
 
     floor = 100.0 * disc.tol * max(1.0, abs(series.lambdas[0]))

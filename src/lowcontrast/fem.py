@@ -1,5 +1,5 @@
-"""P1 finite-element assembly: stiffness/mass pairs, element gradients,
-divergence loads and lumped-mass projections.
+"""P1 finite-element assembly: stiffness/mass pairs, element gradients
+and lumped-mass projections.
 
 Nodal fields are plain float arrays of length ``mesh.n_nodes``; element
 fields have length ``mesh.n_elems``.  Assembly returns full matrices
@@ -78,21 +78,6 @@ def element_gradient(mesh, f) -> np.ndarray:
     """Gradient of the P1 interpolant of ``f``: one 2-vector per triangle."""
     f = _check_nodal(mesh, f)
     return np.einsum("ti,tid->td", f[mesh.triangles], mesh.elem_basis_grad)
-
-
-def divergence_rhs(mesh, theta_elem, g, alpha: float) -> np.ndarray:
-    """Weak divergence load: full vector with entries −∫ α·θ ∇g·∇φ_j.
-
-    Equals −(stiffness with coefficient α·θ) @ g without assembling the
-    matrix; restrict to free nodes before solving.
-    """
-    theta_elem = _check_elem(mesh, theta_elem)
-    grad_g = element_gradient(mesh, g)  # (m, 2)
-    w = -alpha * mesh.elem_area * theta_elem
-    local = w[:, None] * np.einsum("tid,td->ti", mesh.elem_basis_grad, grad_g)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.triangles.ravel(), local.ravel())
-    return out
 
 
 def nodal_project(mesh, e, lumped: np.ndarray) -> np.ndarray:

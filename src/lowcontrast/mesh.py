@@ -75,10 +75,14 @@ def from_arrays(node_coords, triangles) -> Mesh:
     """Build a finished mesh (geometry + boundary detection) from raw arrays.
 
     Triangle orientation is normalized to positive signed area (node order
-    flipped where needed).  A zero-area triangle raises ValueError naming
-    the offending element.
+    flipped where needed).  A zero-area triangle or a non-finite node
+    coordinate raises ValueError naming the offending element or node.
     """
     coords = np.asarray(node_coords, dtype=float).reshape(-1, 2)
+    bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
+    if bad.size:
+        x, y = coords[bad[0]].tolist()
+        raise ValueError(f"node {bad[0]} has non-finite coordinates ({x}, {y})")
     tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3).copy()
     if tris.size and (tris.min() < 0 or tris.max() >= coords.shape[0]):
         raise ValueError("triangle references node index out of range")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .relax import RelaxedObjective
+from .relax import RelaxedEval, RelaxedObjective
 
 _RHO_FLOOR_FACTOR = 1e-12
 _BISECT_RELTOL = 1e-14
@@ -38,7 +38,6 @@ class OptimizerConfig:
     armijo_c: float = 1e-4
     armijo_shrink: float = 0.5
     seed: int | None = None
-    kkt_band: float = 0.01
 
     def __post_init__(self):
         for name, value in vars(self).items():
@@ -60,15 +59,17 @@ class OptimizerConfig:
 
 @dataclass
 class OptimizerState:
-    """Current iterate plus per-iteration history (index 0 = initialization)."""
+    """Current iterate plus per-iteration history (index 0 = initialization).
+
+    ``rho`` is the step size the next step tries first; the accepted step
+    sizes and shifts are kept only in ``rho_history`` and ``Lambda_history``.
+    """
 
     theta: np.ndarray
     iter: int
-    Lambda: float
     rho: float
-    rho_accepted: float
-    rho0: float = 0.0
-    last_eval: object = None
+    rho0: float
+    last_eval: RelaxedEval
     F_history: list = field(default_factory=list)
     vol_history: list = field(default_factory=list)
     rho_history: list = field(default_factory=list)
@@ -124,13 +125,12 @@ def step(state: OptimizerState, config: OptimizerConfig, problem: RelaxedObjecti
     tol_vol = config.tol_vol if config.tol_vol is not None else 1e-10 * float(lumped.sum())
 
     current = state.last_eval
-    if current is None:
-        current = problem.evaluate(state.theta)
-        state.last_eval = current
     g = current.grad_density
     rho = state.rho
-    rho_floor = _RHO_FLOOR_FACTOR * (state.rho0 if state.rho0 > 0 else rho)
+    rho_floor = _RHO_FLOOR_FACTOR * state.rho0
     noise = 8.0 * np.finfo(float).eps * (1.0 + abs(current.F))
+    # the previous iterate with its evaluation, shift and accepted step size
+    previous = (state.theta, current, state.Lambda_history[-1], state.rho_history[-1])
     best = None
 
     while True:
@@ -141,13 +141,9 @@ def step(state: OptimizerState, config: OptimizerConfig, problem: RelaxedObjecti
             # requested decrease below the fp resolution of F: done at this rho
             state.converged = True
             if ev.F > current.F:
-                # keep the previous iterate; (Lambda, rho_accepted) stay paired
-                theta_new, ev, lam = state.theta, current, state.Lambda
-            else:
-                state.rho_accepted = rho
+                theta_new, ev, lam, rho = previous
             break
         if ev.F <= current.F - config.armijo_c * decrease:
-            state.rho_accepted = rho
             state.rho = rho / config.armijo_shrink
             break
         if best is None or ev.F < best[1].F:
@@ -157,20 +153,18 @@ def step(state: OptimizerState, config: OptimizerConfig, problem: RelaxedObjecti
             state.stalled = True
             if best is not None and best[1].F < current.F:
                 theta_new, ev, lam, rho = best
-                state.rho_accepted = rho
                 state.rho = rho
             else:
-                theta_new, ev, lam = state.theta, current, state.Lambda
+                theta_new, ev, lam, rho = previous
             break
 
     l1 = float(lumped @ np.abs(theta_new - state.theta))
     state.theta = theta_new
     state.last_eval = ev
-    state.Lambda = lam
     state.iter += 1
     state.F_history.append(ev.F)
     state.vol_history.append(float(lumped @ theta_new))
-    state.rho_history.append(state.rho_accepted)
+    state.rho_history.append(rho)
     state.Lambda_history.append(lam)
     state.l1_history.append(l1)
     return state
@@ -199,9 +193,7 @@ def run(problem: RelaxedObjective, config: OptimizerConfig):
 
     rho0 = config.rho0 if config.rho0 is not None else 1.0 / problem.ground.lam
     ev0 = problem.evaluate(theta0)
-    state = OptimizerState(
-        theta=theta0, iter=0, Lambda=0.0, rho=rho0, rho_accepted=rho0, rho0=rho0, last_eval=ev0
-    )
+    state = OptimizerState(theta=theta0, iter=0, rho=rho0, rho0=rho0, last_eval=ev0)
     state.F_history.append(ev0.F)
     state.vol_history.append(float(lumped @ theta0))
     state.rho_history.append(rho0)
@@ -213,10 +205,10 @@ def run(problem: RelaxedObjective, config: OptimizerConfig):
         if state.l1_history[-1] <= config.tol_step * total or state.stalled or state.converged:
             break
 
-    tilde = state.theta - state.rho_accepted * state.last_eval.grad_density
+    rho = state.rho_history[-1]
+    tilde = state.theta - rho * state.last_eval.grad_density
     _, lam_probe = project_volume(lumped, tilde, m, tol_vol)
-    multiplier = -lam_probe / state.rho_accepted
-    kkt = problem.kkt(state.theta, state.last_eval.grad_density, multiplier, band=config.kkt_band)
+    kkt = problem.kkt(state.theta, state.last_eval.grad_density, -lam_probe / rho)
     return state, state.last_eval, kkt
 
 

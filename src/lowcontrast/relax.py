@@ -30,7 +30,6 @@ class RelaxedEval:
     lambda1: float
     v_inf: np.ndarray
     grad_density: np.ndarray
-    epsilon: float
 
 
 class RelaxedObjective:
@@ -60,16 +59,25 @@ class RelaxedObjective:
         self.gu0_sq = np.einsum("td,td->t", self.grad_u0, self.grad_u0)
         self.p_nodal = fem.nodal_project(mesh, self.gu0_sq, self.lumped)
         self._area = mesh.elem_area
+        # ∇φ_i·∇u0 per element vertex: the state load is −α·area·θ_e times it
+        self._coupling = np.einsum("tid,td->ti", mesh.elem_basis_grad, self.grad_u0)
 
     # -- state equation ----------------------------------------------------
 
     def _state(self, theta_e: np.ndarray):
-        """Solve the shifted state equation for an element-averaged density."""
+        """Solve the shifted state equation for an element-averaged density.
+
+        Returns the state v, λ1 and the element field ∇v·∇u0.
+        """
+        mesh = self.mesh
         lam1 = self.alpha * float(np.sum(self._area * theta_e * self.gu0_sq))
-        rhs_full = fem.divergence_rhs(self.mesh, theta_e, self.ground.u, self.alpha)
-        f = rhs_full[self.pencil.free] + lam1 * self.solver.Mu0
-        v = self.solver.solve(f)
-        return self.pencil.extend(v), lam1
+        load = np.zeros(mesh.n_nodes)
+        local = (-self.alpha * self._area * theta_e)[:, None] * self._coupling
+        np.add.at(load, mesh.triangles.ravel(), local.ravel())
+        f = load[self.pencil.free] + lam1 * self.solver.Mu0
+        v = self.pencil.extend(self.solver.solve(f))
+        gv_dot = np.einsum("td,td->t", fem.element_gradient(mesh, v), self.grad_u0)
+        return v, lam1, gv_dot
 
     # -- objective / derivatives --------------------------------------------
 
@@ -78,8 +86,7 @@ class RelaxedObjective:
         mesh, eps, alpha = self.mesh, self.epsilon, self.alpha
         theta_e = fem.element_average(mesh, theta)
         theta_sq_e = fem.element_average(mesh, theta**2)
-        v, lam1 = self._state(theta_e)
-        gv_dot = np.einsum("td,td->t", fem.element_gradient(mesh, v), self.grad_u0)
+        v, lam1, gv_dot = self._state(theta_e)
 
         first = alpha * float(np.sum(self._area * theta_e * (self.gu0_sq + eps * gv_dot)))
         mixing = eps * alpha * float(
@@ -91,7 +98,7 @@ class RelaxedObjective:
         grad = fem.nodal_project(mesh, e_lin, self.lumped) + (
             2.0 * eps * alpha
         ) * theta * self.p_nodal
-        return RelaxedEval(F=F, lambda1=lam1, v_inf=v, grad_density=grad, epsilon=eps)
+        return RelaxedEval(F=F, lambda1=lam1, v_inf=v, grad_density=grad)
 
     def hessian_form(self, phi) -> float:
         """Quadratic form F''(φ,φ); θ-independent since F is quadratic."""
@@ -100,8 +107,7 @@ class RelaxedObjective:
             raise ValueError("direction must be a nodal field")
         mesh, eps, alpha = self.mesh, self.epsilon, self.alpha
         phi_e = fem.element_average(mesh, phi)
-        v, _ = self._state(phi_e)
-        gv_dot = np.einsum("td,td->t", fem.element_gradient(mesh, v), self.grad_u0)
+        _, _, gv_dot = self._state(phi_e)
         bilinear = float(np.sum(self._area * phi_e * gv_dot))
         diag = float(np.sum(self.lumped * phi**2 * self.p_nodal))
         return 2.0 * eps * alpha * (bilinear + diag)

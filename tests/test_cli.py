@@ -58,6 +58,19 @@ class TestMeshCommand:
         p.write_text("$MeshFormat\n9.9 0 8\n$EndMeshFormat\n")
         assert run_cli(["mesh", "import", "--file", p]) == 3
 
+    def test_import_non_finite_node_exit_2(self, tmp_path, capsys):
+        from test_mesh import write_msh
+
+        ref = generate_unit_square(2, 2)
+        coords = ref.node_coords.copy()
+        coords[4, 0] = np.nan
+        p = tmp_path / "nan.msh"
+        write_msh(p, coords, ref.triangles)
+        assert run_cli(["mesh", "import", "--file", p]) == 2
+        captured = capsys.readouterr()
+        assert "node 4 has non-finite coordinates" in captured.err
+        assert "total area" not in captured.out
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli(["mesh", "square", "--nx", "abc", "--ny", "2"])
@@ -113,6 +126,14 @@ class TestExpandCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "spec", [["disk", "nan", 0.5, 0.2], ["disk", 0.5, 0.5, 0.2, 9, 9]], ids=["nan", "extra"]
+    )
+    def test_malformed_chi_exit_2(self, tmp_path, capsys, spec):
+        code = run_cli(["expand", "--nx", 4, "--ny", 4, "--chi", *spec, "--out-dir", tmp_path])
+        assert code == 2
+        assert "malformed --chi spec" in capsys.readouterr().err
+
     def test_conflicting_theta_sources(self, tmp_path):
         code = run_cli(
             ["expand", "--nx", 4, "--ny", 4, "--random-theta", "--chi", "disk", 0.5, 0.5, 0.1,
@@ -137,6 +158,31 @@ class TestExpandCommand:
         )
         assert code == 0
         assert "mode energy norms" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tol", "inf", "tol must be positive and finite"),
+        ("--tol", "nan", "tol must be positive and finite"),
+        ("--bounds-samples", -3, "--bounds-samples must be >= 0"),
+    ], ids=["tol-inf", "tol-nan", "negative-bounds-samples"])
+    def test_bad_flag_value_exit_2(self, tmp_path, capsys, flag, value, message):
+        code = run_cli(
+            ["expand", "--nx", 6, "--ny", 6, "--random-theta", "--seed", 2,
+             flag, value, "--out-dir", tmp_path]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_overflowing_eps_exit_2(self, tmp_path, capsys):
+        code = run_cli(
+            ["expand", "--nx", 16, "--ny", 16, "--random-theta", "--seed", 1,
+             "--eps", "1e300,1e299", "--out-dir", tmp_path]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "eps = 1e+300" in captured.err
+        assert "nan" not in captured.out
 
 
 class TestOptimizeCommand:

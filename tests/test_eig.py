@@ -81,6 +81,11 @@ class TestSmallestEigenpair:
         with pytest.raises(ValueError):
             smallest_eigenpair(pencil, tol=0.0)
 
+    @pytest.mark.parametrize("tol", [np.inf, np.nan])
+    def test_non_finite_tol(self, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            Discretization(generate_unit_square(4, 4), 1.0, tol=tol)
+
 
 class TestSecondEigenvalue:
     def test_value_on_square(self):

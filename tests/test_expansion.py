@@ -221,6 +221,13 @@ class TestRemainderReport:
         with pytest.raises(ValueError):
             remainder_report(disc8_tight, theta, 1, [])
 
+    def test_overflowing_truncated_sum_names_eps(self, mesh16, disc16):
+        # ε² overflows at ε = 1e300, so the order-2 sum is not finite
+        rng = np.random.default_rng(1)
+        theta = (rng.random(mesh16.n_nodes) < 0.5).astype(float)
+        with pytest.raises(ValueError, match=r"eps = 1e\+300: .*must be finite"):
+            remainder_report(disc16, theta, 2, [1e300, 1e299])
+
     def test_serialization(self, mesh8, tmp_path, disc8_tight):
         rng = np.random.default_rng(34)
         theta = (rng.random(mesh8.n_nodes) < 0.5).astype(float)

@@ -118,31 +118,6 @@ class TestElementGradient:
             fem.element_gradient(square, np.zeros(3))
 
 
-class TestDivergenceRhs:
-    def test_zero_density(self, square):
-        g = square.node_coords[:, 0] * square.node_coords[:, 1]
-        out = fem.divergence_rhs(square, np.zeros(square.n_elems), g, 1.0)
-        assert np.abs(out).max() == 0.0
-
-    def test_uniform_density_matches_stiffness(self, square):
-        rng = np.random.default_rng(3)
-        g = rng.standard_normal(square.n_nodes)
-        alpha = 1.7
-        out = fem.divergence_rhs(square, np.ones(square.n_elems), g, alpha)
-        K1 = fem.assemble_stiffness(square, alpha * np.ones(square.n_elems))
-        free = square.free_nodes
-        np.testing.assert_allclose(out[free], -(K1 @ g)[free], atol=1e-12)
-
-    def test_random_density_assembly_equivalence(self, square):
-        rng = np.random.default_rng(4)
-        theta = rng.uniform(0.0, 1.0, square.n_elems)
-        g = rng.standard_normal(square.n_nodes)
-        alpha = 0.9
-        out = fem.divergence_rhs(square, theta, g, alpha)
-        K = fem.assemble_stiffness(square, alpha * theta)
-        np.testing.assert_allclose(out, -(K @ g), atol=1e-12)
-
-
 class TestNodalProject:
     def test_constant_reproduction(self, square):
         out = fem.nodal_project(square, np.full(square.n_elems, 5.0), fem.assemble_mass(square)[1])

@@ -103,6 +103,11 @@ class TestComputeGeometry:
         with pytest.raises(ValueError, match="element 1"):
             from_arrays(coords, [(0, 1, 2), (0, 1, 3)])  # second is collinear
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinate_names_node(self, bad):
+        with pytest.raises(ValueError, match="node 2 has non-finite coordinates"):
+            from_arrays([(0, 0), (1, 0), (bad, 1)], [(0, 1, 2)])
+
     def test_bad_index(self):
         with pytest.raises(ValueError, match="out of range"):
             from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 5)])

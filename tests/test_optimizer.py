@@ -86,7 +86,7 @@ class TestConfig:
     @pytest.mark.parametrize("field,value", [
         (field, value)
         for field in ("volume_fraction", "rho0", "tol_step", "tol_vol", "armijo_c",
-                      "armijo_shrink", "kkt_band")
+                      "armijo_shrink")
         for value in (np.nan, np.inf, True, "0.5", None)
         if not (value is None and field in ("rho0", "tol_vol"))
     ])
@@ -164,10 +164,7 @@ class TestStep:
         lumped = problem.lumped
         theta0 = np.full(mesh.n_nodes, 0.3)
         ev0 = problem.evaluate(theta0)
-        state = OptimizerState(
-            theta=theta0, iter=0, Lambda=0.0, rho=0.05, rho_accepted=0.05, rho0=0.05,
-            last_eval=ev0,
-        )
+        state = OptimizerState(theta=theta0, iter=0, rho=0.05, rho0=0.05, last_eval=ev0)
         state.F_history.append(ev0.F)
         state.vol_history.append(float(lumped @ theta0))
         state.rho_history.append(0.05)

@@ -46,6 +46,25 @@ class TestStateEquation:
             assert abs(float(u0f @ (prob.pencil.M @ vf))) <= 1e-11
             assert abs(float(u0f @ (prob.pencil.K @ vf))) <= 1e-10 * lam0
 
+    def test_load_matches_assembled_stiffness(self, mesh, monkeypatch):
+        # the matrix-free load of the state equation is −(Kθ u0) + λ1·Mu0 on free nodes
+        alpha = 0.9
+        problem = RelaxedObjective(Discretization(mesh, alpha), EPS)
+        loads, solve = [], problem.solver.solve
+
+        def recording_solve(f):
+            loads.append(f)
+            return solve(f)
+
+        monkeypatch.setattr(problem.solver, "solve", recording_solve)
+        theta = np.random.default_rng(4).uniform(0.0, 1.0, mesh.n_nodes)
+        ev = problem.evaluate(theta)
+        K_theta = fem.assemble_stiffness(mesh, alpha * fem.element_average(mesh, theta))
+        pencil, u0 = problem.pencil, problem.ground.u
+        expected = -(K_theta @ u0)[pencil.free] + ev.lambda1 * (pencil.M @ pencil.restrict(u0))
+        (load,) = loads
+        np.testing.assert_allclose(load, expected, rtol=0, atol=1e-12)
+
 
 class TestObjective:
     def test_zero_density(self, mesh, prob):
