@@ -5,7 +5,7 @@ perturbation series with remainder-order certification, the relaxed
 second-order design objective, and a volume-constrained projected
 gradient optimizer.
 """
-from .eig import Discretization, EigenPair, ShiftedSolver, SolverError, second_eigenvalue, smallest_eigenpair
+from .eig import Discretization, EigenPair, ShiftedSolver, SolverError
 from .expansion import ExpansionSeries, RemainderReport, compute_series, direct_eigenvalue, remainder_report
 from .fem import SparsePencil, assemble_mass, assemble_stiffness, build_pencil, element_gradient, nodal_project
 from .mesh import Mesh, MshParseError, generate_unit_square, import_msh
@@ -40,8 +40,6 @@ __all__ = [
     "project_volume",
     "remainder_report",
     "run",
-    "second_eigenvalue",
-    "smallest_eigenpair",
 ]
 
 __version__ = "0.1.0"

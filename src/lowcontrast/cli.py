@@ -156,7 +156,12 @@ def cmd_expand(args) -> int:
         raise ValueError("--bounds-samples must be >= 0")
     m = _load_mesh(args)
     theta = _theta_from_args(args, m)
-    eps = [float(x) for x in args.eps.split(",") if x.strip()]
+    eps = []
+    for x in filter(None, (x.strip() for x in args.eps.split(","))):
+        try:
+            eps.append(float(x))
+        except ValueError:
+            raise ValueError(f"--eps value {x!r} is not a number") from None
     disc = Discretization(m, args.alpha, tol=args.tol)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # excluded points printed below
@@ -169,8 +174,11 @@ def cmd_expand(args) -> int:
     report.write_csv(csv_path)
     report.write_json(json_path)
 
-    if report.slope is None:
+    survived = len(report.eps_values) - len(report.excluded)
+    if survived == 0:
         print(f"order {args.order}: all remainders at the solver floor (series exact)")
+    elif report.slope is None:
+        print(f"order {args.order}: {survived} remainder above the solver floor, too few to fit a slope")
     else:
         print(f"order {args.order} remainder slope: {report.slope:.4f} (constant {report.constant:.6g})")
     if report.excluded:
@@ -189,12 +197,8 @@ def cmd_optimize(args) -> int:
     m = _load_mesh(args)
     config = optimizer.OptimizerConfig(
         volume_fraction=args.volume_fraction,
-        rho0=args.rho0,
         max_iters=args.max_iters,
         tol_step=args.tol_step,
-        tol_vol=args.tol_vol,
-        armijo_c=args.armijo_c,
-        armijo_shrink=args.armijo_shrink,
         seed=args.seed,
     )
     problem = relax.RelaxedObjective(Discretization(m, args.alpha), args.epsilon)
@@ -234,7 +238,7 @@ def cmd_eval(args) -> int:
         multiplier = -float(lumped @ ev.grad_density) / float(lumped.sum())
     else:
         multiplier = args.multiplier
-    kkt = problem.kkt(theta, ev.grad_density, multiplier, band=args.band)
+    kkt = problem.kkt(theta, ev.grad_density, multiplier)
     print(f"F = {ev.F:.12g}")
     print(f"lambda1 = {ev.lambda1:.12g}")
     print(f"volume = {float(lumped @ theta):.12g}")
@@ -329,12 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--epsilon", type=float, required=True)
     p_opt.add_argument("--volume-fraction", type=float, required=True, help="target m/|area|")
     p_opt.add_argument("--alpha", type=float, default=1.0)
-    p_opt.add_argument("--rho0", type=float, default=None)
     p_opt.add_argument("--max-iters", type=int, default=2000)
     p_opt.add_argument("--tol-step", type=float, default=1e-7)
-    p_opt.add_argument("--tol-vol", type=float, default=None)
-    p_opt.add_argument("--armijo-c", type=float, default=1e-4)
-    p_opt.add_argument("--armijo-shrink", type=float, default=0.5)
     p_opt.add_argument("--seed", type=int, default=None, help="randomized feasible start")
     p_opt.add_argument("--out-dir", default=".")
     p_opt.set_defaults(func=cmd_optimize)
@@ -345,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ev.add_argument("--epsilon", type=float, required=True)
     p_ev.add_argument("--alpha", type=float, default=1.0)
     p_ev.add_argument("--multiplier", type=float, default=None, help="sign-adjusted multiplier")
-    p_ev.add_argument("--band", type=float, default=0.01)
     p_ev.add_argument("--out", help="optional VTK output")
     p_ev.set_defaults(func=cmd_eval)
 

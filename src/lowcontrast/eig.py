@@ -13,9 +13,9 @@ fill-reducing order (:class:`Ordering`).  SuperLU picks it once, as a
 multiple-minimum-degree order of K + Kᵀ while factoring K in symmetric mode
 with diagonal pivots; that LU serves the ground eigensolve and is then
 dropped.  Later matrices with K's pattern (the ε-sweep's K0 + εKθ, the
-polishing shifts, the bordered singular system with its border row and
-column placed last) are permuted symmetrically by it and factored in
-natural order.
+polishing shifts, K itself for the lazy λ₂, the bordered singular system
+with its border row and column placed last) are permuted symmetrically by
+it and factored in natural order.
 """
 from __future__ import annotations
 
@@ -146,14 +146,12 @@ def _polish(K, M, lam, u, tol, ordering):
     return lam, u, res
 
 
-def _smallest_pairs(pencil, k, tol, ordering=None):
+def _smallest_pairs(pencil, k, tol, ordering):
     """k smallest eigenpairs of the free-node pencil, M-normalized, ascending."""
     n = pencil.n_free
     K, M = pencil.K, pencil.M
     if k > n:
         raise SolverError(f"pencil has only {n} free node(s), cannot extract {k} eigenpairs")
-    if ordering is None:
-        ordering = Ordering(K)
     if n <= max(_DENSE_CUTOFF, k + 2):
         from scipy.linalg import eigh
 
@@ -187,11 +185,11 @@ def _smallest_pairs(pencil, k, tol, ordering=None):
     return out
 
 
-def smallest_eigenpair(pencil, tol: float = DEFAULT_TOL, ordering=None) -> EigenPair:
+def smallest_eigenpair(pencil, tol: float, ordering: Ordering) -> EigenPair:
     """Smallest eigenpair of the pencil, sign-fixed by positive lumped integral.
 
     ``ordering`` is the :class:`Ordering` of a pencil with the same pattern
-    (a discretization's); by default the pencil's K is ordered afresh.
+    (a discretization's).
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError("tol must be positive and finite")
@@ -201,35 +199,24 @@ def smallest_eigenpair(pencil, tol: float = DEFAULT_TOL, ordering=None) -> Eigen
     return EigenPair(lam=lam, u=pencil.extend(u), residual=res)
 
 
-def second_eigenvalue(pencil, ground: EigenPair, tol: float = DEFAULT_TOL) -> float:
-    """Second-smallest pencil eigenvalue; strictly above ``ground.lam``."""
-    pairs = _smallest_pairs(pencil, 2, tol)
-    lam2 = pairs[1][0]
-    if lam2 <= ground.lam:
-        raise SolverError(f"second eigenvalue {lam2} does not exceed ground {ground.lam}")
-    return lam2
-
-
 class ShiftedSolver:
     """Factorized bordered system [[K−λ₀M, Mu₀], [(Mu₀)ᵀ, 0]].
 
     Solving with right-hand side [f; 0] yields v with
     (K−λ₀M)v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0.  The factorization is reused
     across right-hand sides (one per cascade order / objective evaluation).
-    It follows ``ordering`` (by default K is ordered afresh) with the border
-    last, and keeps threshold pivoting: K − λ₀M is indefinite, and its last
-    pivot, near zero, must swap with the border row.  ``fill`` is the
+    It follows ``ordering`` (a discretization's) with the border last, and
+    keeps threshold pivoting: K − λ₀M is indefinite, and its last pivot,
+    near zero, must swap with the border row.  ``fill`` is the
     factorization's fill (see :class:`Ordering`).
     """
 
-    def __init__(self, pencil, lambda0: float, u0: np.ndarray, ordering=None):
+    def __init__(self, pencil, lambda0: float, u0: np.ndarray, ordering: Ordering):
         self.pencil = pencil
         self.lambda0 = float(lambda0)
         self.u0f = pencil.restrict(u0)
         self.Mu0 = pencil.M @ self.u0f
         A = (pencil.K - self.lambda0 * pencil.M).tocsr()
-        if ordering is None:
-            ordering = Ordering(pencil.K)
         try:
             self._solve, self.fill = ordering.factor(A, border=self.Mu0, pivot=True)
         except RuntimeError as exc:
@@ -269,16 +256,17 @@ class Discretization:
     """One mesh at background conductivity α, set up once and shared.
 
     Holds the α-pencil (K, M) on free nodes, the :class:`Ordering` every
-    factorization on the mesh follows, its ground pair (λ₀, u₀) and the
-    bordered solver for the singular operator K − λ₀M.  A domain whose
-    free nodes fall into several connected parts is rejected: its ground
-    eigenvalue can be repeated, and the cascade assumes it is simple.
+    factorization on the mesh follows, its ground pair (λ₀, u₀), a lazy
+    second eigenvalue λ₂ and the bordered solver for the singular operator
+    K − λ₀M.  A domain whose free nodes fall into several connected parts
+    is rejected: its ground eigenvalue can be repeated, and the cascade
+    assumes it is simple.
     The perturbation cascade, the remainder certificate and the relaxed
     objective all reuse it.  The bordered factorization is built on the
     first singular solve, so eigensolves run before it (the ε-sweep of a
-    remainder report) do not hold it in memory.  ``fill`` is the fill of
-    the ground factorization of K (see :class:`Ordering`; None when a tiny
-    pencil was solved densely).
+    remainder report) do not hold it in memory.  ``ordering.fill`` is the
+    fill of the ground factorization of K (None when a tiny pencil was
+    solved densely).
     """
 
     def __init__(self, mesh, alpha: float, tol: float = DEFAULT_TOL):
@@ -295,8 +283,18 @@ class Discretization:
             )
         self.ordering = Ordering(self.pencil.K)
         self.ground = smallest_eigenpair(self.pencil, tol, self.ordering)
-        self.fill = self.ordering.fill
         self._last_theta_stiffness = None
+
+    @cached_property
+    def lambda2(self) -> float:
+        """Second-smallest eigenvalue of the α-pencil, computed on first access.
+
+        It must lie strictly above λ₀; a pencil with one free node has none.
+        """
+        lam2 = _smallest_pairs(self.pencil, 2, self.tol, self.ordering)[1][0]
+        if lam2 <= self.ground.lam:
+            raise SolverError(f"second eigenvalue {lam2} does not exceed ground {self.ground.lam}")
+        return lam2
 
     @cached_property
     def solver(self) -> ShiftedSolver:

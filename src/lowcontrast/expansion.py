@@ -163,7 +163,8 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
 
     Both sides live on the same mesh and the same pencils, so the expected
     slope of the order-n remainder is n+1 exactly.  Remainders at the solver
-    noise floor (100·tol·max(1, λ0)) are excluded from the fit with a warning.
+    noise floor (100·tol·|λ0|, which scales with α as the remainders do) are
+    excluded from the fit with a warning.
     The ε-sweep runs before the cascade, so on a fresh discretization the
     sweep's eigensolves run before the bordered factorization exists.
     """
@@ -192,7 +193,7 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
         )
     rem = np.abs(lam_eps - trunc)
 
-    floor = 100.0 * disc.tol * max(1.0, abs(series.lambdas[0]))
+    floor = 100.0 * disc.tol * abs(series.lambdas[0])
     keep = rem > floor
     excluded = [float(e) for e in eps[~keep]]
     if excluded:

@@ -7,6 +7,7 @@ single-owner edges, so imported curved domains work without tags.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,7 +159,8 @@ def import_msh(path) -> Mesh:
 
     Physical tags are ignored; boundary nodes are recovered topologically.
     Raises MshParseError (with line number) on malformed input, missing
-    triangles, or an unsupported format version.
+    triangles, or an unsupported format version, and ValueError naming the
+    line and MSH node id of a non-finite coordinate.
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
@@ -203,9 +205,12 @@ def import_msh(path) -> Mesh:
                 if len(parts) < 4:
                     raise MshParseError("node line needs 'id x y z'", ln)
                 try:
-                    nodes[int(parts[0])] = (float(parts[1]), float(parts[2]))
+                    node_id, x, y = int(parts[0]), float(parts[1]), float(parts[2])
                 except ValueError:
                     raise MshParseError("malformed node line", ln) from None
+                if not (math.isfinite(x) and math.isfinite(y)):
+                    raise ValueError(f"line {ln}: node {node_id} has non-finite coordinates ({x}, {y})")
+                nodes[node_id] = (x, y)
             if next_line() != "$EndNodes":
                 raise MshParseError("expected $EndNodes", ln)
             saw_nodes = True

@@ -18,30 +18,29 @@ from .relax import RelaxedEval, RelaxedObjective
 
 _RHO_FLOOR_FACTOR = 1e-12
 _BISECT_RELTOL = 1e-14
+_ARMIJO_C = 1e-4  # sufficient-decrease constant
+_ARMIJO_SHRINK = 0.5  # step-size factor on rejection (its inverse on acceptance)
+_TOL_VOL_FACTOR = 1e-10  # volume tolerance of the projection, per unit of |Ω|
 
 
 @dataclass
 class OptimizerConfig:
     """Run parameters; defaults follow the stopping rules documented below.
 
-    volume_fraction is the target m/|Ω| in (0,1).  rho0 defaults to 1/λ0 at
-    setup; tol_vol defaults to 1e-10·|Ω|.  A seed switches the uniform
-    feasible initialization to a projected random one.  The contrast ε and
-    the discretization belong to the :class:`RelaxedObjective` being run.
+    volume_fraction is the target m/|Ω| in (0,1).  A seed switches the
+    uniform feasible initialization to a projected random one.  The first
+    step 1/λ0, the Armijo constants and the volume tolerance are fixed; the
+    contrast ε and the discretization belong to the :class:`RelaxedObjective`.
     """
 
     volume_fraction: float
-    rho0: float | None = None
     max_iters: int = 2000
     tol_step: float = 1e-7
-    tol_vol: float | None = None
-    armijo_c: float = 1e-4
-    armijo_shrink: float = 0.5
     seed: int | None = None
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if value is None and name in ("rho0", "tol_vol", "seed"):
+            if value is None and name == "seed":
                 continue
             integral = name in ("max_iters", "seed")
             kind = numbers.Integral if integral else numbers.Real
@@ -49,12 +48,10 @@ class OptimizerConfig:
                     or (not integral and not math.isfinite(value))):
                 expected = "an integer" if integral else "a finite real number"
                 raise ValueError(f"{name} must be {expected}, got {value!r}")
-            if name in ("max_iters", "tol_step", "rho0", "tol_vol") and value <= 0:
+            if name in ("max_iters", "tol_step") and value <= 0:
                 raise ValueError(f"{name} must be positive")
         if not 0.0 < self.volume_fraction < 1.0:
             raise ValueError("volume_fraction must lie in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0 or not 0.0 < self.armijo_shrink < 1.0:
-            raise ValueError("armijo parameters must lie in (0, 1)")
 
 
 @dataclass
@@ -68,7 +65,6 @@ class OptimizerState:
     theta: np.ndarray
     iter: int
     rho: float
-    rho0: float
     last_eval: RelaxedEval
     F_history: list = field(default_factory=list)
     vol_history: list = field(default_factory=list)
@@ -122,12 +118,12 @@ def step(state: OptimizerState, config: OptimizerConfig, problem: RelaxedObjecti
     """
     lumped = problem.lumped
     m = config.volume_fraction * float(lumped.sum())
-    tol_vol = config.tol_vol if config.tol_vol is not None else 1e-10 * float(lumped.sum())
+    tol_vol = _TOL_VOL_FACTOR * float(lumped.sum())
 
     current = state.last_eval
     g = current.grad_density
     rho = state.rho
-    rho_floor = _RHO_FLOOR_FACTOR * state.rho0
+    rho_floor = _RHO_FLOOR_FACTOR * state.rho_history[0]
     noise = 8.0 * np.finfo(float).eps * (1.0 + abs(current.F))
     # the previous iterate with its evaluation, shift and accepted step size
     previous = (state.theta, current, state.Lambda_history[-1], state.rho_history[-1])
@@ -137,18 +133,18 @@ def step(state: OptimizerState, config: OptimizerConfig, problem: RelaxedObjecti
         theta_new, lam = project_volume(lumped, state.theta - rho * g, m, tol_vol)
         ev = problem.evaluate(theta_new)
         decrease = float(lumped @ (g * (state.theta - theta_new)))
-        if config.armijo_c * decrease <= noise:
+        if _ARMIJO_C * decrease <= noise:
             # requested decrease below the fp resolution of F: done at this rho
             state.converged = True
             if ev.F > current.F:
                 theta_new, ev, lam, rho = previous
             break
-        if ev.F <= current.F - config.armijo_c * decrease:
-            state.rho = rho / config.armijo_shrink
+        if ev.F <= current.F - _ARMIJO_C * decrease:
+            state.rho = rho / _ARMIJO_SHRINK
             break
         if best is None or ev.F < best[1].F:
             best = (theta_new, ev, lam, rho)
-        rho *= config.armijo_shrink
+        rho *= _ARMIJO_SHRINK
         if rho < rho_floor:
             state.stalled = True
             if best is not None and best[1].F < current.F:
@@ -183,7 +179,7 @@ def run(problem: RelaxedObjective, config: OptimizerConfig):
     lumped = problem.lumped
     total = float(lumped.sum())
     m = config.volume_fraction * total
-    tol_vol = config.tol_vol if config.tol_vol is not None else 1e-10 * total
+    tol_vol = _TOL_VOL_FACTOR * total
 
     if config.seed is None:
         theta0 = np.full(n_nodes, config.volume_fraction)
@@ -191,9 +187,9 @@ def run(problem: RelaxedObjective, config: OptimizerConfig):
         rng = np.random.default_rng(config.seed)
         theta0, _ = project_volume(lumped, rng.uniform(0.0, 1.0, n_nodes), m, tol_vol)
 
-    rho0 = config.rho0 if config.rho0 is not None else 1.0 / problem.ground.lam
+    rho0 = 1.0 / problem.ground.lam
     ev0 = problem.evaluate(theta0)
-    state = OptimizerState(theta=theta0, iter=0, rho=rho0, rho0=rho0, last_eval=ev0)
+    state = OptimizerState(theta=theta0, iter=0, rho=rho0, last_eval=ev0)
     state.F_history.append(ev0.F)
     state.vol_history.append(float(lumped @ theta0))
     state.rho_history.append(rho0)

@@ -21,6 +21,8 @@ import numpy as np
 from . import fem
 from .expansion import check_density
 
+_KKT_BAND = 0.01  # nodes within this distance of 0 or 1 count as at the bound
+
 
 @dataclass(frozen=True)
 class RelaxedEval:
@@ -112,24 +114,22 @@ class RelaxedObjective:
         diag = float(np.sum(self.lumped * phi**2 * self.p_nodal))
         return 2.0 * eps * alpha * (bilinear + diag)
 
-    def kkt(self, theta, grad_density, multiplier: float, band: float = 0.01):
+    def kkt(self, theta, grad_density, multiplier: float):
         """First-order optimality residuals for a sign-adjusted multiplier.
 
         ``grad_density`` is the gradient g at ``theta``, as returned by
-        :meth:`evaluate`.  Minimality requires g + Λ' ≈ 0 where
-        band < θ < 1−band, ≥ 0 where θ ≤ band and ≤ 0 where θ ≥ 1−band;
-        returns (interior_residual, sign_violation), with empty maxima
-        counting as zero.
+        :meth:`evaluate`.  With the band b = 0.01, minimality requires
+        g + Λ' ≈ 0 where b < θ < 1−b, ≥ 0 where θ ≤ b and ≤ 0 where
+        θ ≥ 1−b; returns (interior_residual, sign_violation), with empty
+        maxima counting as zero.
         """
-        if not 0.0 < band < 0.5:
-            raise ValueError("band must lie in (0, 1/2)")
         if not np.isfinite(multiplier):
             raise ValueError("multiplier must be finite")
         theta = check_density(theta, self.mesh.n_nodes)
         r = np.asarray(grad_density, dtype=float) + multiplier
-        interior = (theta > band) & (theta < 1.0 - band)
+        interior = (theta > _KKT_BAND) & (theta < 1.0 - _KKT_BAND)
         interior_residual = float(np.abs(r[interior]).max()) if interior.any() else 0.0
-        low, high = theta <= band, theta >= 1.0 - band
+        low, high = theta <= _KKT_BAND, theta >= 1.0 - _KKT_BAND
         violations = [0.0]
         if low.any():
             violations.append(float((-r[low]).max()))

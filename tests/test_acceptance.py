@@ -10,7 +10,7 @@ import pytest
 from scipy.linalg import eigh
 
 from lowcontrast import cli, fem
-from lowcontrast.eig import Discretization, second_eigenvalue, smallest_eigenpair
+from lowcontrast.eig import Discretization
 from lowcontrast.expansion import compute_series, remainder_report
 from lowcontrast.mesh import generate_unit_square
 from lowcontrast.optimizer import OptimizerConfig, project_volume, run
@@ -36,10 +36,8 @@ def prob16(mesh16):
 
 def test_01_analytic_ground_state():
     t0 = time.perf_counter()
-    mesh = generate_unit_square(64, 64)
-    pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems))
-    ground = smallest_eigenpair(pencil)
-    lam2 = second_eigenvalue(pencil, ground)
+    disc = Discretization(generate_unit_square(64, 64), 1.0)
+    ground, lam2 = disc.ground, disc.lambda2
     elapsed = time.perf_counter() - t0
 
     err0 = abs(ground.lam - 2 * PI2) / (2 * PI2)

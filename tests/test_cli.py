@@ -68,7 +68,7 @@ class TestMeshCommand:
         write_msh(p, coords, ref.triangles)
         assert run_cli(["mesh", "import", "--file", p]) == 2
         captured = capsys.readouterr()
-        assert "node 4 has non-finite coordinates" in captured.err
+        assert "line 10: node 5 has non-finite coordinates (nan, 0.5)" in captured.err
         assert "total area" not in captured.out
 
     def test_usage_error_exit_2(self):
@@ -163,7 +163,8 @@ class TestExpandCommand:
         ("--tol", "inf", "tol must be positive and finite"),
         ("--tol", "nan", "tol must be positive and finite"),
         ("--bounds-samples", -3, "--bounds-samples must be >= 0"),
-    ], ids=["tol-inf", "tol-nan", "negative-bounds-samples"])
+        ("--eps", "0.1,abc", "error: --eps value 'abc' is not a number"),
+    ], ids=["tol-inf", "tol-nan", "negative-bounds-samples", "non-numeric-eps"])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, flag, value, message):
         code = run_cli(
             ["expand", "--nx", 6, "--ny", 6, "--random-theta", "--seed", 2,
@@ -241,8 +242,7 @@ class TestOptimizeCommand:
 
 class TestEvalCommand:
     def test_eval_uniform(self, tmp_path, capsys):
-        from lowcontrast.eig import smallest_eigenpair
-        from lowcontrast.fem import build_pencil
+        from lowcontrast.eig import Discretization
 
         out = tmp_path / "eval.vtk"
         code = run_cli(
@@ -253,7 +253,7 @@ class TestEvalCommand:
         text = capsys.readouterr().out
         F = float(text.split("F = ")[1].splitlines()[0])
         mesh = generate_unit_square(8, 8)
-        lam0 = smallest_eigenpair(build_pencil(mesh, np.ones(mesh.n_elems))).lam
+        lam0 = Discretization(mesh, 1.0).ground.lam
         assert F == pytest.approx(lam0, rel=1e-10)  # theta = 1: F equals discrete lam0
         assert out.exists()
 

@@ -9,11 +9,11 @@ from scipy.sparse import linalg as spla
 from lowcontrast import fem
 from lowcontrast.eig import (
     Discretization,
+    Ordering,
     ShiftedSolver,
     SolverError,
     _polish,
     _rel_residual,
-    second_eigenvalue,
     smallest_eigenpair,
 )
 from lowcontrast.mesh import from_arrays, generate_unit_square
@@ -21,9 +21,8 @@ from lowcontrast.mesh import from_arrays, generate_unit_square
 PI2 = np.pi**2
 
 
-def unit_pencil(n, alpha=1.0):
-    mesh = generate_unit_square(n, n)
-    return mesh, fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
+def unit_disc(n, alpha=1.0, **kw):
+    return Discretization(generate_unit_square(n, n), alpha, **kw)
 
 
 class TestSmallestEigenpair:
@@ -31,55 +30,46 @@ class TestSmallestEigenpair:
         # Dirichlet Laplacian on the unit square: lambda = 2 pi^2, from above
         lams = []
         for n in (8, 16, 32):
-            _, pencil = unit_pencil(n)
-            lams.append(smallest_eigenpair(pencil).lam)
+            lams.append(unit_disc(n).ground.lam)
         assert all(lams[i] > lams[i + 1] for i in range(len(lams) - 1))
         assert all(lam >= 2 * PI2 for lam in lams)
         assert abs(lams[-1] - 2 * PI2) / (2 * PI2) <= 0.01
 
     def test_residual_contract(self):
-        _, pencil = unit_pencil(12)
-        pair = smallest_eigenpair(pencil, tol=1e-11)
+        disc = unit_disc(12, tol=1e-11)
+        pencil, pair = disc.pencil, disc.ground
         uf = pencil.restrict(pair.u)
         lmu = pair.lam * (pencil.M @ uf)
         res = np.linalg.norm(pencil.K @ uf - lmu) / np.linalg.norm(lmu)
         assert res <= 1e-11
 
     def test_normalization_and_sign(self):
-        _, pencil = unit_pencil(10)
-        pair = smallest_eigenpair(pencil)
+        disc = unit_disc(10)
+        pencil, pair = disc.pencil, disc.ground
         uf = pencil.restrict(pair.u)
         assert float(uf @ (pencil.M @ uf)) == pytest.approx(1.0, abs=1e-12)
         assert pair.u.min() >= -1e-10  # nonnegative ground state
         assert float(pencil.lumped @ pair.u) > 0
 
     def test_zero_on_boundary(self):
-        mesh, pencil = unit_pencil(6)
-        pair = smallest_eigenpair(pencil)
-        assert np.abs(pair.u[mesh.boundary_nodes]).max() == 0.0
+        disc = unit_disc(6)
+        assert np.abs(disc.ground.u[disc.mesh.boundary_nodes]).max() == 0.0
 
     def test_pencil_scaling(self):
-        _, pencil = unit_pencil(8)
-        ref = smallest_eigenpair(pencil)
-        mesh = generate_unit_square(8, 8)
-        scaled = fem.build_pencil(mesh, 4.0 * np.ones(mesh.n_elems))
-        pair = smallest_eigenpair(scaled)
+        ref = unit_disc(8).ground
+        pair = unit_disc(8, 4.0).ground
         assert pair.lam == pytest.approx(4.0 * ref.lam, rel=1e-12)
         np.testing.assert_allclose(pair.u, ref.u, atol=1e-9)
 
     def test_uniform_contrast_factors_out(self):
-        mesh = generate_unit_square(8, 8)
         eps = 0.37
-        base = fem.build_pencil(mesh, np.ones(mesh.n_elems))
-        bumped = fem.build_pencil(mesh, (1 + eps) * np.ones(mesh.n_elems))
-        lam0 = smallest_eigenpair(base).lam
-        lam = smallest_eigenpair(bumped).lam
+        lam0 = unit_disc(8).ground.lam
+        lam = unit_disc(8, 1 + eps).ground.lam
         assert lam == pytest.approx((1 + eps) * lam0, rel=1e-13)
 
     def test_bad_tol(self):
-        _, pencil = unit_pencil(4)
         with pytest.raises(ValueError):
-            smallest_eigenpair(pencil, tol=0.0)
+            unit_disc(4, tol=0.0)
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan])
     def test_non_finite_tol(self, tol):
@@ -89,47 +79,37 @@ class TestSmallestEigenpair:
 
 class TestSecondEigenvalue:
     def test_value_on_square(self):
-        _, pencil = unit_pencil(32)
-        ground = smallest_eigenpair(pencil)
-        lam2 = second_eigenvalue(pencil, ground)
+        lam2 = unit_disc(32).lambda2
         assert abs(lam2 - 5 * PI2) / (5 * PI2) <= 0.02
 
     def test_strictly_above_ground(self):
-        _, pencil = unit_pencil(10)
-        ground = smallest_eigenpair(pencil)
-        assert second_eigenvalue(pencil, ground) > ground.lam
+        disc = unit_disc(10)
+        assert disc.lambda2 > disc.ground.lam
 
     def test_uniform_scaling(self):
-        mesh = generate_unit_square(8, 8)
         eps = 0.2
-        base = fem.build_pencil(mesh, np.ones(mesh.n_elems))
-        bumped = fem.build_pencil(mesh, (1 + eps) * np.ones(mesh.n_elems))
-        g0, g1 = smallest_eigenpair(base), smallest_eigenpair(bumped)
-        assert second_eigenvalue(bumped, g1) == pytest.approx(
-            (1 + eps) * second_eigenvalue(base, g0), rel=1e-12
+        assert unit_disc(8, 1 + eps).lambda2 == pytest.approx(
+            (1 + eps) * unit_disc(8).lambda2, rel=1e-12
         )
 
     def test_dense_oracle_5x5_nodes(self):
         # 5x5-node mesh: both smallest pencil eigenvalues vs a full dense spectrum
-        _, pencil = unit_pencil(4)
+        disc = unit_disc(4)
+        pencil = disc.pencil
         vals = eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
-        ground = smallest_eigenpair(pencil)
-        lam2 = second_eigenvalue(pencil, ground)
-        assert ground.lam == pytest.approx(vals[0], rel=1e-9)
-        assert lam2 == pytest.approx(vals[1], rel=1e-9)
+        assert disc.ground.lam == pytest.approx(vals[0], rel=1e-9)
+        assert disc.lambda2 == pytest.approx(vals[1], rel=1e-9)
 
     def test_pencil_too_small(self):
-        _, pencil = unit_pencil(2)  # a single free node has no second eigenvalue
-        ground = smallest_eigenpair(pencil)
+        disc = unit_disc(2)  # a single free node has no second eigenvalue
         with pytest.raises(SolverError, match="free node"):
-            second_eigenvalue(pencil, ground)
+            disc.lambda2
 
 
 @pytest.fixture(scope="module")
 def setup():
-    mesh, pencil = unit_pencil(6)
-    ground = smallest_eigenpair(pencil, tol=1e-12)
-    return mesh, pencil, ground
+    disc = unit_disc(6, tol=1e-12)
+    return disc.pencil, disc.ground, disc.ordering
 
 
 def compatible(solver, f):
@@ -139,60 +119,61 @@ def compatible(solver, f):
 
 class TestShiftedSolver:
     def test_zero_load(self, setup):
-        _, pencil, ground = setup
-        v = ShiftedSolver(pencil, ground.lam, ground.u).solve(np.zeros(pencil.n_free))
+        pencil, ground, ordering = setup
+        v = ShiftedSolver(pencil, ground.lam, ground.u, ordering).solve(np.zeros(pencil.n_free))
         assert np.abs(v).max() == 0.0
 
     def test_spectral_oracle(self, setup):
         # f = M w for the second eigenvector w  =>  v = w / (lam2 - lam0)
-        _, pencil, ground = setup
+        pencil, ground, ordering = setup
         vals, vecs = eigh(pencil.K.toarray(), pencil.M.toarray())
         w = vecs[:, 1] / np.sqrt(vecs[:, 1] @ (pencil.M @ vecs[:, 1]))
         f = pencil.M @ w
-        v = ShiftedSolver(pencil, ground.lam, ground.u).solve(f)
+        v = ShiftedSolver(pencil, ground.lam, ground.u, ordering).solve(f)
         expected = w / (vals[1] - ground.lam)
         np.testing.assert_allclose(v, expected, atol=1e-9 * np.abs(expected).max())
 
     def test_orthogonality_enforced(self, setup):
         # u0' M v = 0 for every compatible load
-        _, pencil, ground = setup
+        pencil, ground, ordering = setup
         rng = np.random.default_rng(11)
         u0f = pencil.restrict(ground.u)
-        solver = ShiftedSolver(pencil, ground.lam, ground.u)
+        solver = ShiftedSolver(pencil, ground.lam, ground.u, ordering)
         for _ in range(3):
             v = solver.solve(compatible(solver, rng.standard_normal(pencil.n_free)))
             assert abs(float(u0f @ (pencil.M @ v))) <= 1e-11
 
     def test_bordered_exactness_general_load(self, setup):
         # (K - lam0 M) v = f for a random load projected onto u0-compatible loads
-        _, pencil, ground = setup
+        pencil, ground, ordering = setup
         rng = np.random.default_rng(12)
-        solver = ShiftedSolver(pencil, ground.lam, ground.u)
+        solver = ShiftedSolver(pencil, ground.lam, ground.u, ordering)
         f = compatible(solver, rng.standard_normal(pencil.n_free))
         v = solver.solve(f)
         A = pencil.K - ground.lam * pencil.M
         assert np.linalg.norm(A @ v - f) <= 1e-10 * np.linalg.norm(f)
 
     def test_compatibility_violation_raises(self, setup):
-        _, pencil, ground = setup
+        pencil, ground, ordering = setup
         f = pencil.M @ pencil.restrict(ground.u)  # u0.f = 1: maximally incompatible
-        solver = ShiftedSolver(pencil, ground.lam, ground.u)
+        solver = ShiftedSolver(pencil, ground.lam, ground.u, ordering)
         with pytest.raises(SolverError, match="compat"):
             solver.solve(f)
 
     def test_wrong_shape(self, setup):
-        _, pencil, ground = setup
-        solver = ShiftedSolver(pencil, ground.lam, ground.u)
+        pencil, ground, ordering = setup
+        solver = ShiftedSolver(pencil, ground.lam, ground.u, ordering)
         with pytest.raises(ValueError):
             solver.solve(np.zeros(3))
 
 
 class TestDiscretization:
     def test_shares_pencil_and_ground(self):
-        mesh, pencil = unit_pencil(6)
+        mesh = generate_unit_square(6, 6)
+        pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems))
         disc = Discretization(mesh, 1.0)
         assert (disc.pencil.K != pencil.K).nnz == 0
-        assert disc.ground.lam == smallest_eigenpair(pencil).lam
+        assert disc.ground.lam == smallest_eigenpair(pencil, disc.tol, Ordering(pencil.K)).lam
 
     def test_solver_built_on_first_use(self):
         disc = Discretization(generate_unit_square(6, 6), 1.0)
@@ -243,7 +224,7 @@ class TestOrdering:
         disc = Discretization(generate_unit_square(64, 64), 1.0)
         K = disc.pencil.K.tocsc()
         colamd = spla.splu(K)
-        assert disc.fill < colamd.nnz
+        assert disc.ordering.fill < colamd.nnz
 
         solver = disc.solver
         A = (K - disc.ground.lam * disc.pencil.M).tocsr()

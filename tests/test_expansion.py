@@ -204,6 +204,18 @@ class TestRemainderReport:
         report = remainder_report(disc16, theta, 0, self.EPS)
         assert report.slope >= 0.95
 
+    def test_floor_scales_with_alpha(self, mesh16, disc16):
+        # every remainder scales with α, and so must the floor: a small α
+        # excludes the same points and fits the same slope
+        rng = np.random.default_rng(1)
+        theta = (rng.random(mesh16.n_nodes) < 0.5).astype(float)
+        with pytest.warns(UserWarning, match="floor"):
+            ref = remainder_report(disc16, theta, 2, self.EPS)
+        with pytest.warns(UserWarning, match="floor"):
+            small = remainder_report(Discretization(mesh16, 1e-6, tol=1e-12), theta, 2, self.EPS)
+        assert small.excluded == ref.excluded
+        assert small.slope == pytest.approx(ref.slope, rel=1e-6)
+
     def test_exact_series_floors_out(self, mesh8, disc8_tight):
         # theta = 1 reproduces (1+eps) lam0 at any order >= 1: everything floors
         with pytest.warns(UserWarning, match="floor"):

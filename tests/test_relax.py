@@ -173,10 +173,6 @@ class TestKKT:
         assert interior_res > 0  # a uniform design is not critical
         assert sign_v == 0.0  # no nodes at the bounds
 
-    def test_band_validation(self, mesh, prob):
-        with pytest.raises(ValueError):
-            prob.kkt(np.full(mesh.n_nodes, 0.5), np.zeros(mesh.n_nodes), 0.0, band=0.7)
-
     def test_multiplier_must_be_finite(self, mesh, prob):
         with pytest.raises(ValueError, match="multiplier"):
             prob.kkt(np.full(mesh.n_nodes, 0.5), np.zeros(mesh.n_nodes), np.nan)
