@@ -162,7 +162,7 @@ def cmd_expand(args) -> int:
             eps.append(float(x))
         except ValueError:
             raise ValueError(f"--eps value {x!r} is not a number") from None
-    disc = Discretization(m, args.alpha, tol=args.tol)
+    disc = Discretization(m, args.alpha)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # excluded points printed below
         report = expansion.remainder_report(disc, theta, args.order, eps)
@@ -318,7 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--alpha", type=float, default=1.0)
     p_ex.add_argument("--order", type=int, default=2)
     p_ex.add_argument("--eps", default=DEFAULT_EPS_GRID, help="comma-separated contrast values")
-    p_ex.add_argument("--tol", type=float, default=1e-12, help="eigensolver tolerance")
     p_ex.add_argument("--out-dir", default=".")
     p_ex.add_argument(
         "--bounds-samples",
@@ -357,19 +356,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _flag_types(parser) -> dict:
-    """dest -> value type of every single-valued flag, subcommands included.
-
-    A flag without a declared ``type`` takes its value as a string.
-    """
-    types = {}
+def _command_flags(parser, args) -> dict:
+    """dest -> action of every flag of the chosen (sub)command that stores a value."""
+    flags = {}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                types.update(_flag_types(sub))
-        elif isinstance(action, argparse._StoreAction):
-            types[action.dest] = action.type or str
-    return types
+            flags.update(_command_flags(action.choices[getattr(args, action.dest)], args))
+        elif isinstance(action, (argparse._StoreAction, argparse._StoreTrueAction, argparse._AppendAction)):
+            flags[action.dest] = action
+    return flags
+
+
+def _parse_config_value(action, value):
+    """Parse one JSON value as the flag would parse it on the command line."""
+    if isinstance(value, (list, dict)) or value is None:
+        raise ValueError(f"{action.dest} must be a number or a string, got {json.dumps(value)}")
+    kind = action.type or str
+    try:
+        return kind(str(value))
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"{action.dest} must be {what}, got {value}") from None
+
+
+def _config_value(action, value):
+    """The value a flag's action stores, from the flag's JSON config entry.
+
+    An on/off flag takes a JSON boolean.  A repeatable flag takes a list with
+    one entry per use; for a flag that takes several words per use (``chi``)
+    each entry is itself a list, such as ``["disk", 0.5, 0.5, 0.25]``.
+    """
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise ValueError(f"{action.dest} must be true or false, got {json.dumps(value)}")
+        return value
+    if not isinstance(action, argparse._AppendAction):
+        return _parse_config_value(action, value)
+    if action.nargs is None:
+        if not isinstance(value, list):
+            raise ValueError(f"{action.dest} must be a list of values, got {json.dumps(value)}")
+        return [_parse_config_value(action, v) for v in value]
+    if not (isinstance(value, list) and all(isinstance(v, list) and v for v in value)):
+        raise ValueError(
+            f"{action.dest} must be a list of non-empty lists such as "
+            f'[["disk", 0.5, 0.5, 0.25]], got {json.dumps(value)}'
+        )
+    return [[_parse_config_value(action, x) for x in v] for v in value]
 
 
 def _apply_config(args, parser) -> None:
@@ -382,20 +414,13 @@ def _apply_config(args, parser) -> None:
         raise InputError(f"malformed config JSON: {exc}") from exc
     if not isinstance(overrides, dict):
         raise ValueError("config JSON must be an object of flag values")
-    types = _flag_types(parser)
+    flags = _command_flags(parser, args)
+    del flags["config"]  # a config file cannot name another
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in flags:
             raise ValueError(f"config key '{key}' does not match any flag")
-        kind = types.get(attr)
-        if kind is not None:
-            # parse the value as the flag would parse it on the command line
-            try:
-                value = kind(str(value))
-            except ValueError:
-                what = "an integer" if kind is int else "a number"
-                raise ValueError(f"{attr} must be {what}, got {value}") from None
-        setattr(args, attr, value)
+        setattr(args, attr, _config_value(flags[attr], value))
 
 
 def main(argv=None) -> int:

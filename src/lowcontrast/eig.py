@@ -30,7 +30,7 @@ from scipy.sparse.csgraph import connected_components
 from . import fem
 
 
-DEFAULT_TOL = 1e-10
+RESIDUAL_TOL = 1e-12  # largest normwise backward error an eigenpair may carry
 MAX_OUTER_ITERS = 10_000
 FREDHOLM_TOL = 1e-9  # largest |u₀ᵀf|/|f| a singular-solve load may carry
 _DENSE_CUTOFF = 12
@@ -124,11 +124,11 @@ class Ordering:
         return solve, lu.nnz
 
 
-def _polish(K, M, lam, u, tol, ordering):
+def _polish(K, M, lam, u, ordering):
     """Inverse iteration at the converged shift until the residual contract holds."""
     res = _rel_residual(K, M, lam, u)
     for _ in range(3):
-        if res <= tol:
+        if res <= RESIDUAL_TOL:
             break
         shift = lam * (1.0 - 1e-10) if lam != 0 else -1e-12
         try:
@@ -146,7 +146,7 @@ def _polish(K, M, lam, u, tol, ordering):
     return lam, u, res
 
 
-def _smallest_pairs(pencil, k, tol, ordering):
+def _smallest_pairs(pencil, k, ordering):
     """k smallest eigenpairs of the free-node pencil, M-normalized, ascending."""
     n = pencil.n_free
     K, M = pencil.K, pencil.M
@@ -178,22 +178,20 @@ def _smallest_pairs(pencil, k, tol, ordering):
     for j in range(k):
         lam, u = float(vals[j]), vecs[:, j].copy()
         u /= np.sqrt(u @ (M @ u))
-        lam, u, res = _polish(K, M, lam, u, tol, ordering)
-        if res > tol:
-            raise SolverError(f"eigenpair {j} residual {res:.3e} exceeds tol {tol:.3e}")
+        lam, u, res = _polish(K, M, lam, u, ordering)
+        if res > RESIDUAL_TOL:
+            raise SolverError(f"eigenpair {j} residual {res:.3e} exceeds tol {RESIDUAL_TOL:.3e}")
         out.append((lam, u, res))
     return out
 
 
-def smallest_eigenpair(pencil, tol: float, ordering: Ordering) -> EigenPair:
+def smallest_eigenpair(pencil, ordering: Ordering) -> EigenPair:
     """Smallest eigenpair of the pencil, sign-fixed by positive lumped integral.
 
     ``ordering`` is the :class:`Ordering` of a pencil with the same pattern
     (a discretization's).
     """
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError("tol must be positive and finite")
-    ((lam, u, res),) = _smallest_pairs(pencil, 1, tol, ordering)
+    ((lam, u, res),) = _smallest_pairs(pencil, 1, ordering)
     if pencil.lumped[pencil.free] @ u < 0:
         u = -u
     return EigenPair(lam=lam, u=pencil.extend(u), residual=res)
@@ -269,12 +267,12 @@ class Discretization:
     solved densely).
     """
 
-    def __init__(self, mesh, alpha: float, tol: float = DEFAULT_TOL):
-        if not (np.isfinite(alpha) and alpha > 0):
-            raise ValueError("alpha must be positive and finite")
+    def __init__(self, mesh, alpha: float):
+        # beyond this range squared norms in the eigensolve under- or overflow
+        if not 1e-100 <= alpha <= 1e100:
+            raise ValueError(f"alpha must lie in [1e-100, 1e+100], got {alpha:g}")
         self.mesh = mesh
         self.alpha = alpha
-        self.tol = tol
         self.pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
         parts, _ = connected_components(self.pencil.K, directed=False)
         if parts > 1:
@@ -282,7 +280,7 @@ class Discretization:
                 f"domain has {parts} disconnected parts; its ground state need not be simple"
             )
         self.ordering = Ordering(self.pencil.K)
-        self.ground = smallest_eigenpair(self.pencil, tol, self.ordering)
+        self.ground = smallest_eigenpair(self.pencil, self.ordering)
         self._last_theta_stiffness = None
 
     @cached_property
@@ -291,7 +289,7 @@ class Discretization:
 
         It must lie strictly above λ₀; a pencil with one free node has none.
         """
-        lam2 = _smallest_pairs(self.pencil, 2, self.tol, self.ordering)[1][0]
+        lam2 = _smallest_pairs(self.pencil, 2, self.ordering)[1][0]
         if lam2 <= self.ground.lam:
             raise SolverError(f"second eigenvalue {lam2} does not exceed ground {self.ground.lam}")
         return lam2

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .eig import SolverError, smallest_eigenpair
+from .eig import RESIDUAL_TOL, SolverError, smallest_eigenpair
 
 
 def check_density(theta, n_nodes: int) -> np.ndarray:
@@ -115,7 +115,7 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     theta = check_density(theta, disc.mesh.n_nodes)
     pencil0 = disc.pencil
     pencil = replace(pencil0, K=(pencil0.K + epsilon * disc.theta_stiffness(theta)).tocsr())
-    return smallest_eigenpair(pencil, disc.tol, disc.ordering)
+    return smallest_eigenpair(pencil, disc.ordering)
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,9 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
 
     Both sides live on the same mesh and the same pencils, so the expected
     slope of the order-n remainder is n+1 exactly.  Remainders at the solver
-    noise floor (100·tol·|λ0|, which scales with α as the remainders do) are
-    excluded from the fit with a warning.
+    noise floor (100·RESIDUAL_TOL·|λ0|, a hundred times the eigen residual
+    contract; it scales with α as the remainders do) are excluded from the
+    fit with a warning.
     The ε-sweep runs before the cascade, so on a fresh discretization the
     sweep's eigensolves run before the bordered factorization exists.
     """
@@ -193,7 +194,7 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
         )
     rem = np.abs(lam_eps - trunc)
 
-    floor = 100.0 * disc.tol * abs(series.lambdas[0])
+    floor = 100.0 * RESIDUAL_TOL * abs(series.lambdas[0])
     keep = rem > floor
     excluded = [float(e) for e in eps[~keep]]
     if excluded:

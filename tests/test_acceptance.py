@@ -31,7 +31,7 @@ def mesh16():
 
 @pytest.fixture(scope="module")
 def prob16(mesh16):
-    return RelaxedObjective(Discretization(mesh16, 1.0, tol=1e-12), 0.1)
+    return RelaxedObjective(Discretization(mesh16, 1.0), 0.1)
 
 
 def test_01_analytic_ground_state():
@@ -56,7 +56,7 @@ def _binary_densities(mesh, count, seed):
 def test_02_first_order_remainder():
     t0 = time.perf_counter()
     mesh = generate_unit_square(32, 32)
-    disc = Discretization(mesh, 1.0, tol=1e-12)
+    disc = Discretization(mesh, 1.0)
     slopes = []
     for theta in _binary_densities(mesh, 5, seed=2):
         rep = remainder_report(disc, theta, 1, EPS_GRID)
@@ -69,7 +69,7 @@ def test_02_first_order_remainder():
 
 def test_03_second_order_remainder():
     mesh = generate_unit_square(32, 32)
-    disc = Discretization(mesh, 1.0, tol=1e-12)
+    disc = Discretization(mesh, 1.0)
     slopes = []
     with pytest.warns(UserWarning, match="floor"):
         for theta in _binary_densities(mesh, 5, seed=3):
@@ -86,7 +86,7 @@ def test_04_general_cascade_order4():
     mesh = generate_unit_square(4, 4)
     rng = np.random.default_rng(4)
     theta = (rng.random(mesh.n_nodes) < 0.5).astype(float)
-    series = compute_series(Discretization(mesh, 1.0, tol=1e-12), theta, 4)
+    series = compute_series(Discretization(mesh, 1.0), theta, 4)
 
     pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems))
     theta_e = fem.element_average(mesh, theta)

@@ -142,7 +142,7 @@ class TestExpandCommand:
         assert code == 2
 
     def test_fine_mesh_meets_residual_contract(self, tmp_path, capsys):
-        # the eigen residual is a backward error, so the default --tol holds at 200^2
+        # the eigen residual is a backward error, so its fixed contract holds at 200^2
         code = run_cli(
             ["expand", "--nx", 200, "--ny", 200, "--random-theta", "--seed", 1,
              "--order", 2, "--out-dir", tmp_path]
@@ -160,11 +160,9 @@ class TestExpandCommand:
         assert "mode energy norms" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag,value,message", [
-        ("--tol", "inf", "tol must be positive and finite"),
-        ("--tol", "nan", "tol must be positive and finite"),
         ("--bounds-samples", -3, "--bounds-samples must be >= 0"),
         ("--eps", "0.1,abc", "error: --eps value 'abc' is not a number"),
-    ], ids=["tol-inf", "tol-nan", "negative-bounds-samples", "non-numeric-eps"])
+    ], ids=["negative-bounds-samples", "non-numeric-eps"])
     def test_bad_flag_value_exit_2(self, tmp_path, capsys, flag, value, message):
         code = run_cli(
             ["expand", "--nx", 6, "--ny", 6, "--random-theta", "--seed", 2,
@@ -173,6 +171,27 @@ class TestExpandCommand:
         assert code == 2
         captured = capsys.readouterr()
         assert message in captured.err
+        assert captured.out == ""
+
+    def test_tol_flag_removed(self, tmp_path):
+        # the eigen residual contract is fixed; there is no flag to set it
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["expand", "--nx", 6, "--ny", 6, "--random-theta", "--tol", "1e-12",
+                     "--out-dir", tmp_path])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command,alpha",
+        [("expand", "1e-200"), ("expand", "1e-300"), ("eval", "1e200"), ("eval", "1e300")],
+    )
+    def test_alpha_out_of_range_exit_2(self, tmp_path, capsys, command, alpha):
+        extra = ["--out-dir", tmp_path] if command == "expand" else ["--epsilon", 0.1]
+        code = run_cli([command, "--nx", 16, "--ny", 16, "--random-theta", "--seed", 1,
+                        "--alpha", alpha] + extra)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: alpha must lie in [1e-100, 1e+100]")
+        assert captured.err.count("\n") == 1
         assert captured.out == ""
 
     def test_overflowing_eps_exit_2(self, tmp_path, capsys):
@@ -394,6 +413,53 @@ class TestConfigFile:
                         "--out-dir", tmp_path])
         assert code == 0
         assert json.loads((tmp_path / "remainder_order0.json").read_text())["n_points"] == 1
+
+    @pytest.mark.parametrize(
+        "overrides,args,message",
+        [
+            ({"func": 1}, ["mesh", "square", "--nx", 2, "--ny", 2],
+             "config key 'func' does not match any flag"),
+            ({"command": "eval"}, ["mesh", "square", "--nx", 2, "--ny", 2],
+             "config key 'command' does not match any flag"),
+            ({"tol": 1e-12}, ["expand", "--nx", 4, "--ny", 4, "--random-theta"],
+             "config key 'tol' does not match any flag"),
+            ({"random_theta": "no"}, ["eval", "--nx", 4, "--ny", 4, "--epsilon", 0.1,
+                                      "--chi", "disk", 0.5, 0.5, 0.2],
+             'random_theta must be true or false, got "no"'),
+            ({"chi": "disk"}, ["eval", "--nx", 4, "--ny", 4, "--epsilon", 0.1],
+             "chi must be a list of non-empty lists"),
+            ({"chi": ["disk", 0.5, 0.5, 0.25]}, ["eval", "--nx", 4, "--ny", 4, "--epsilon", 0.1],
+             "chi must be a list of non-empty lists"),
+            ({"seed": [1]}, ["eval", "--nx", 4, "--ny", 4, "--epsilon", 0.1, "--random-theta"],
+             "seed must be a number or a string, got [1]"),
+        ],
+        ids=["func", "command", "tol", "store-true-string", "chi-string", "chi-flat", "list-for-one"],
+    )
+    def test_key_or_value_not_a_flag_exit_2(self, tmp_path, capsys, overrides, args, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code = run_cli(["--config", cfg] + args)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_list_and_boolean_flags(self, tmp_path, capsys):
+        # chi takes one list per shape, random_theta a JSON boolean
+        base = ["eval", "--nx", 8, "--ny", 8, "--epsilon", 0.1]
+        assert run_cli(base + ["--chi", "disk", 0.5, 0.5, 0.25]) == 0
+        expected = capsys.readouterr().out
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"chi": [["disk", 0.5, 0.5, 0.25]]}))
+        assert run_cli(["--config", cfg] + base) == 0
+        assert capsys.readouterr().out == expected
+
+        cfg.write_text(json.dumps({"random_theta": True, "seed": 4}))
+        assert run_cli(["--config", cfg] + base) == 0
+        random_out = capsys.readouterr().out
+        assert run_cli(base + ["--random-theta", "--seed", 4]) == 0
+        assert capsys.readouterr().out == random_out
 
     def test_missing_config_exit_3(self, tmp_path):
         code = run_cli(["--config", tmp_path / "nope.json", "mesh", "square", "--nx", 1, "--ny", 1])

@@ -8,6 +8,7 @@ from scipy.sparse import linalg as spla
 
 from lowcontrast import fem
 from lowcontrast.eig import (
+    RESIDUAL_TOL,
     Discretization,
     Ordering,
     ShiftedSolver,
@@ -16,6 +17,7 @@ from lowcontrast.eig import (
     _rel_residual,
     smallest_eigenpair,
 )
+from lowcontrast.expansion import direct_eigenvalue
 from lowcontrast.mesh import from_arrays, generate_unit_square
 
 PI2 = np.pi**2
@@ -36,7 +38,7 @@ class TestSmallestEigenpair:
         assert abs(lams[-1] - 2 * PI2) / (2 * PI2) <= 0.01
 
     def test_residual_contract(self):
-        disc = unit_disc(12, tol=1e-11)
+        disc = unit_disc(12)
         pencil, pair = disc.pencil, disc.ground
         uf = pencil.restrict(pair.u)
         lmu = pair.lam * (pencil.M @ uf)
@@ -66,15 +68,6 @@ class TestSmallestEigenpair:
         lam0 = unit_disc(8).ground.lam
         lam = unit_disc(8, 1 + eps).ground.lam
         assert lam == pytest.approx((1 + eps) * lam0, rel=1e-13)
-
-    def test_bad_tol(self):
-        with pytest.raises(ValueError):
-            unit_disc(4, tol=0.0)
-
-    @pytest.mark.parametrize("tol", [np.inf, np.nan])
-    def test_non_finite_tol(self, tol):
-        with pytest.raises(ValueError, match="tol must be positive and finite"):
-            Discretization(generate_unit_square(4, 4), 1.0, tol=tol)
 
 
 class TestSecondEigenvalue:
@@ -108,7 +101,7 @@ class TestSecondEigenvalue:
 
 @pytest.fixture(scope="module")
 def setup():
-    disc = unit_disc(6, tol=1e-12)
+    disc = unit_disc(6)
     return disc.pencil, disc.ground, disc.ordering
 
 
@@ -173,7 +166,7 @@ class TestDiscretization:
         pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems))
         disc = Discretization(mesh, 1.0)
         assert (disc.pencil.K != pencil.K).nnz == 0
-        assert disc.ground.lam == smallest_eigenpair(pencil, disc.tol, Ordering(pencil.K)).lam
+        assert disc.ground.lam == smallest_eigenpair(pencil, Ordering(pencil.K)).lam
 
     def test_solver_built_on_first_use(self):
         disc = Discretization(generate_unit_square(6, 6), 1.0)
@@ -192,19 +185,32 @@ class TestDiscretization:
         assert ones is not Kt
         np.testing.assert_allclose(ones.toarray(), disc.pencil.K.toarray(), rtol=1e-14, atol=1e-14)
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "alpha", [0.0, -1.0, np.nan, np.inf, 1e-200, 1e-300, 1e200, 1e300, 9e-101, 1.1e100]
+    )
     def test_rejects_bad_alpha(self, alpha):
         with pytest.raises(ValueError, match="alpha"):
             Discretization(generate_unit_square(4, 4), alpha)
 
+    @pytest.mark.parametrize("alpha", [1e-100, 1e100])
+    def test_accepts_alpha_range_ends(self, alpha):
+        ref = unit_disc(8).ground.lam
+        assert unit_disc(8, alpha).ground.lam == pytest.approx(alpha * ref, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def square150():
+    """The 150^2 square, a random renumbering q (new node i is old node q[i]) and the renumbered mesh."""
+    mesh = generate_unit_square(150, 150)
+    q = np.random.default_rng(3).permutation(mesh.n_nodes)
+    return mesh, q, from_arrays(mesh.node_coords[q], np.argsort(q)[mesh.triangles])
+
 
 class TestOrdering:
-    def test_random_numbering_keeps_diagonal_pivots(self):
+    def test_random_numbering_keeps_diagonal_pivots(self, square150):
         # a minimum-degree order with partial pivoting took 14 s here; the
         # shared order in symmetric mode takes a fraction of a second
-        mesh = generate_unit_square(150, 150)
-        q = np.random.default_rng(3).permutation(mesh.n_nodes)  # new node i is old node q[i]
-        shuffled = from_arrays(mesh.node_coords[q], np.argsort(q)[mesh.triangles])
+        mesh, q, shuffled = square150
         t0 = time.perf_counter()
         disc = Discretization(shuffled, 1.0)
         solver = disc.solver
@@ -220,6 +226,16 @@ class TestOrdering:
         assert np.linalg.norm(v - v_ref) <= 1e-10 * np.linalg.norm(v_ref)
         assert elapsed < 3.0
 
+    def test_residual_margin_below_contract(self, square150):
+        # a fixed RESIDUAL_TOL needs a wide margin: on a randomly numbered
+        # mesh the ground pair and the ε-sweep pairs land 100x below it
+        shuffled = square150[2]
+        disc = Discretization(shuffled, 1.0)
+        theta = (np.random.default_rng(8).random(shuffled.n_nodes) < 0.5).astype(float)
+        residuals = [disc.ground.residual]
+        residuals += [direct_eigenvalue(disc, theta, eps).residual for eps in (1e-3, 0.1, 0.8)]
+        assert max(residuals) <= 1e-14  # 100x below RESIDUAL_TOL
+
     def test_fill_below_colamd(self):
         disc = Discretization(generate_unit_square(64, 64), 1.0)
         K = disc.pencil.K.tocsc()
@@ -233,17 +249,17 @@ class TestOrdering:
         assert solver.fill < bordered.nnz
 
     def test_polish_restores_residual_contract(self):
-        disc = Discretization(generate_unit_square(16, 16), 1.0, tol=1e-12)
+        disc = Discretization(generate_unit_square(16, 16), 1.0)
         pencil, perm = disc.pencil, disc.ordering.perm
         K, M = pencil.K, pencil.M
         u = pencil.restrict(disc.ground.u)
         u = u + 1e-3 * np.random.default_rng(5).standard_normal(u.size)
         u /= np.sqrt(u @ (M @ u))
         lam = float(u @ (K @ u))
-        assert _rel_residual(K, M, lam, u) > disc.tol
+        assert _rel_residual(K, M, lam, u) > RESIDUAL_TOL
 
-        lam, u, res = _polish(K, M, lam, u, disc.tol, disc.ordering)
-        assert res <= disc.tol
+        lam, u, res = _polish(K, M, lam, u, disc.ordering)
+        assert res <= RESIDUAL_TOL
         assert res == pytest.approx(_rel_residual(K, M, lam, u))
         assert lam == pytest.approx(disc.ground.lam, rel=1e-12)
         assert disc.ordering.perm is perm

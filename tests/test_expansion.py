@@ -25,11 +25,6 @@ def disc8(mesh8):
     return Discretization(mesh8, 1.0)
 
 
-@pytest.fixture(scope="module")
-def disc8_tight(mesh8):
-    return Discretization(mesh8, 1.0, tol=1e-12)
-
-
 def dense_smallest(mesh, theta, alpha, eps):
     """Independent oracle: dense full-spectrum solve of (K0 + eps K_theta, M)."""
     pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
@@ -47,18 +42,18 @@ class TestComputeSeries:
         assert np.abs(series.lambdas[1:]).max() <= 1e-12
         assert np.abs(series.modes[1:]).max() <= 1e-12
 
-    def test_uniform_density(self, mesh8, disc8_tight):
+    def test_uniform_density(self, mesh8, disc8):
         # theta = 1: the exact eigenvalue is (1+eps) lam0, so the series stops at order 1
-        series = compute_series(disc8_tight, np.ones(mesh8.n_nodes), 3)
+        series = compute_series(disc8, np.ones(mesh8.n_nodes), 3)
         lam0 = series.lambdas[0]
         assert series.lambdas[1] == pytest.approx(lam0, rel=1e-10)
         assert np.abs(series.lambdas[2:]).max() <= 1e-8 * lam0
         assert np.abs(series.modes[1]).max() <= 1e-8
 
-    def test_normalization_identities(self, mesh8, disc8_tight):
+    def test_normalization_identities(self, mesh8, disc8):
         rng = np.random.default_rng(21)
         theta = rng.uniform(0, 1, mesh8.n_nodes)
-        series = compute_series(disc8_tight, theta, 4)
+        series = compute_series(disc8, theta, 4)
         pencil = fem.build_pencil(mesh8, np.ones(mesh8.n_elems))
         modes_f = [pencil.restrict(u) for u in series.modes]
         M = pencil.M
@@ -87,11 +82,11 @@ class TestComputeSeries:
         lam = lambda th: compute_series(disc8, th, 1).lambdas[1]
         assert lam(a * t1 + b * t2) == pytest.approx(a * lam(t1) + b * lam(t2), rel=1e-9)
 
-    def test_lambda2_two_code_paths(self, mesh8, disc8_tight):
+    def test_lambda2_two_code_paths(self, mesh8, disc8):
         # general recursion vs direct elementwise integral of grad(u1).grad(u0)
         rng = np.random.default_rng(24)
         theta = rng.uniform(0, 1, mesh8.n_nodes)
-        series = compute_series(disc8_tight, theta, 2)
+        series = compute_series(disc8, theta, 2)
         theta_e = fem.element_average(mesh8, theta)
         g0 = fem.element_gradient(mesh8, series.modes[0])
         g1 = fem.element_gradient(mesh8, series.modes[1])
@@ -105,7 +100,7 @@ class TestComputeSeries:
         mesh = generate_unit_square(4, 4)
         rng = np.random.default_rng(7)
         theta = (rng.random(mesh.n_nodes) < 0.5).astype(float)
-        series = compute_series(Discretization(mesh, 1.0, tol=1e-12), theta, 4)
+        series = compute_series(Discretization(mesh, 1.0), theta, 4)
         eps_grid = np.logspace(-1, -2, 5)
         rem = np.array(
             [
@@ -178,7 +173,7 @@ def mesh16():
 
 @pytest.fixture(scope="module")
 def disc16(mesh16):
-    return Discretization(mesh16, 1.0, tol=1e-12)
+    return Discretization(mesh16, 1.0)
 
 
 class TestRemainderReport:
@@ -212,26 +207,26 @@ class TestRemainderReport:
         with pytest.warns(UserWarning, match="floor"):
             ref = remainder_report(disc16, theta, 2, self.EPS)
         with pytest.warns(UserWarning, match="floor"):
-            small = remainder_report(Discretization(mesh16, 1e-6, tol=1e-12), theta, 2, self.EPS)
+            small = remainder_report(Discretization(mesh16, 1e-6), theta, 2, self.EPS)
         assert small.excluded == ref.excluded
         assert small.slope == pytest.approx(ref.slope, rel=1e-6)
 
-    def test_exact_series_floors_out(self, mesh8, disc8_tight):
+    def test_exact_series_floors_out(self, mesh8, disc8):
         # theta = 1 reproduces (1+eps) lam0 at any order >= 1: everything floors
         with pytest.warns(UserWarning, match="floor"):
-            report = remainder_report(disc8_tight, np.ones(mesh8.n_nodes), 1, self.EPS)
+            report = remainder_report(disc8, np.ones(mesh8.n_nodes), 1, self.EPS)
         assert report.slope is None
         assert (report.remainders <= report.floor).all()
         assert len(report.excluded) == len(self.EPS)
 
-    def test_eps_validation(self, mesh8, disc8_tight):
+    def test_eps_validation(self, mesh8, disc8):
         theta = np.zeros(mesh8.n_nodes)
         with pytest.raises(ValueError):
-            remainder_report(disc8_tight, theta, 1, [1e-1, 1e-1])
+            remainder_report(disc8, theta, 1, [1e-1, 1e-1])
         with pytest.raises(ValueError):
-            remainder_report(disc8_tight, theta, 1, [-0.1])
+            remainder_report(disc8, theta, 1, [-0.1])
         with pytest.raises(ValueError):
-            remainder_report(disc8_tight, theta, 1, [])
+            remainder_report(disc8, theta, 1, [])
 
     def test_overflowing_truncated_sum_names_eps(self, mesh16, disc16):
         # ε² overflows at ε = 1e300, so the order-2 sum is not finite
@@ -240,10 +235,10 @@ class TestRemainderReport:
         with pytest.raises(ValueError, match=r"eps = 1e\+300: .*must be finite"):
             remainder_report(disc16, theta, 2, [1e300, 1e299])
 
-    def test_serialization(self, mesh8, tmp_path, disc8_tight):
+    def test_serialization(self, mesh8, tmp_path, disc8):
         rng = np.random.default_rng(34)
         theta = (rng.random(mesh8.n_nodes) < 0.5).astype(float)
-        report = remainder_report(disc8_tight, theta, 1, self.EPS)
+        report = remainder_report(disc8, theta, 1, self.EPS)
         csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
         report.write_csv(csv_path)
         report.write_json(json_path)

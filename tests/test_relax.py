@@ -17,7 +17,7 @@ def mesh():
 
 @pytest.fixture(scope="module")
 def disc(mesh):
-    return Discretization(mesh, 1.0, tol=1e-12)
+    return Discretization(mesh, 1.0)
 
 
 @pytest.fixture(scope="module")
