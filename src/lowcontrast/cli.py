@@ -73,11 +73,9 @@ def read_field_csv(path, n_nodes: int) -> np.ndarray:
 
 
 def write_field_csv(path, values) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["node_id", "value"])
-        for i, v in enumerate(np.asarray(values, dtype=float)):
-            w.writerow([i, f"{v:.17g}"])
+    """Write a node-indexed CSV (node_id,value) that read_field_csv reads back."""
+    values = np.asarray(values, dtype=float)
+    vtkio.write_csv(path, ["node_id", "value"], [range(values.size), values])
 
 
 def rasterize_shapes(mesh, specs) -> np.ndarray:
@@ -171,8 +169,20 @@ def cmd_expand(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"remainder_order{args.order}.csv"
     json_path = out_dir / f"remainder_order{args.order}.json"
-    report.write_csv(csv_path)
-    report.write_json(json_path)
+    vtkio.write_csv(
+        csv_path,
+        ["eps", "lambda_eps", "truncated_sum", "remainder"],
+        [report.eps_values, report.lambda_eps, report.truncated, report.remainders],
+    )
+    summary = {
+        "order": report.order,
+        "slope": report.slope,
+        "constant": report.constant,
+        "excluded_eps": report.excluded,
+        "floor": report.floor,
+        "n_points": len(report.eps_values),
+    }
+    json_path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     survived = len(report.eps_values) - len(report.excluded)
     if survived == 0:
@@ -212,7 +222,12 @@ def cmd_optimize(args) -> int:
         out_dir / "theta.vtk",
     )
     write_field_csv(out_dir / "theta.csv", state.theta)
-    optimizer.write_history_csv(state, out_dir / "history.csv")
+    vtkio.write_csv(
+        out_dir / "history.csv",
+        ["iter", "F", "volume", "rho", "Lambda", "L1_change"],
+        [range(len(state.F_history)), state.F_history, state.vol_history,
+         state.rho_history, state.Lambda_history, state.l1_history],
+    )
 
     total = float(problem.lumped.sum())
     print(f"iterations: {state.iter}  stalled: {state.stalled}")
@@ -430,12 +445,13 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(args, parser)
         return args.func(args)
+    except (InputError, MshParseError, OSError, UnicodeDecodeError) as exc:
+        # ahead of ValueError, of which UnicodeDecodeError is a subclass
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (InputError, MshParseError, FileNotFoundError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

@@ -223,12 +223,16 @@ class ShiftedSolver:
         # natural magnitude of λ₁Mu₀-type loads; below noise of this scale a
         # load counts as zero and the relative compatibility test is moot
         self._load_scale = (abs(self.lambda0) + 1.0) * np.linalg.norm(self.Mu0)
+        # u₀ᵀf of such a load is of size |λ₀| + 1; when its terms cancel, the
+        # rounding left in u₀ᵀf is not a violation however small |f| is
+        self._compat_floor = 1e3 * np.finfo(float).eps * (abs(self.lambda0) + 1.0)
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """Solve for v given a free-node load f.
 
-        The Fredholm condition |u₀ᵀf| ≤ FREDHOLM_TOL·|f| is enforced; a
-        violation signals an inconsistent load upstream.
+        The Fredholm condition |u₀ᵀf| ≤ FREDHOLM_TOL·|f|, plus a floor for the
+        rounding of u₀ᵀf, is enforced; a violation signals an inconsistent
+        load upstream.
         """
         f = np.asarray(f, dtype=float)
         if f.shape != (self.pencil.n_free,):
@@ -237,10 +241,11 @@ class ShiftedSolver:
         if fnorm == 0.0:
             return np.zeros_like(f)
         mu_expected = float(self.u0f @ f)
-        if fnorm > 1e-10 * self._load_scale and abs(mu_expected) > FREDHOLM_TOL * fnorm:
+        bound = FREDHOLM_TOL * fnorm + self._compat_floor
+        if fnorm > 1e-10 * self._load_scale and abs(mu_expected) > bound:
             raise SolverError(
                 f"compatibility violation: |u0.f| = {abs(mu_expected):.3e} "
-                f"> {FREDHOLM_TOL:.1e}*|f| = {FREDHOLM_TOL * fnorm:.3e}"
+                f"> {FREDHOLM_TOL:.1e}*|f| + {self._compat_floor:.1e} = {bound:.3e}"
             )
         sol = self._solve(np.append(f, 0.0))
         v, mu = sol[:-1], float(sol[-1])

@@ -10,8 +10,6 @@ the fitted log-log slopes are free of discretization error.
 """
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -136,26 +134,6 @@ class RemainderReport:
     constant: float | None
     excluded: list = field(default_factory=list)
     floor: float = 0.0
-
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["eps", "lambda_eps", "truncated_sum", "remainder"])
-            for e, lam, tr, r in zip(self.eps_values, self.lambda_eps, self.truncated, self.remainders):
-                w.writerow([f"{e:.17g}", f"{lam:.17g}", f"{tr:.17g}", f"{r:.17g}"])
-
-    def write_json(self, path) -> None:
-        summary = {
-            "order": self.order,
-            "slope": self.slope,
-            "constant": self.constant,
-            "excluded_eps": [float(e) for e in self.excluded],
-            "floor": self.floor,
-            "n_points": int(len(self.eps_values)),
-        }
-        with open(path, "w") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:

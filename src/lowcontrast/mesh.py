@@ -164,44 +164,42 @@ def import_msh(path) -> Mesh:
     """
     with open(path, "r") as fh:
         lines = fh.read().splitlines()
+    # (line number, stripped text) of every non-blank line
+    numbered = ((ln, text) for ln, text in enumerate(map(str.strip, lines), start=1) if text)
+
+    def next_line():
+        line = next(numbered, None)
+        if line is None:
+            raise MshParseError("unexpected end of file", len(lines))
+        return line
+
+    def read_count(what):
+        ln, text = next_line()
+        try:
+            return int(text)
+        except ValueError:
+            raise MshParseError(f"{what} count is not an integer", ln) from None
+
+    def expect_end(marker):
+        ln, text = next_line()
+        if text != marker:
+            raise MshParseError(f"expected {marker}", ln)
 
     nodes: dict[int, tuple[float, float]] = {}
     tris: list[tuple[int, int, int]] = []
-    ln = 0
-    n = len(lines)
-
-    def next_line():
-        nonlocal ln
-        while ln < n and not lines[ln].strip():
-            ln += 1
-        if ln >= n:
-            raise MshParseError("unexpected end of file", ln)
-        ln += 1
-        return lines[ln - 1].strip()
-
-    saw_format = saw_nodes = False
-    while ln < n:
-        stripped = lines[ln].strip()
-        if not stripped:
-            ln += 1
-            continue
-        if stripped == "$MeshFormat":
-            ln += 1
-            header = next_line()
-            version = header.split()[0] if header.split() else ""
+    saw_format = False
+    for _, section in numbered:  # lines outside the three sections are skipped
+        if section == "$MeshFormat":
+            ln, header = next_line()
+            version = header.split()[0]
             if not version.startswith("2.2"):
                 raise MshParseError(f"unsupported MSH version '{version}' (need 2.2)", ln)
-            if next_line() != "$EndMeshFormat":
-                raise MshParseError("expected $EndMeshFormat", ln)
+            expect_end("$EndMeshFormat")
             saw_format = True
-        elif stripped == "$Nodes":
-            ln += 1
-            try:
-                count = int(next_line())
-            except ValueError:
-                raise MshParseError("node count is not an integer", ln) from None
-            for _ in range(count):
-                parts = next_line().split()
+        elif section == "$Nodes":
+            for _ in range(read_count("node")):
+                ln, text = next_line()
+                parts = text.split()
                 if len(parts) < 4:
                     raise MshParseError("node line needs 'id x y z'", ln)
                 try:
@@ -211,17 +209,11 @@ def import_msh(path) -> Mesh:
                 if not (math.isfinite(x) and math.isfinite(y)):
                     raise ValueError(f"line {ln}: node {node_id} has non-finite coordinates ({x}, {y})")
                 nodes[node_id] = (x, y)
-            if next_line() != "$EndNodes":
-                raise MshParseError("expected $EndNodes", ln)
-            saw_nodes = True
-        elif stripped == "$Elements":
-            ln += 1
-            try:
-                count = int(next_line())
-            except ValueError:
-                raise MshParseError("element count is not an integer", ln) from None
-            for _ in range(count):
-                parts = next_line().split()
+            expect_end("$EndNodes")
+        elif section == "$Elements":
+            for _ in range(read_count("element")):
+                ln, text = next_line()
+                parts = text.split()
                 if len(parts) < 3:
                     raise MshParseError("element line too short", ln)
                 try:
@@ -234,14 +226,11 @@ def import_msh(path) -> Mesh:
                         tris.append(tuple(ids))
                 except ValueError:
                     raise MshParseError("malformed element line", ln) from None
-            if next_line() != "$EndElements":
-                raise MshParseError("expected $EndElements", ln)
-        else:
-            ln += 1  # skip unknown sections line by line
+            expect_end("$EndElements")
 
     if not saw_format:
         raise MshParseError("missing $MeshFormat section")
-    if not saw_nodes or not nodes:
+    if not nodes:
         raise MshParseError("missing or empty $Nodes section")
     if not tris:
         raise MshParseError("no triangles (element type 2) found")

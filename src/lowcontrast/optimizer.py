@@ -84,6 +84,8 @@ def project_volume(lumped, theta_tilde, m: float, tol_vol: float):
     """
     lumped = np.asarray(lumped, dtype=float)
     theta_tilde = np.asarray(theta_tilde, dtype=float)
+    if not np.isfinite(theta_tilde).all():
+        raise ValueError("theta_tilde must be finite")
     total = float(lumped.sum())
     if not 0.0 < m < total:
         raise ValueError(f"target volume {m} outside (0, {total})")
@@ -94,7 +96,12 @@ def project_volume(lumped, theta_tilde, m: float, tol_vol: float):
     lo = float(-theta_tilde.max())
     hi = float(1.0 - theta_tilde.min())
     if not vol(lo) <= m <= vol(hi):
-        raise RuntimeError("volume bracket failure")  # unreachable for valid m
+        # only rounding breaks the bracket: θ̃ + (1 − min θ̃) loses the 1 once
+        # |θ̃| nears 2⁵³, as a huge ε makes it
+        raise ValueError(
+            f"theta_tilde spans [{theta_tilde.min():g}, {theta_tilde.max():g}], "
+            "too wide to resolve the volume constraint"
+        )
     lam = 0.5 * (lo + hi)
     while True:
         v = vol(lam)
@@ -206,21 +213,3 @@ def run(problem: RelaxedObjective, config: OptimizerConfig):
     _, lam_probe = project_volume(lumped, tilde, m, tol_vol)
     kkt = problem.kkt(state.theta, state.last_eval.grad_density, -lam_probe / rho)
     return state, state.last_eval, kkt
-
-
-def write_history_csv(state: OptimizerState, path) -> None:
-    """Per-iteration history: iter, F, volume, rho, Lambda, L1_change."""
-    import csv
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "F", "volume", "rho", "Lambda", "L1_change"])
-        rows = zip(
-            state.F_history,
-            state.vol_history,
-            state.rho_history,
-            state.Lambda_history,
-            state.l1_history,
-        )
-        for i, (F, vol, rho, lam, l1) in enumerate(rows):
-            w.writerow([i, f"{F:.17g}", f"{vol:.17g}", f"{rho:.17g}", f"{lam:.17g}", f"{l1:.17g}"])

@@ -90,16 +90,19 @@ class RelaxedObjective:
         theta_sq_e = fem.element_average(mesh, theta**2)
         v, lam1, gv_dot = self._state(theta_e)
 
-        first = alpha * float(np.sum(self._area * theta_e * (self.gu0_sq + eps * gv_dot)))
-        mixing = eps * alpha * float(
-            np.sum(self._area * (theta_e - theta_sq_e) * self.gu0_sq)
-        )
-        F = first - mixing
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below
+            first = alpha * float(np.sum(self._area * theta_e * (self.gu0_sq + eps * gv_dot)))
+            mixing = eps * alpha * float(
+                np.sum(self._area * (theta_e - theta_sq_e) * self.gu0_sq)
+            )
+            F = first - mixing
 
-        e_lin = alpha * (2.0 * eps * gv_dot + (1.0 - eps) * self.gu0_sq)
-        grad = fem.nodal_project(mesh, e_lin, self.lumped) + (
-            2.0 * eps * alpha
-        ) * theta * self.p_nodal
+            e_lin = alpha * (2.0 * eps * gv_dot + (1.0 - eps) * self.gu0_sq)
+            grad = fem.nodal_project(mesh, e_lin, self.lumped) + (
+                2.0 * eps * alpha
+            ) * theta * self.p_nodal
+        if not (np.isfinite(F) and np.isfinite(grad).all()):
+            raise ValueError(f"epsilon = {eps:g} overflows the objective or its gradient")
         return RelaxedEval(F=F, lambda1=lam1, v_inf=v, grad_density=grad)
 
     def hessian_form(self, phi) -> float:

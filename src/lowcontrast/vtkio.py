@@ -1,7 +1,8 @@
-"""Legacy ASCII VTK output for meshes and nodal scalar fields.
+"""Text output: legacy ASCII VTK for meshes and nodal scalar fields, and
+the CSV tables (field values, optimizer history, remainder reports).
 
-Float formatting is pinned to 17 significant digits so identical inputs
-produce byte-identical files.
+Floats are written with 17 significant digits, so identical inputs produce
+byte-identical files.
 """
 from __future__ import annotations
 
@@ -34,3 +35,18 @@ def export_vtk(mesh, fields: dict, path) -> None:
             for name, values in fields.items():
                 fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
                 fh.writelines(f"{v:.17g}\n" for v in np.asarray(values, dtype=float).tolist())
+
+
+def write_csv(path, header, columns) -> None:
+    """Write a header row, then row i with entry i of every column.
+
+    Each column's format follows its dtype: integers as written, floats with
+    17 significant digits.  Lines end in CRLF, as ``csv.writer`` ends them.
+    """
+    columns = [np.asarray(c) for c in columns]
+    formats = ("{}" if np.issubdtype(c.dtype, np.integer) else "{:.17g}" for c in columns)
+    row = ",".join(formats) + "\r\n"
+    rows = zip(*(c.tolist() for c in columns), strict=True)
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(row.format(*r) for r in rows)

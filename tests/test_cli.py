@@ -5,7 +5,7 @@ import pytest
 
 from lowcontrast import cli
 from lowcontrast.mesh import generate_unit_square
-from lowcontrast.vtkio import export_vtk
+from lowcontrast.vtkio import export_vtk, write_csv
 
 
 def run_cli(args):
@@ -96,6 +96,30 @@ class TestExpandCommand:
         assert (tmp_path / "remainder_order1.csv").exists()
         summary = json.loads((tmp_path / "remainder_order1.json").read_text())
         assert summary["slope"] >= 1.95
+
+    def test_serialization(self, tmp_path, capsys):
+        from lowcontrast.eig import Discretization
+        from lowcontrast.expansion import remainder_report
+
+        eps = [1e-1, 10**-1.5, 1e-2, 10**-2.5, 1e-3]
+        code = run_cli(
+            ["expand", "--nx", 8, "--ny", 8, "--random-theta", "--seed", 34, "--order", 1,
+             "--eps", ",".join(map(repr, eps)), "--out-dir", tmp_path]
+        )
+        assert code == 0
+        mesh = generate_unit_square(8, 8)
+        theta = (np.random.default_rng(34).random(mesh.n_nodes) < 0.5).astype(float)
+        report = remainder_report(Discretization(mesh, 1.0), theta, 1, eps)
+        lines = (tmp_path / "remainder_order1.csv").read_text().splitlines()
+        assert lines[0] == "eps,lambda_eps,truncated_sum,remainder"
+        assert len(lines) == 1 + len(eps)
+        first = [float(x) for x in lines[1].split(",")]
+        assert first[0] == pytest.approx(0.1)
+        assert first[3] == pytest.approx(report.remainders[0], rel=1e-15)
+        summary = json.loads((tmp_path / "remainder_order1.json").read_text())
+        assert summary["slope"] == pytest.approx(report.slope)
+        assert summary["order"] == 1
+        assert summary["excluded_eps"] == []
 
     def test_order0(self, tmp_path, capsys):
         code = run_cli(
@@ -217,6 +241,19 @@ class TestOptimizeCommand:
         out = capsys.readouterr().out
         assert "KKT interior residual" in out
 
+    def test_history_csv(self, tmp_path, capsys):
+        args = ["optimize", "--nx", 12, "--ny", 12, "--epsilon", 1e-6,
+                "--volume-fraction", 0.4, "--max-iters", 3]
+        d1, d2 = tmp_path / "a", tmp_path / "b"
+        assert run_cli(args + ["--out-dir", d1]) == 0
+        iterations = int(capsys.readouterr().out.split("iterations:")[1].split()[0])
+        lines = (d1 / "history.csv").read_text().splitlines()
+        assert lines[0] == "iter,F,volume,rho,Lambda,L1_change"
+        assert len(lines) == 1 + 1 + iterations
+        # determinism: a second run writes the identical file
+        assert run_cli(args + ["--out-dir", d2]) == 0
+        assert (d1 / "history.csv").read_bytes() == (d2 / "history.csv").read_bytes()
+
     def test_vtk_carries_fields(self, tmp_path):
         run_cli(
             ["optimize", "--nx", 8, "--ny", 8, "--epsilon", 1e-6,
@@ -240,6 +277,27 @@ class TestOptimizeCommand:
         )
         assert code == 2
         assert "error: epsilon" in capsys.readouterr().err
+
+    def test_overflowing_epsilon_exit_2(self, tmp_path, capsys):
+        code = run_cli(
+            ["optimize", "--nx", 8, "--ny", 8, "--epsilon", 1e307,
+             "--volume-fraction", 0.4, "--out-dir", tmp_path]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: epsilon = 1e+307 overflows the objective or its gradient\n"
+        assert captured.out == ""
+
+    def test_huge_epsilon_projection_exit_2(self, tmp_path, capsys):
+        # F stays finite, but the projected step spans ~1e17 and loses the volume to rounding
+        code = run_cli(
+            ["optimize", "--nx", 8, "--ny", 8, "--epsilon", 1e17,
+             "--volume-fraction", 0.99, "--out-dir", tmp_path]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: theta_tilde spans")
+        assert err.count("\n") == 1
 
     def test_imported_domain_with_hole(self, tmp_path, capsys):
         # perforated-domain analogue: optimize on an imported annulus
@@ -276,6 +334,36 @@ class TestEvalCommand:
         assert F == pytest.approx(lam0, rel=1e-10)  # theta = 1: F equals discrete lam0
         assert out.exists()
 
+
+    def test_given_multiplier_drives_kkt(self, tmp_path, capsys):
+        from lowcontrast.eig import Discretization
+        from lowcontrast.relax import RelaxedObjective
+
+        mesh = generate_unit_square(8, 8)
+        theta = np.random.default_rng(5).uniform(0.0, 1.0, mesh.n_nodes)
+        path = tmp_path / "theta.csv"
+        cli.write_field_csv(path, theta)
+        args = ["eval", "--nx", 8, "--ny", 8, "--theta", path, "--epsilon", 0.1]
+        assert run_cli(args) == 0
+        default_out = capsys.readouterr().out
+        assert run_cli(args + ["--multiplier", -3.5]) == 0
+        out = capsys.readouterr().out
+        assert "multiplier = -3.5\n" in out
+        problem = RelaxedObjective(Discretization(mesh, 1.0), 0.1)
+        interior, sign = problem.kkt(theta, problem.evaluate(theta).grad_density, -3.5)
+        assert f"KKT interior residual = {interior:.6g}\n" in out
+        assert f"KKT sign violation = {sign:.6g}\n" in out
+        assert out.split("multiplier")[0] == default_out.split("multiplier")[0]
+        assert out.split("KKT")[1:] != default_out.split("KKT")[1:]
+
+    def test_overflowing_epsilon_exit_2(self, capsys):
+        code = run_cli(
+            ["eval", "--nx", 8, "--ny", 8, "--random-theta", "--seed", 1, "--epsilon", 1e307]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: epsilon = 1e+307 overflows the objective or its gradient\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("epsilon", ["inf", "nan"])
     def test_non_finite_epsilon_exit_2(self, epsilon, capsys):
@@ -364,6 +452,19 @@ class TestExportCommand:
         export_vtk(m, {"f": values}, p1)
         export_vtk(m, {"f": values}, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_write_csv_matches_csv_writer(self, tmp_path):
+        import csv
+
+        ints = np.arange(5)
+        floats = np.array([0.0, -0.0, 1e-7, 1 / 3, 1e300])
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        write_csv(ours, ["i", "x"], [ints, floats])
+        with open(ref, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["i", "x"])
+            w.writerows([i, f"{x:.17g}"] for i, x in zip(ints, floats))
+        assert ours.read_bytes() == ref.read_bytes()
 
     def test_bad_field_spec(self, tmp_path):
         code = run_cli(["export", "--nx", 1, "--ny", 1, "--field", "nope", "--out", tmp_path / "o.vtk"])
@@ -464,6 +565,36 @@ class TestConfigFile:
     def test_missing_config_exit_3(self, tmp_path):
         code = run_cli(["--config", tmp_path / "nope.json", "mesh", "square", "--nx", 1, "--ny", 1])
         assert code == 3
+
+
+@pytest.mark.parametrize("command", ["eval", "expand"])
+def test_near_uniform_density_is_compatible(tmp_path, capsys, command):
+    # 1e-8 away from uniform the state load cancels to |f| ~ 7e-9, so 1e-9*|f|
+    # lies far below the ~1e-15 rounding that u0.f keeps from the load's terms
+    mesh = generate_unit_square(32, 32)
+    theta = 0.5 + 1e-8 * np.random.default_rng(1).uniform(0.0, 1.0, mesh.n_nodes)
+    path = tmp_path / "theta.csv"
+    cli.write_field_csv(path, theta)
+    extra = ["--epsilon", 0.1] if command == "eval" else ["--order", 2, "--out-dir", tmp_path]
+    code = run_cli([command, "--nx", 32, "--ny", 32, "--theta", path] + extra)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name,text,args", [
+    ("m.msh", b"\xff\xfe$MeshFormat\n", ["mesh", "import", "--file", "{path}"]),
+    ("theta.csv", b"node_id,value\n\xff,1\n",
+     ["eval", "--nx", 2, "--ny", 2, "--theta", "{path}", "--epsilon", 0.1]),
+    ("cfg.json", b"\xff{}", ["--config", "{path}", "mesh", "square", "--nx", 1, "--ny", 1]),
+], ids=["msh", "theta-csv", "config"])
+def test_non_utf8_file_exit_3(tmp_path, capsys, name, text, args):
+    path = tmp_path / name
+    path.write_bytes(text)
+    code = run_cli([str(path) if a == "{path}" else a for a in args])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
 
 
 class TestDisconnectedDomain:

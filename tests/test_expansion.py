@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -234,24 +232,6 @@ class TestRemainderReport:
         theta = (rng.random(mesh16.n_nodes) < 0.5).astype(float)
         with pytest.raises(ValueError, match=r"eps = 1e\+300: .*must be finite"):
             remainder_report(disc16, theta, 2, [1e300, 1e299])
-
-    def test_serialization(self, mesh8, tmp_path, disc8):
-        rng = np.random.default_rng(34)
-        theta = (rng.random(mesh8.n_nodes) < 0.5).astype(float)
-        report = remainder_report(disc8, theta, 1, self.EPS)
-        csv_path, json_path = tmp_path / "r.csv", tmp_path / "r.json"
-        report.write_csv(csv_path)
-        report.write_json(json_path)
-        lines = csv_path.read_text().splitlines()
-        assert lines[0] == "eps,lambda_eps,truncated_sum,remainder"
-        assert len(lines) == 1 + len(self.EPS)
-        first = [float(x) for x in lines[1].split(",")]
-        assert first[0] == pytest.approx(0.1)
-        assert first[3] == pytest.approx(report.remainders[0], rel=1e-15)
-        summary = json.loads(json_path.read_text())
-        assert summary["slope"] == pytest.approx(report.slope)
-        assert summary["order"] == 1
-        assert summary["excluded_eps"] == []
 
 
 def test_mode_bound_diagnostic(mesh8, disc8):

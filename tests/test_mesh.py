@@ -25,6 +25,11 @@ def write_msh(path, coords, triangles):
     path.write_text("\n".join(lines) + "\n")
 
 
+# valid MSH text that stops where the node count (line 5) or the element count (line 11) goes
+_NODES = "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n"
+_ELEMENTS = _NODES + "3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n$Elements\n"
+
+
 def annulus_mesh_arrays(n_seg=8, radii=(2.0, 1.5, 1.0)):
     """Banded annulus; only the outermost and innermost rings are boundary."""
     coords = []
@@ -190,6 +195,64 @@ class TestImportMsh:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             import_msh(tmp_path / "nope.msh")
+
+    def test_skips_blank_lines_and_unknown_sections(self, tmp_path):
+        p = tmp_path / "named.msh"
+        p.write_text(
+            "\n$MeshFormat\n\n2.2 0 8\n$EndMeshFormat\n\n"
+            "$PhysicalNames\n1\n2 1 \"$Nodes\"\n$EndPhysicalNames\n\n"
+            "$Nodes\n3\n\n1 0 0 0\n2 1 0 0\n  \n3 0 1 0\n$EndNodes\n"
+            "$Elements\n\n1\n1 2 2 0 1 1 2 3\n\n$EndElements\n\n\n"
+        )
+        m = import_msh(p)
+        assert (m.n_nodes, m.n_elems) == (3, 1)
+
+    @pytest.mark.parametrize("body,line,message", [
+        (_NODES + "2\n1 0 0 0\n", 6, "unexpected end of file"),
+        (_NODES + "2\n1 0 0 0\n\n\n", 8, "unexpected end of file"),
+        ("$MeshFormat\n", 1, "unexpected end of file"),
+        ("$MeshFormat\n2.2 0 8\n$Nodes\n", 3, "expected $EndMeshFormat"),
+        ("$MeshFormat\n4.1 0 8\n$EndMeshFormat\n", 2, "unsupported MSH version '4.1' (need 2.2)"),
+        (_NODES + "abc\n", 5, "node count is not an integer"),
+        (_NODES + "\n\n1.5\n", 7, "node count is not an integer"),
+        (_NODES + "1\n1 0 0\n", 6, "node line needs 'id x y z'"),
+        (_NODES + "1\n1 0 x 0\n", 6, "malformed node line"),
+        (_NODES + "1\n1 0 0 0\n$EndElements\n", 7, "expected $EndNodes"),
+        (_ELEMENTS + "x\n", 11, "element count is not an integer"),
+        (_ELEMENTS + "1\n1 2\n", 12, "element line too short"),
+        (_ELEMENTS + "1\n1 2 2 0 1 1 2\n", 12, "triangle needs 3 node ids"),
+        (_ELEMENTS + "1\n1 2 2 0 1 1 2 x\n", 12, "malformed element line"),
+        (_ELEMENTS + "1\n1 15 x 1\n", 12, "malformed element line"),
+        (_ELEMENTS + "1\n1 2 2 0 1 1 2 3\n$End\n", 13, "expected $EndElements"),
+        (_ELEMENTS + "1\n1 2 2 0 1 1 2 3\n", 12, "unexpected end of file"),
+    ], ids=[
+        "eof-in-nodes", "eof-after-trailing-blanks", "eof-in-format", "no-end-format",
+        "version", "node-count", "node-count-after-blanks", "short-node", "malformed-node",
+        "no-end-nodes", "element-count", "short-element", "triangle-ids",
+        "malformed-triangle", "malformed-ntags", "no-end-elements", "eof-in-elements",
+    ])
+    def test_parse_error_names_line(self, tmp_path, body, line, message):
+        p = tmp_path / "bad.msh"
+        p.write_text(body)
+        with pytest.raises(MshParseError) as exc:
+            import_msh(p)
+        assert exc.value.line == line
+        assert str(exc.value) == f"line {line}: {message}"
+
+    @pytest.mark.parametrize("body,message", [
+        ("$Nodes\n1\n1 0 0 0\n$EndNodes\n", "missing $MeshFormat section"),
+        ("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n", "missing or empty $Nodes section"),
+        (_NODES + "0\n$EndNodes\n", "missing or empty $Nodes section"),
+        (_ELEMENTS + "1\n1 1 2 0 1 1 2\n$EndElements\n", "no triangles (element type 2) found"),
+        (_ELEMENTS + "1\n1 2 2 0 1 1 2 9\n$EndElements\n", "element references unknown node id 9"),
+    ], ids=["no-format", "no-nodes", "empty-nodes", "no-triangles", "unknown-node"])
+    def test_file_level_error(self, tmp_path, body, message):
+        p = tmp_path / "bad.msh"
+        p.write_text(body)
+        with pytest.raises(MshParseError) as exc:
+            import_msh(p)
+        assert exc.value.line is None
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("mesh", [generate_unit_square(7, 5), from_arrays(*annulus_mesh_arrays())])

@@ -9,9 +9,8 @@ from lowcontrast.optimizer import (
     project_volume,
     run,
     step,
-    write_history_csv,
 )
-from lowcontrast.relax import RelaxedObjective
+from lowcontrast.relax import RelaxedEval, RelaxedObjective
 
 
 def objective(mesh, epsilon):
@@ -61,6 +60,17 @@ class TestProjectVolume:
             lams = np.sort(rng.normal(0, 2, 5))
             vols = [float(w @ np.clip(tilde + L, 0, 1)) for L in lams]
             assert all(vols[i] <= vols[i + 1] + 1e-14 for i in range(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input(self, bad):
+        tilde = np.array([0.2, bad, 0.4, 0.6])
+        with pytest.raises(ValueError, match="theta_tilde must be finite"):
+            project_volume(np.full(4, 0.25), tilde, 0.5, 1e-12)
+
+    def test_range_beyond_precision(self):
+        # -1e17 + (1 + 1e17) rounds to 0, so no shift reaches the target volume
+        with pytest.raises(ValueError, match="too wide to resolve the volume constraint"):
+            project_volume(np.full(2, 0.5), np.array([-1e17, 0.0]), 0.75, 1e-12)
 
     def test_target_out_of_range(self):
         w = np.full(4, 0.25)
@@ -153,34 +163,69 @@ class TestRun:
         assert kkt[1] <= 1e-3 * lam0
 
 
+def _initial_state(problem, theta0, rho, rho0):
+    """The state run() builds before its first step.
+
+    ``rho`` is the first trial step; ``rho0`` is the step size recorded for
+    iteration 0, which sets the stall floor.
+    """
+    ev0 = problem.evaluate(theta0)
+    state = OptimizerState(theta=theta0, iter=0, rho=rho, last_eval=ev0)
+    state.F_history.append(ev0.F)
+    state.vol_history.append(float(problem.lumped @ theta0))
+    state.rho_history.append(rho0)
+    state.Lambda_history.append(0.0)
+    state.l1_history.append(0.0)
+    return state
+
+
+class _NoArmijoProblem:
+    """F = 1 − slope·‖θ − θ0‖₁ with a fixed steep gradient: no step meets Armijo.
+
+    With slope > 0 every candidate improves F, but by far less than the Armijo
+    decrease; with slope < 0 every candidate makes F worse.
+    """
+
+    def __init__(self, n, slope):
+        self.lumped = np.full(n, 1.0 / n)
+        self.grad = np.linspace(-1e3, 1e3, n)
+        self.theta0 = np.full(n, 0.5)
+        self.slope = slope
+
+    def evaluate(self, theta):
+        F = 1.0 - self.slope * float(self.lumped @ np.abs(theta - self.theta0))
+        return RelaxedEval(F=F, lambda1=F, v_inf=theta, grad_density=self.grad)
+
+
 class TestStep:
     def test_accepted_step_decreases_or_flags(self, mesh):
         problem = objective(mesh, 1e-6)
         config = OptimizerConfig(volume_fraction=0.3, max_iters=10)
-        lumped = problem.lumped
-        theta0 = np.full(mesh.n_nodes, 0.3)
-        ev0 = problem.evaluate(theta0)
-        state = OptimizerState(theta=theta0, iter=0, rho=0.05, last_eval=ev0)
-        state.F_history.append(ev0.F)
-        state.vol_history.append(float(lumped @ theta0))
-        state.rho_history.append(0.05)
-        state.Lambda_history.append(0.0)
-        state.l1_history.append(0.0)
+        state = _initial_state(problem, np.full(mesh.n_nodes, 0.3), 0.05, 0.05)
         step(state, config, problem)
         assert state.F_history[-1] <= state.F_history[0]
         assert state.iter == 1
 
+    def test_stall_keeps_best_improving_candidate(self):
+        problem = _NoArmijoProblem(10, slope=1e-6)
+        state = _initial_state(problem, problem.theta0, 0.25, 1.0)
+        step(state, OptimizerConfig(volume_fraction=0.5), problem)
+        assert state.stalled and not state.converged
+        # the first, longest trial step improves F the most
+        assert state.F_history[-1] < state.F_history[0]
+        assert state.rho_history[-1] == 0.25
+        assert state.rho == 0.25
+        assert not np.array_equal(state.theta, problem.theta0)
+        assert abs(state.vol_history[-1] - 0.5) <= 1e-9
 
-def test_history_csv(tmp_path, mesh):
-    config = OptimizerConfig(volume_fraction=0.4, max_iters=3)
-    state, _, _ = run(objective(mesh, 1e-6), config)
-    path = tmp_path / "history.csv"
-    write_history_csv(state, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iter,F,volume,rho,Lambda,L1_change"
-    assert len(lines) == 1 + len(state.F_history)
-    # determinism: a second run writes the identical file
-    state2, _, _ = run(objective(mesh, 1e-6), config)
-    path2 = tmp_path / "history2.csv"
-    write_history_csv(state2, path2)
-    assert path.read_bytes() == path2.read_bytes()
+    def test_stall_without_improvement_returns_previous_iterate(self):
+        problem = _NoArmijoProblem(10, slope=-1.0)
+        state = _initial_state(problem, problem.theta0, 0.25, 1.0)
+        step(state, OptimizerConfig(volume_fraction=0.5), problem)
+        assert state.stalled and not state.converged
+        np.testing.assert_array_equal(state.theta, problem.theta0)
+        assert state.F_history == [1.0, 1.0]
+        assert state.rho_history == [1.0, 1.0]
+        assert state.Lambda_history == [0.0, 0.0]
+        assert state.l1_history[-1] == 0.0
+        assert state.iter == 1
