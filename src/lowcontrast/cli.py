@@ -40,18 +40,27 @@ def _load_mesh(args):
 
 
 def read_field_csv(path, n_nodes: int) -> np.ndarray:
-    """Read a node-indexed CSV (node_id,value); every node must appear once."""
+    """Read a node-indexed CSV (node_id,value); every node must appear once.
+
+    Blank rows are skipped.  The first other row may be a header; every row
+    after it must start with an integer node id.
+    """
     values = np.zeros(n_nodes)
     seen = np.zeros(n_nodes, dtype=bool)
     try:
         with open(path, newline="") as fh:
-            for row in csv.reader(fh):
-                if not row or not row[0].strip():
-                    continue
+            reader = csv.reader(fh)
+            rows = (row for row in reader if any(cell.strip() for cell in row))
+            for k, row in enumerate(rows):
                 try:
                     idx = int(row[0])
                 except ValueError:
-                    continue  # header line
+                    if k == 0:
+                        continue  # header line
+                    raise InputError(
+                        f"{path}: line {reader.line_num}: {','.join(row)!r} "
+                        "does not start with an integer node id"
+                    ) from None
                 if len(row) < 2:
                     raise InputError(f"{path}: row for node {idx} has no value")
                 if not 0 <= idx < n_nodes:
@@ -67,6 +76,8 @@ def read_field_csv(path, n_nodes: int) -> np.ndarray:
                 seen[idx] = True
     except OSError as exc:
         raise InputError(f"cannot read field file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{exc} (reading {path})") from None
     if not seen.all():
         raise InputError(f"{path}: {n_nodes - int(seen.sum())} node(s) missing a value")
     return values
@@ -425,6 +436,8 @@ def _apply_config(args, parser) -> None:
             overrides = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read config: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{exc} (reading {args.config})") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed config JSON: {exc}") from exc
     if not isinstance(overrides, dict):
@@ -445,8 +458,7 @@ def main(argv=None) -> int:
         if args.config:
             _apply_config(args, parser)
         return args.func(args)
-    except (InputError, MshParseError, OSError, UnicodeDecodeError) as exc:
-        # ahead of ValueError, of which UnicodeDecodeError is a subclass
+    except (InputError, MshParseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as exc:

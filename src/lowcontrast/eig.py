@@ -130,7 +130,7 @@ def _polish(K, M, lam, u, ordering):
     for _ in range(3):
         if res <= RESIDUAL_TOL:
             break
-        shift = lam * (1.0 - 1e-10) if lam != 0 else -1e-12
+        shift = lam * (1.0 - 1e-10)
         try:
             solve, _ = ordering.factor(K - shift * M, pivot=True)
             w = solve(M @ u)
@@ -220,12 +220,9 @@ class ShiftedSolver:
         except RuntimeError as exc:
             raise SolverError(f"bordered factorization failed: {exc}") from exc
         self._A = A
-        # natural magnitude of λ₁Mu₀-type loads; below noise of this scale a
-        # load counts as zero and the relative compatibility test is moot
-        self._load_scale = (abs(self.lambda0) + 1.0) * np.linalg.norm(self.Mu0)
-        # u₀ᵀf of such a load is of size |λ₀| + 1; when its terms cancel, the
-        # rounding left in u₀ᵀf is not a violation however small |f| is
-        self._compat_floor = 1e3 * np.finfo(float).eps * (abs(self.lambda0) + 1.0)
+        # loads and u₀ᵀf scale with α and 1/|Ω| as λ₀ does; when the terms of
+        # u₀ᵀf cancel, the rounding left in it is not a violation however small |f| is
+        self._compat_floor = 1e3 * np.finfo(float).eps * abs(self.lambda0)
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """Solve for v given a free-node load f.
@@ -242,7 +239,7 @@ class ShiftedSolver:
             return np.zeros_like(f)
         mu_expected = float(self.u0f @ f)
         bound = FREDHOLM_TOL * fnorm + self._compat_floor
-        if fnorm > 1e-10 * self._load_scale and abs(mu_expected) > bound:
+        if abs(mu_expected) > bound:
             raise SolverError(
                 f"compatibility violation: |u0.f| = {abs(mu_expected):.3e} "
                 f"> {FREDHOLM_TOL:.1e}*|f| + {self._compat_floor:.1e} = {bound:.3e}"

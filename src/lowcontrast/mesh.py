@@ -162,8 +162,11 @@ def import_msh(path) -> Mesh:
     triangles, or an unsupported format version, and ValueError naming the
     line and MSH node id of a non-finite coordinate.
     """
-    with open(path, "r") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise MshParseError(f"{exc} (reading {path})") from None
     # (line number, stripped text) of every non-blank line
     numbered = ((ln, text) for ln, text in enumerate(map(str.strip, lines), start=1) if text)
 

@@ -29,7 +29,7 @@ class OptimizerConfig:
 
     volume_fraction is the target m/|Ω| in (0,1).  A seed switches the
     uniform feasible initialization to a projected random one.  The first
-    step 1/λ0, the Armijo constants and the volume tolerance are fixed; the
+    step |Ω|/λ0, the Armijo constants and the volume tolerance are fixed; the
     contrast ε and the discretization belong to the :class:`RelaxedObjective`.
     """
 
@@ -131,7 +131,7 @@ def step(state: OptimizerState, config: OptimizerConfig, problem: RelaxedObjecti
     g = current.grad_density
     rho = state.rho
     rho_floor = _RHO_FLOOR_FACTOR * state.rho_history[0]
-    noise = 8.0 * np.finfo(float).eps * (1.0 + abs(current.F))
+    noise = 8.0 * np.finfo(float).eps * abs(current.F)
     # the previous iterate with its evaluation, shift and accepted step size
     previous = (state.theta, current, state.Lambda_history[-1], state.rho_history[-1])
     best = None
@@ -194,7 +194,7 @@ def run(problem: RelaxedObjective, config: OptimizerConfig):
         rng = np.random.default_rng(config.seed)
         theta0, _ = project_volume(lumped, rng.uniform(0.0, 1.0, n_nodes), m, tol_vol)
 
-    rho0 = 1.0 / problem.ground.lam
+    rho0 = total / problem.ground.lam
     ev0 = problem.evaluate(theta0)
     state = OptimizerState(theta=theta0, iter=0, rho=rho0, last_eval=ev0)
     state.F_history.append(ev0.F)

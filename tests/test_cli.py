@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from lowcontrast import cli
+from lowcontrast.eig import ShiftedSolver, SolverError
 from lowcontrast.mesh import generate_unit_square
 from lowcontrast.vtkio import export_vtk, write_csv
 
@@ -418,6 +419,51 @@ class TestEvalCommand:
         assert "error: density values must be finite" in capsys.readouterr().err
 
 
+class TestFieldCsv:
+    """read_field_csv through `eval` on the 4x4 square (25 nodes)."""
+
+    def eval_csv(self, tmp_path, text):
+        path = tmp_path / "theta.csv"
+        path.write_text(text)
+        return path, run_cli(["eval", "--nx", 4, "--ny", 4, "--theta", path, "--epsilon", 0.1])
+
+    @pytest.mark.parametrize("bad", ["abc,0.9", "1.5,0.2", "#note,1", "2.0,0.5", ",0.5"])
+    def test_malformed_row_after_header_exit_3(self, tmp_path, capsys, bad):
+        # only the first row may be a header; a later non-integer id is an error
+        rows = [f"{i},0.5" for i in range(25)]
+        rows.insert(10, bad)
+        path, code = self.eval_csv(tmp_path, "node_id,value\n" + "\n".join(rows) + "\n")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"input error: {path}: line 12: {bad!r} does not start with an integer node id\n"
+        )
+
+    @pytest.mark.parametrize("header", ["", "node_id,value\n", "\n\nid,theta\n"])
+    def test_optional_header_and_blank_rows(self, tmp_path, capsys, header):
+        rows = [f"{i},0.5" for i in range(25)]
+        rows.insert(7, "")
+        _, code = self.eval_csv(tmp_path, header + "\n".join(rows) + "\n")
+        assert code == 0
+        assert "volume = 0.5" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text,message", [
+        ("node_id,value\n0\n", "row for node 0 has no value"),
+        ("node_id,value\n99,0.5\n", "node id 99 out of range (mesh has 25)"),
+    ], ids=["no-value", "out-of-range"])
+    def test_bad_row_exit_3(self, tmp_path, capsys, text, message):
+        path, code = self.eval_csv(tmp_path, text)
+        assert code == 3
+        assert capsys.readouterr().err == f"input error: {path}: {message}\n"
+
+    def test_directory_exit_3(self, tmp_path, capsys):
+        code = run_cli(["eval", "--nx", 4, "--ny", 4, "--theta", tmp_path, "--epsilon", 0.1])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot read field file:")
+        assert err.count("\n") == 1
+
+
 class TestExportCommand:
     def test_two_triangle_square(self, tmp_path):
         m = generate_unit_square(1, 1)
@@ -566,6 +612,33 @@ class TestConfigFile:
         code = run_cli(["--config", tmp_path / "nope.json", "mesh", "square", "--nx", 1, "--ny", 1])
         assert code == 3
 
+    def test_repeatable_field_flag(self, tmp_path, capsys):
+        field = tmp_path / "theta.csv"
+        cli.write_field_csv(field, np.full(4, 0.3))
+        out = tmp_path / "out.vtk"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"field": [f"t={field}"]}))
+        code = run_cli(["--config", cfg, "export", "--nx", 1, "--ny", 1, "--out", out])
+        assert code == 0
+        assert "SCALARS t double" in out.read_text()
+
+        cfg.write_text(json.dumps({"field": f"t={field}"}))
+        code = run_cli(["--config", cfg, "export", "--nx", 1, "--ny", 1, "--out", out])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: field must be a list of values")
+
+    @pytest.mark.parametrize("text,code,message", [
+        ('{"nx": 3,', 3, "input error: malformed config JSON"),
+        ("[1, 2]", 2, "error: config JSON must be an object of flag values"),
+    ], ids=["malformed", "list"])
+    def test_not_a_json_object(self, tmp_path, capsys, text, code, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert run_cli(["--config", cfg, "mesh", "square", "--nx", 1, "--ny", 1]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
 
 @pytest.mark.parametrize("command", ["eval", "expand"])
 def test_near_uniform_density_is_compatible(tmp_path, capsys, command):
@@ -594,6 +667,7 @@ def test_non_utf8_file_exit_3(tmp_path, capsys, name, text, args):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("input error: 'utf-8' codec can't decode byte 0xff")
+    assert str(path) in err
     assert err.count("\n") == 1
 
 
@@ -626,3 +700,15 @@ class TestDisconnectedDomain:
         err = capsys.readouterr().err
         assert "2 disconnected parts" in err
         assert "ground state need not be simple" in err
+
+
+def test_solver_error_exit_4(monkeypatch, capsys):
+    def fail(self, f):
+        raise SolverError("bordered solve breakdown: residual 1.000e+00")
+
+    monkeypatch.setattr(ShiftedSolver, "solve", fail)
+    code = run_cli(["eval", "--nx", 4, "--ny", 4, "--random-theta", "--epsilon", 0.1])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err == "solver error: bordered solve breakdown: residual 1.000e+00\n"
+    assert captured.out == ""

@@ -153,6 +153,14 @@ class TestShiftedSolver:
         with pytest.raises(SolverError, match="compat"):
             solver.solve(f)
 
+    @pytest.mark.parametrize("scale", [1.0, 1e-3])
+    @pytest.mark.parametrize("alpha", [1e-12, 1.0, 1e6])
+    def test_incompatible_load_raises_at_any_alpha(self, alpha, scale):
+        # f = s·λ0·Mu0 has u0.f = s·λ0 and scales with α, as the cascade's loads do
+        solver = unit_disc(16, alpha).solver
+        with pytest.raises(SolverError, match="compat"):
+            solver.solve(scale * solver.lambda0 * solver.Mu0)
+
     def test_wrong_shape(self, setup):
         pencil, ground, ordering = setup
         solver = ShiftedSolver(pencil, ground.lam, ground.u, ordering)

@@ -154,6 +154,26 @@ class TestRun:
         s_perm, _, _ = run(objective(permuted, 0.05), config)
         np.testing.assert_allclose(s_perm.theta[inv], s_ref.theta, atol=1e-6)
 
+    def test_invariant_under_alpha_and_domain_scale(self):
+        # scaling the domain by L and the conductivity by α scales λ, F and the
+        # gradient, so F·L²/α and the iterates must not change
+        square = generate_unit_square(24, 24)
+        config = OptimizerConfig(volume_fraction=0.4)
+
+        def optimize(L, alpha):
+            mesh = from_arrays(square.node_coords * L, square.triangles)
+            problem = RelaxedObjective(Discretization(mesh, alpha), 0.1)
+            state, final, _ = run(problem, config)
+            return state.iter, final.F * L**2 / alpha, state.theta
+
+        iters, F, theta = optimize(1, 1.0)
+        for L in (1, 10, 1000):
+            for alpha in (1e-12, 1.0, 1e6):
+                iters_s, F_s, theta_s = optimize(L, alpha)
+                assert iters_s == iters
+                assert abs(F_s - F) <= 1e-12 * F
+                np.testing.assert_allclose(theta_s, theta, rtol=0, atol=1e-10)
+
     def test_kkt_at_convergence(self, mesh):
         config = OptimizerConfig(volume_fraction=0.2, max_iters=500, tol_step=1e-9
         )
