@@ -12,10 +12,13 @@ Every sparse factorization on one discretization shares one symmetric
 fill-reducing order (:class:`Ordering`).  SuperLU picks it once, as a
 multiple-minimum-degree order of K + Kᵀ while factoring K in symmetric mode
 with diagonal pivots; that LU serves the ground eigensolve and is then
-dropped.  Later matrices with K's pattern (the ε-sweep's K0 + εKθ, the
-polishing shifts, K itself for the lazy λ₂, the bordered singular system
-with its border row and column placed last) are permuted symmetrically by
-it and factored in natural order.
+dropped.  Later matrices with K's pattern (the bordered singular system
+with its border row and column placed last, and the polishing shifts when
+a pair misses its contract) are permuted symmetrically by it and factored
+in natural order.  A discretization thus factors twice: K for the ground
+pair, and the bordered system, whose deflated solve also drives the
+shift-invert Lanczos for λ₂ and preconditions the remainder report's
+ε-sweep.
 """
 from __future__ import annotations
 
@@ -198,25 +201,31 @@ def smallest_eigenpair(pencil, ordering: Ordering) -> EigenPair:
 
 
 class ShiftedSolver:
-    """Factorized bordered system [[K−λ₀M, Mu₀], [(Mu₀)ᵀ, 0]].
+    """Factorized bordered system [[K−λ₀M, αMu₀], [(αMu₀)ᵀ, 0]].
 
     Solving with right-hand side [f; 0] yields v with
     (K−λ₀M)v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0.  The factorization is reused
     across right-hand sides (one per cascade order / objective evaluation).
     It follows ``ordering`` (a discretization's) with the border last, and
     keeps threshold pivoting: K − λ₀M is indefinite, and its last pivot,
-    near zero, must swap with the border row.  ``fill`` is the
-    factorization's fill (see :class:`Ordering`).
+    near zero, must swap with the border row.  The border scales with the
+    pencil's background conductivity ``alpha``, as K − λ₀M does, so the
+    bordered matrix at α is α times the one at α = 1 and pivots, and fill,
+    do not depend on α.  ``fill`` is the factorization's fill (see
+    :class:`Ordering`).
     """
 
-    def __init__(self, pencil, lambda0: float, u0: np.ndarray, ordering: Ordering):
+    def __init__(
+        self, pencil, lambda0: float, u0: np.ndarray, ordering: Ordering, alpha: float = 1.0
+    ):
         self.pencil = pencil
         self.lambda0 = float(lambda0)
         self.u0f = pencil.restrict(u0)
         self.Mu0 = pencil.M @ self.u0f
+        self._alpha = float(alpha)
         A = (pencil.K - self.lambda0 * pencil.M).tocsr()
         try:
-            self._solve, self.fill = ordering.factor(A, border=self.Mu0, pivot=True)
+            self._solve, self.fill = ordering.factor(A, border=self._alpha * self.Mu0, pivot=True)
         except RuntimeError as exc:
             raise SolverError(f"bordered factorization failed: {exc}") from exc
         self._A = A
@@ -246,7 +255,7 @@ class ShiftedSolver:
             )
         sol = self._solve(np.append(f, 0.0))
         v, mu = sol[:-1], float(sol[-1])
-        resid = np.linalg.norm(self._A @ v + mu * self.Mu0 - f) / fnorm
+        resid = np.linalg.norm(self._A @ v + (mu * self._alpha) * self.Mu0 - f) / fnorm
         if not np.isfinite(resid) or resid > 1e-8:
             raise SolverError(f"bordered solve breakdown: residual {resid:.3e}")
         return v
@@ -262,11 +271,10 @@ class Discretization:
     is rejected: its ground eigenvalue can be repeated, and the cascade
     assumes it is simple.
     The perturbation cascade, the remainder certificate and the relaxed
-    objective all reuse it.  The bordered factorization is built on the
-    first singular solve, so eigensolves run before it (the ε-sweep of a
-    remainder report) do not hold it in memory.  ``ordering.fill`` is the
-    fill of the ground factorization of K (None when a tiny pencil was
-    solved densely).
+    objective all reuse it.  It factors twice: K for the ground pair, and
+    the bordered system on the first singular solve, which λ₂ also uses.
+    ``ordering.fill`` is the fill of the ground factorization of K (None
+    when a tiny pencil was solved densely).
     """
 
     def __init__(self, mesh, alpha: float):
@@ -289,17 +297,47 @@ class Discretization:
     def lambda2(self) -> float:
         """Second-smallest eigenvalue of the α-pencil, computed on first access.
 
-        It must lie strictly above λ₀; a pencil with one free node has none.
+        Shift-invert Lanczos at σ = λ₀ whose inverse is the deflated
+        bordered solve: it maps u₀ to 0 and every other eigenvector u_j to
+        u_j/(λ_j − λ₀), so its largest Ritz value gives λ₂ and K is not
+        factored again.  The pair meets the residual contract; it must lie
+        strictly above λ₀, and a pencil with one free node has none.
+        Tiny pencils are solved densely.
         """
-        lam2 = _smallest_pairs(self.pencil, 2, self.ordering)[1][0]
-        if lam2 <= self.ground.lam:
-            raise SolverError(f"second eigenvalue {lam2} does not exceed ground {self.ground.lam}")
+        pencil, lam0 = self.pencil, self.ground.lam
+        n, K, M = pencil.n_free, pencil.K, pencil.M
+        if n <= _DENSE_CUTOFF:
+            lam2 = _smallest_pairs(pencil, 2, self.ordering)[1][0]
+        else:
+            solver = self.solver
+
+            def deflated_solve(b):
+                return solver.solve(b - float(solver.u0f @ b) * solver.Mu0)
+
+            # a fixed random start: on the square the constant vector is
+            # M-orthogonal to the second eigenspace, which Lanczos would
+            # then reach through rounding alone
+            v0 = np.random.default_rng(0).standard_normal(n)
+            try:
+                vals, vecs = spla.eigsh(
+                    K, k=1, M=M, sigma=lam0, which="LM", v0=v0,
+                    OPinv=spla.LinearOperator((n, n), matvec=deflated_solve, dtype=float),
+                    maxiter=MAX_OUTER_ITERS,
+                )
+            except spla.ArpackError as exc:
+                raise SolverError(f"second eigenvalue: {exc}") from exc
+            u = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (M @ vecs[:, 0]))
+            lam2, _, res = _polish(K, M, float(vals[0]), u, self.ordering)
+            if res > RESIDUAL_TOL:
+                raise SolverError(f"eigenpair 1 residual {res:.3e} exceeds tol {RESIDUAL_TOL:.3e}")
+        if lam2 <= lam0:
+            raise SolverError(f"second eigenvalue {lam2} does not exceed ground {lam0}")
         return lam2
 
     @cached_property
     def solver(self) -> ShiftedSolver:
         """Bordered solver for K − λ₀M, factorized on first access."""
-        return ShiftedSolver(self.pencil, self.ground.lam, self.ground.u, self.ordering)
+        return ShiftedSolver(self.pencil, self.ground.lam, self.ground.u, self.ordering, self.alpha)
 
     def theta_stiffness(self, theta) -> sparse.csr_matrix:
         """Free-node stiffness Kθ with coefficient α·(vertex average of θ).

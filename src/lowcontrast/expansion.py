@@ -14,8 +14,12 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse import linalg as spla
 
 from .eig import RESIDUAL_TOL, SolverError, smallest_eigenpair
+
+_REFINE_STEPS = 12  # Rayleigh–Ritz steps before an ε falls back to a direct eigensolve
+_GRAM_FLOOR = 1e-12  # Rayleigh–Ritz drops basis directions below this share of the Gram spectrum
 
 
 def check_density(theta, n_nodes: int) -> np.ndarray:
@@ -116,6 +120,64 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     return smallest_eigenpair(pencil, disc.ordering)
 
 
+def _refined_eigenvalue(disc, Kt, epsilon: float, lam2: float) -> float | None:
+    """Certified smallest eigenvalue of (K0 + ε·Kθ, M) refined from u₀, or None.
+
+    Each step is a Rayleigh–Ritz on {u, w, p}: LOBPCG with the deflated
+    shifted preconditioner of Jacobi–Davidson.  w is the bordered solve
+    applied to the residual projected onto loads compatible with u₀, and p
+    is the previous step's direction.  The Ritz pair is accepted only when
+    it meets the residual contract (measured with matvecs alone),
+    min(1, 1+ε)·λ₀ ≤ λ ≤ R_ε(u₀), and λ < min(1, 1+ε)·λ₂: since
+    K0 + εKθ ≥ min(1, 1+ε)·K0, Weyl's inequality then makes λ the smallest
+    eigenvalue.  None means the step cap was reached, the arithmetic
+    overflowed (huge ε) or a check failed.
+    """
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return _lobpcg(disc, Kt, epsilon, lam2)
+        except FloatingPointError:
+            return None
+
+
+def _lobpcg(disc, Kt, epsilon, lam2):
+    """The steps and checks of :func:`_refined_eigenvalue`."""
+    pencil, solver = disc.pencil, disc.solver
+    M, u0, Mu0 = pencil.M, solver.u0f, solver.Mu0
+    K = (pencil.K + epsilon * Kt).tocsr()
+    norm_K, norm_M = spla.norm(K, 1), spla.norm(M, 1)
+    u, p = u0, None
+    for step in range(_REFINE_STEPS + 1):
+        Ku, Mu = K @ u, M @ u
+        lam = float(u @ Ku) / float(u @ Mu)
+        if step == 0:
+            upper = lam  # R_ε(u₀) = λ₀ + ε·u₀ᵀKθu₀
+        r = Ku - lam * Mu
+        # the normwise backward error of eig._rel_residual
+        if np.linalg.norm(r) <= RESIDUAL_TOL * (norm_K + abs(lam) * norm_M) * np.linalg.norm(u):
+            break
+        if step == _REFINE_STEPS:
+            return None
+        w = solver.solve(r - float(u0 @ r) * Mu0)
+        S = np.column_stack([u, w] if p is None else [u, w, p])
+        MS = M @ S
+        norms = np.sqrt(np.einsum("ij,ij->j", S, MS))
+        nonzero = norms > 0
+        S, MS = S[:, nonzero] / norms[nonzero], MS[:, nonzero] / norms[nonzero]
+        G, A = S.T @ MS, S.T @ (K @ S)
+        g, V = np.linalg.eigh(G)
+        keep = g > _GRAM_FLOOR * g[-1]
+        Z = V[:, keep] / np.sqrt(g[keep])
+        _, Y = np.linalg.eigh(Z.T @ A @ Z)
+        y = Z @ Y[:, 0]
+        p = S[:, 1:] @ y[1:]
+        u = S[:, 0] * y[0] + p
+    shrink = min(1.0, 1.0 + epsilon)
+    if shrink * disc.ground.lam <= lam <= upper and lam < shrink * lam2:
+        return lam
+    return None
+
+
 @dataclass(frozen=True)
 class RemainderReport:
     """Truncation remainders |λ_eps − Σ_{i<=n} λ_i eps^i| and their fit.
@@ -137,15 +199,18 @@ class RemainderReport:
 
 
 def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
-    """Certify the truncation order of the series against direct eigensolves.
+    """Certify the truncation order of the series against eigensolves at each ε.
 
     Both sides live on the same mesh and the same pencils, so the expected
     slope of the order-n remainder is n+1 exactly.  Remainders at the solver
     noise floor (100·RESIDUAL_TOL·|λ0|, a hundred times the eigen residual
     contract; it scales with α as the remainders do) are excluded from the
     fit with a warning.
-    The ε-sweep runs before the cascade, so on a fresh discretization the
-    sweep's eigensolves run before the bordered factorization exists.
+    Kθ, the discretization's λ₂ and its bordered factorization come first.  Each
+    λ_ε is then refined from u₀ with the bordered solve as preconditioner
+    and certified against λ₀, R_ε(u₀) and λ₂; an ε whose certificate fails
+    (large ε, a small gap) falls back to :func:`direct_eigenvalue`.  The
+    cascade runs last, on the same factorization.
     """
     eps = np.sort(np.asarray(eps_values, dtype=float))[::-1]
     if eps.size == 0:
@@ -158,7 +223,15 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
         raise ValueError("order must be >= 0")
 
     theta = check_density(theta, disc.mesh.n_nodes)
-    lam_eps = np.array([direct_eigenvalue(disc, theta, e).lam for e in eps])
+    # assembled before the bordered LU exists, so its temporaries do not add to the LU's peak memory
+    Kt = disc.theta_stiffness(theta)
+    # a single free node has no λ₂ to certify against: each ε is then solved directly
+    lam2 = disc.lambda2 if disc.pencil.n_free > 1 else None
+    lam_eps = []
+    for e in eps:
+        lam = None if lam2 is None else _refined_eigenvalue(disc, Kt, e, lam2)
+        lam_eps.append(direct_eigenvalue(disc, theta, e).lam if lam is None else lam)
+    lam_eps = np.array(lam_eps)
     series = compute_series(disc, theta, order)
 
     with np.errstate(over="ignore", invalid="ignore"):  # reported below

@@ -6,7 +6,7 @@ from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse import linalg as spla
 
-from lowcontrast import fem
+from lowcontrast import eig, fem
 from lowcontrast.eig import (
     RESIDUAL_TOL,
     Discretization,
@@ -93,6 +93,23 @@ class TestSecondEigenvalue:
         assert disc.ground.lam == pytest.approx(vals[0], rel=1e-9)
         assert disc.lambda2 == pytest.approx(vals[1], rel=1e-9)
 
+    def test_sparse_path_matches_dense_oracle(self):
+        # 49 free nodes, above the dense cutoff: Lanczos on the bordered solve
+        disc = unit_disc(8)
+        assert disc.pencil.n_free > eig._DENSE_CUTOFF
+        pencil = disc.pencil
+        vals = eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+        assert disc.lambda2 == pytest.approx(vals[1], rel=1e-12)
+
+    def test_reuses_bordered_factorization(self, monkeypatch):
+        disc = unit_disc(32)
+        disc.solver
+        calls = []
+        splu = eig.spla.splu
+        monkeypatch.setattr(eig.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+        assert disc.lambda2 > disc.ground.lam
+        assert calls == []
+
     def test_pencil_too_small(self):
         disc = unit_disc(2)  # a single free node has no second eigenvalue
         with pytest.raises(SolverError, match="free node"):
@@ -160,6 +177,18 @@ class TestShiftedSolver:
         solver = unit_disc(16, alpha).solver
         with pytest.raises(SolverError, match="compat"):
             solver.solve(scale * solver.lambda0 * solver.Mu0)
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-6, 1e6])
+    def test_fill_independent_of_alpha(self, alpha):
+        # the border scales with α as K − λ0·M does, so pivoting sees the α = 1 matrix
+        ref = unit_disc(64).solver.fill
+        solver = unit_disc(64, alpha).solver
+        assert solver.fill == pytest.approx(ref, rel=0.01)
+        pencil = solver.pencil
+        f = compatible(solver, alpha * np.random.default_rng(13).standard_normal(pencil.n_free))
+        v = solver.solve(f)  # raises on a breakdown residual above 1e-8
+        A = pencil.K - solver.lambda0 * pencil.M
+        assert np.linalg.norm(A @ v - f) <= 1e-8 * np.linalg.norm(f)
 
     def test_wrong_shape(self, setup):
         pencil, ground, ordering = setup

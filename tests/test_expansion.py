@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from lowcontrast import fem
+from lowcontrast import eig, fem
 from lowcontrast.eig import Discretization
 from lowcontrast.expansion import (
+    _refined_eigenvalue,
     compute_series,
     direct_eigenvalue,
     mode_bound_diagnostic,
@@ -232,6 +233,70 @@ class TestRemainderReport:
         theta = (rng.random(mesh16.n_nodes) < 0.5).astype(float)
         with pytest.raises(ValueError, match=r"eps = 1e\+300: .*must be finite"):
             remainder_report(disc16, theta, 2, [1e300, 1e299])
+
+
+@pytest.fixture(scope="module")
+def mesh32():
+    return generate_unit_square(32, 32)
+
+
+@pytest.fixture(scope="module")
+def disc32(mesh32):
+    return Discretization(mesh32, 1.0)
+
+
+def density(kind, n_nodes):
+    rng = np.random.default_rng(1)
+    return {
+        "zero": np.zeros(n_nodes),
+        "half": np.full(n_nodes, 0.5),
+        "one": np.ones(n_nodes),
+        "binary": (rng.random(n_nodes) < 0.5).astype(float),
+        "uniform": rng.uniform(0.0, 1.0, n_nodes),
+    }[kind]
+
+
+@pytest.mark.filterwarnings("ignore:.*solver floor:UserWarning")
+class TestCertifiedSweep:
+    EPS = TestRemainderReport.EPS  # the default `expand --eps` grid
+
+    @pytest.mark.parametrize("kind", ["zero", "half", "one", "binary", "uniform"])
+    def test_matches_direct_eigenvalue(self, mesh32, disc32, kind):
+        theta = density(kind, mesh32.n_nodes)
+        report = remainder_report(disc32, theta, 2, self.EPS)
+        direct = [direct_eigenvalue(disc32, theta, e).lam for e in report.eps_values]
+        np.testing.assert_allclose(report.lambda_eps, direct, rtol=1e-12, atol=0)
+
+    def test_large_eps_falls_back_to_direct(self, mesh16, disc16):
+        # past λ₂ the certificate cannot hold, so these ε are solved directly
+        theta = density("binary", mesh16.n_nodes)
+        Kt = disc16.theta_stiffness(theta)
+        for e in (10.0, 1e6):
+            assert _refined_eigenvalue(disc16, Kt, e, disc16.lambda2) is None
+        report = remainder_report(disc16, theta, 2, [10.0, 1e6])
+        direct = [direct_eigenvalue(disc16, theta, e).lam for e in report.eps_values]
+        assert list(report.lambda_eps) == direct
+        assert report.lambda_eps[0] == pytest.approx(3071.92, abs=0.01)
+        assert report.lambda_eps[0] > disc16.lambda2
+
+    def test_single_free_node_solves_directly(self):
+        # one free node has no λ₂ to certify against
+        mesh = generate_unit_square(2, 2)
+        disc = Discretization(mesh, 1.0)
+        theta = density("uniform", mesh.n_nodes)
+        with pytest.warns(UserWarning, match="floor"):  # order 1 is exact on a 1x1 pencil
+            report = remainder_report(disc, theta, 1, [0.1, 0.01])
+        direct = [direct_eigenvalue(disc, theta, e).lam for e in report.eps_values]
+        assert list(report.lambda_eps) == direct
+
+    def test_factors_twice(self, monkeypatch, mesh32):
+        # the ground K and the bordered system; the ε-sweep and λ₂ factor nothing
+        calls = []
+        splu = eig.spla.splu
+        monkeypatch.setattr(eig.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+        theta = density("binary", mesh32.n_nodes)
+        remainder_report(Discretization(mesh32, 1.0), theta, 2, self.EPS)
+        assert len(calls) == 2
 
 
 def test_mode_bound_diagnostic(mesh8, disc8):
