@@ -4,19 +4,19 @@ per-mesh :class:`Discretization` that owns both.
 
 Any method meeting the stated residual contracts is acceptable; here the
 smallest pairs come from shift-invert Lanczos (dense fallback on tiny
-pencils) with Rayleigh-quotient polishing, and the singular solves use a
-bordered saddle formulation so the orthogonality constraint u₀ᵀMv = 0 is
-enforced exactly.
+pencils) with Rayleigh-quotient polishing.  A singular solve pins one node
+where u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes its result
+against u₀, so the constraint u₀ᵀMv = 0 is enforced exactly.
 
 Every sparse factorization on one discretization shares one symmetric
 fill-reducing order (:class:`Ordering`).  SuperLU picks it once, as a
 multiple-minimum-degree order of K + Kᵀ while factoring K in symmetric mode
 with diagonal pivots; that LU serves the ground eigensolve and is then
-dropped.  Later matrices with K's pattern (the bordered singular system
-with its border row and column placed last, and the polishing shifts when
+dropped.  Later matrices with K's pattern (the pinned singular system,
+with its pinned node left out of the order, and the polishing shifts when
 a pair misses its contract) are permuted symmetrically by it and factored
 in natural order.  A discretization thus factors twice: K for the ground
-pair, and the bordered system, whose deflated solve also drives the
+pair, and the pinned system, whose deflated solve also drives the
 shift-invert Lanczos for λ₂ and preconditions the remainder report's
 ε-sweep.
 """
@@ -95,32 +95,29 @@ class Ordering:
         self.perm = None
         self.fill = None
 
-    def factor(self, A, border=None, pivot=False):
-        """Factor A, or the bordered matrix [[A, b], [bᵀ, 0]] for ``border=b``.
+    def factor(self, A, pivot=False, pin=None):
+        """Factor A, or A without the row and column of node ``pin``.
 
-        The border row and column are placed last.  ``pivot`` keeps SuperLU's
-        threshold pivoting, which an indefinite matrix needs; otherwise the
-        pivots stay on the diagonal, as suits an SPD matrix.  Returns
-        ``(solve, fill)``: ``solve`` takes and returns vectors in the original
-        numbering.
+        ``pivot`` keeps SuperLU's threshold pivoting, which an indefinite matrix
+        needs; otherwise the pivots stay on the diagonal, as suits an SPD matrix.
+        Returns ``(solve, fill)``: ``solve`` maps vectors in the original numbering,
+        and with ``pin`` it ignores the pinned entry of its argument and zeroes its own.
         """
         if self.perm is None:
             lu = spla.splu(self._K.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
             self.perm = np.argsort(lu.perm_c)
             self.fill = lu.nnz
-            if A is self._K and border is None:
+            if A is self._K and pin is None:
                 return lu.solve, self.fill
             del lu
-        p = self.perm
-        Ap = A.tocsr()[p][:, p]
-        if border is not None:
-            b = sparse.csr_matrix(border[p].reshape(1, -1))
-            Ap = sparse.bmat([[Ap, b.T], [b, None]])
-            p = np.append(p, len(p))
-        lu = spla.splu(Ap.tocsc(), permc_spec="NATURAL", **({} if pivot else _DIAGONAL_PIVOTS))
+        p = self.perm if pin is None else self.perm[self.perm != pin]
+        # one column per panel: SuperLU's panel workspace (panel_size·n values and indices)
+        # then adds no peak memory, where the default took 13 MB at 200², and is no slower
+        opts = {} if pivot else _DIAGONAL_PIVOTS
+        lu = spla.splu(A.tocsr()[p][:, p].tocsc(), permc_spec="NATURAL", panel_size=1, **opts)
 
         def solve(rhs):
-            x = np.empty_like(rhs)
+            x = np.zeros_like(rhs)
             x[p] = lu.solve(rhs[p])
             return x
 
@@ -201,34 +198,32 @@ def smallest_eigenpair(pencil, ordering: Ordering) -> EigenPair:
 
 
 class ShiftedSolver:
-    """Factorized bordered system [[K−λ₀M, αMu₀], [(αMu₀)ᵀ, 0]].
+    """Factorized singular operator A = K − λ₀M, pinned at one node.
 
-    Solving with right-hand side [f; 0] yields v with
-    (K−λ₀M)v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0.  The factorization is reused
-    across right-hand sides (one per cascade order / objective evaluation).
-    It follows ``ordering`` (a discretization's) with the border last, and
-    keeps threshold pivoting: K − λ₀M is indefinite, and its last pivot,
-    near zero, must swap with the border row.  The border scales with the
-    pencil's background conductivity ``alpha``, as K − λ₀M does, so the
-    bordered matrix at α is α times the one at α = 1 and pivots, and fill,
-    do not depend on α.  ``fill`` is the factorization's fill (see
-    :class:`Ordering`).
+    A is positive semi-definite with kernel span(u₀), so without the row and
+    column of node k = argmax|u₀| it is SPD.  That matrix is factored in
+    ``ordering`` (a discretization's) with diagonal pivots: its fill is part
+    of K's and does not depend on α.  A solve maps a load f to v with
+    A v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, reusing the factorization (one per
+    cascade order / objective evaluation).  ``fill``: see :class:`Ordering`.
     """
 
-    def __init__(
-        self, pencil, lambda0: float, u0: np.ndarray, ordering: Ordering, alpha: float = 1.0
-    ):
+    def __init__(self, pencil, lambda0: float, u0: np.ndarray, ordering: Ordering):
         self.pencil = pencil
         self.lambda0 = float(lambda0)
         self.u0f = pencil.restrict(u0)
         self.Mu0 = pencil.M @ self.u0f
-        self._alpha = float(alpha)
         A = (pencil.K - self.lambda0 * pencil.M).tocsr()
+        k = int(np.argmax(np.abs(self.u0f)))
         try:
-            self._solve, self.fill = ordering.factor(A, border=self._alpha * self.Mu0, pivot=True)
+            self._solve, self.fill = ordering.factor(A, pin=k)
         except RuntimeError as exc:
-            raise SolverError(f"bordered factorization failed: {exc}") from exc
-        self._A = A
+            raise SolverError(f"pinned factorization failed: {exc}") from exc
+        self._A, self._k, self._Ak = A, k, A[k]
+        # a pinned solve leaves its load's rounding-level inconsistency in row k, where
+        # it grows with the mesh; a multiple of z = pinned⁻¹Mu₀ moves it onto Mu₀
+        self._z = self._solve(self.Mu0)
+        self._zk = (self._Ak @ self._z)[0] - self.Mu0[k]
         # loads and u₀ᵀf scale with α and 1/|Ω| as λ₀ does; when the terms of
         # u₀ᵀf cancel, the rounding left in it is not a violation however small |f| is
         self._compat_floor = 1e3 * np.finfo(float).eps * abs(self.lambda0)
@@ -238,7 +233,8 @@ class ShiftedSolver:
 
         The Fredholm condition |u₀ᵀf| ≤ FREDHOLM_TOL·|f|, plus a floor for the
         rounding of u₀ᵀf, is enforced; a violation signals an inconsistent
-        load upstream.
+        load upstream.  g = f − (u₀ᵀf)·Mu₀ is then solved pinned, and the
+        result M-orthogonalized against u₀.
         """
         f = np.asarray(f, dtype=float)
         if f.shape != (self.pencil.n_free,):
@@ -253,11 +249,13 @@ class ShiftedSolver:
                 f"compatibility violation: |u0.f| = {abs(mu_expected):.3e} "
                 f"> {FREDHOLM_TOL:.1e}*|f| + {self._compat_floor:.1e} = {bound:.3e}"
             )
-        sol = self._solve(np.append(f, 0.0))
-        v, mu = sol[:-1], float(sol[-1])
-        resid = np.linalg.norm(self._A @ v + (mu * self._alpha) * self.Mu0 - f) / fnorm
+        g = f - mu_expected * self.Mu0
+        w = self._solve(g)
+        w -= ((self._Ak @ w)[0] - g[self._k]) / self._zk * self._z
+        v = w - float(self.Mu0 @ w) * self.u0f
+        resid = np.linalg.norm(self._A @ v - g) / fnorm
         if not np.isfinite(resid) or resid > 1e-8:
-            raise SolverError(f"bordered solve breakdown: residual {resid:.3e}")
+            raise SolverError(f"pinned solve breakdown: residual {resid:.3e}")
         return v
 
 
@@ -266,13 +264,13 @@ class Discretization:
 
     Holds the α-pencil (K, M) on free nodes, the :class:`Ordering` every
     factorization on the mesh follows, its ground pair (λ₀, u₀), a lazy
-    second eigenvalue λ₂ and the bordered solver for the singular operator
+    second eigenvalue λ₂ and the pinned solver for the singular operator
     K − λ₀M.  A domain whose free nodes fall into several connected parts
     is rejected: its ground eigenvalue can be repeated, and the cascade
     assumes it is simple.
     The perturbation cascade, the remainder certificate and the relaxed
     objective all reuse it.  It factors twice: K for the ground pair, and
-    the bordered system on the first singular solve, which λ₂ also uses.
+    the pinned system on the first singular solve, which λ₂ also uses.
     ``ordering.fill`` is the fill of the ground factorization of K (None
     when a tiny pencil was solved densely).
     """
@@ -298,7 +296,7 @@ class Discretization:
         """Second-smallest eigenvalue of the α-pencil, computed on first access.
 
         Shift-invert Lanczos at σ = λ₀ whose inverse is the deflated
-        bordered solve: it maps u₀ to 0 and every other eigenvector u_j to
+        singular solve: it maps u₀ to 0 and every other eigenvector u_j to
         u_j/(λ_j − λ₀), so its largest Ritz value gives λ₂ and K is not
         factored again.  The pair meets the residual contract; it must lie
         strictly above λ₀, and a pencil with one free node has none.
@@ -336,8 +334,8 @@ class Discretization:
 
     @cached_property
     def solver(self) -> ShiftedSolver:
-        """Bordered solver for K − λ₀M, factorized on first access."""
-        return ShiftedSolver(self.pencil, self.ground.lam, self.ground.u, self.ordering, self.alpha)
+        """Pinned solver for K − λ₀M, factorized on first access."""
+        return ShiftedSolver(self.pencil, self.ground.lam, self.ground.u, self.ordering)
 
     def theta_stiffness(self, theta) -> sparse.csr_matrix:
         """Free-node stiffness Kθ with coefficient α·(vertex average of θ).

@@ -57,7 +57,7 @@ def compute_series(disc, theta, order: int) -> ExpansionSeries:
     """Run the perturbation cascade to the requested order.
 
     Order 0 is the ground state of the discretization's α-Laplacian.  Each
-    further order costs one bordered solve; the Fredholm compatibility of
+    further order costs one singular solve; the Fredholm compatibility of
     every load is checked and the normalization identities
     u0ᵀMu_i = −½ Σ_{k=1}^{i−1} u_kᵀMu_{i−k} are enforced by shifting along u0.
     """
@@ -124,7 +124,7 @@ def _refined_eigenvalue(disc, Kt, epsilon: float, lam2: float) -> float | None:
     """Certified smallest eigenvalue of (K0 + ε·Kθ, M) refined from u₀, or None.
 
     Each step is a Rayleigh–Ritz on {u, w, p}: LOBPCG with the deflated
-    shifted preconditioner of Jacobi–Davidson.  w is the bordered solve
+    shifted preconditioner of Jacobi–Davidson.  w is the singular solve
     applied to the residual projected onto loads compatible with u₀, and p
     is the previous step's direction.  The Ritz pair is accepted only when
     it meets the residual contract (measured with matvecs alone),
@@ -206,8 +206,8 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     noise floor (100·RESIDUAL_TOL·|λ0|, a hundred times the eigen residual
     contract; it scales with α as the remainders do) are excluded from the
     fit with a warning.
-    Kθ, the discretization's λ₂ and its bordered factorization come first.  Each
-    λ_ε is then refined from u₀ with the bordered solve as preconditioner
+    Kθ, the discretization's λ₂ and its pinned factorization come first.  Each
+    λ_ε is then refined from u₀ with the singular solve as preconditioner
     and certified against λ₀, R_ε(u₀) and λ₂; an ε whose certificate fails
     (large ε, a small gap) falls back to :func:`direct_eigenvalue`.  The
     cascade runs last, on the same factorization.
@@ -223,7 +223,7 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
         raise ValueError("order must be >= 0")
 
     theta = check_density(theta, disc.mesh.n_nodes)
-    # assembled before the bordered LU exists, so its temporaries do not add to the LU's peak memory
+    # assembled before the pinned LU exists, so its temporaries do not add to the LU's peak memory
     Kt = disc.theta_stiffness(theta)
     # a single free node has no λ₂ to certify against: each ε is then solved directly
     lam2 = disc.lambda2 if disc.pencil.n_free > 1 else None

@@ -130,7 +130,10 @@ def step(state: OptimizerState, config: OptimizerConfig, problem: RelaxedObjecti
     current = state.last_eval
     g = current.grad_density
     rho = state.rho
-    rho_floor = _RHO_FLOOR_FACTOR * state.rho_history[0]
+    # a floor on the step in θ, which lies in [0, 1]: ρ0 alone would stop a
+    # run whose huge |g| makes every trial step, even at the floor, a full jump
+    gmax = max(float(np.abs(g).max()), np.finfo(float).tiny)
+    rho_floor = _RHO_FLOOR_FACTOR * min(state.rho_history[0], 1.0 / gmax)
     noise = 8.0 * np.finfo(float).eps * abs(current.F)
     # the previous iterate with its evaluation, shift and accepted step size
     previous = (state.theta, current, state.Lambda_history[-1], state.rho_history[-1])

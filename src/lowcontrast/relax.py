@@ -39,7 +39,7 @@ class RelaxedObjective:
 
     Caches the element data of the discretization's ground state, so every
     evaluation of F, its gradient or its Hessian form costs a single reuse
-    of the shared bordered factorization.  That factorization is built here,
+    of the shared pinned factorization.  That factorization is built here,
     before the element data is allocated: built at the first evaluation
     instead, it raised the peak RSS of a 200² optimize run by about 4%.
     """

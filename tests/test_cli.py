@@ -300,6 +300,19 @@ class TestOptimizeCommand:
         assert err.startswith("error: theta_tilde spans")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("epsilon", [1e15, 1e20])
+    def test_huge_epsilon_keeps_descending(self, tmp_path, capsys, epsilon):
+        # the step floor bounds the move in θ; as a fraction of ρ0 alone it let
+        # every trial step jump fully, and the run stalled after 1 iteration
+        code = run_cli(
+            ["optimize", "--nx", 8, "--ny", 8, "--epsilon", epsilon,
+             "--volume-fraction", 0.4, "--out-dir", tmp_path]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "stalled: False" in out
+        assert int(out.split("iterations:")[1].split()[0]) > 1
+
     def test_imported_domain_with_hole(self, tmp_path, capsys):
         # perforated-domain analogue: optimize on an imported annulus
         from test_mesh import annulus_mesh_arrays, write_msh
@@ -704,11 +717,11 @@ class TestDisconnectedDomain:
 
 def test_solver_error_exit_4(monkeypatch, capsys):
     def fail(self, f):
-        raise SolverError("bordered solve breakdown: residual 1.000e+00")
+        raise SolverError("pinned solve breakdown: residual 1.000e+00")
 
     monkeypatch.setattr(ShiftedSolver, "solve", fail)
     code = run_cli(["eval", "--nx", 4, "--ny", 4, "--random-theta", "--epsilon", 0.1])
     assert code == 4
     captured = capsys.readouterr()
-    assert captured.err == "solver error: bordered solve breakdown: residual 1.000e+00\n"
+    assert captured.err == "solver error: pinned solve breakdown: residual 1.000e+00\n"
     assert captured.out == ""

@@ -5,6 +5,7 @@ import pytest
 from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse import linalg as spla
+from scipy.spatial import Delaunay
 
 from lowcontrast import eig, fem
 from lowcontrast.eig import (
@@ -25,6 +26,19 @@ PI2 = np.pi**2
 
 def unit_disc(n, alpha=1.0, **kw):
     return Discretization(generate_unit_square(n, n), alpha, **kw)
+
+
+def sunflower_disk(n_nodes):
+    """Delaunay unit disk: a sunflower interior and a ring on the unit circle."""
+    h = np.sqrt(np.pi / n_nodes)
+    n_bnd = int(round(2.0 * np.pi / h))
+    k = np.arange(n_nodes - n_bnd) + 0.5
+    r = np.sqrt(k / k.size) * (1.0 - 0.5 * h)
+    phi = k * np.pi * (3.0 - np.sqrt(5.0))
+    t = (np.arange(n_bnd) + 0.5) * (2.0 * np.pi / n_bnd)
+    coords = np.vstack([np.column_stack([r * np.cos(phi), r * np.sin(phi)]),
+                        np.column_stack([np.cos(t), np.sin(t)])])
+    return from_arrays(coords, Delaunay(coords).simplices)
 
 
 class TestSmallestEigenpair:
@@ -94,7 +108,7 @@ class TestSecondEigenvalue:
         assert disc.lambda2 == pytest.approx(vals[1], rel=1e-9)
 
     def test_sparse_path_matches_dense_oracle(self):
-        # 49 free nodes, above the dense cutoff: Lanczos on the bordered solve
+        # 49 free nodes, above the dense cutoff: Lanczos on the singular solve
         disc = unit_disc(8)
         assert disc.pencil.n_free > eig._DENSE_CUTOFF
         pencil = disc.pencil
@@ -180,7 +194,7 @@ class TestShiftedSolver:
 
     @pytest.mark.parametrize("alpha", [1e-12, 1e-6, 1e6])
     def test_fill_independent_of_alpha(self, alpha):
-        # the border scales with α as K − λ0·M does, so pivoting sees the α = 1 matrix
+        # the pinned K − λ0·M keeps diagonal pivots, so α scales it and leaves its fill alone
         ref = unit_disc(64).solver.fill
         solver = unit_disc(64, alpha).solver
         assert solver.fill == pytest.approx(ref, rel=0.01)
@@ -189,6 +203,19 @@ class TestShiftedSolver:
         v = solver.solve(f)  # raises on a breakdown residual above 1e-8
         A = pencil.K - solver.lambda0 * pencil.M
         assert np.linalg.norm(A @ v - f) <= 1e-8 * np.linalg.norm(f)
+
+    def test_inexact_shift_absorbed_by_mu0(self):
+        # an inexact λ0 leaves the projected load slightly inconsistent; the
+        # solve puts that on Mu0, as a bordered solve does: measured 3.9e-15,
+        # where leaving it in the pinned row gave 7.8e-9 (2.9e-8 at 64²)
+        disc = unit_disc(16)
+        pencil = disc.pencil
+        solver = ShiftedSolver(pencil, disc.ground.lam * (1 + 1e-8), disc.ground.u, disc.ordering)
+        x, y = disc.mesh.node_coords.T
+        f = compatible(solver, pencil.restrict(np.sin(3.0 * x) * y))
+        v = solver.solve(f)
+        A = pencil.K - solver.lambda0 * pencil.M
+        assert np.linalg.norm(A @ v - compatible(solver, f)) <= 1e-12 * np.linalg.norm(f)
 
     def test_wrong_shape(self, setup):
         pencil, ground, ordering = setup
@@ -284,6 +311,29 @@ class TestOrdering:
         col = sparse.csc_matrix(solver.Mu0.reshape(-1, 1))
         bordered = spla.splu(sparse.bmat([[A, col], [col.T, None]], format="csc"))
         assert solver.fill < bordered.nnz
+        # the pinned system is K's pattern less one node (a dense border took 131k against 123k)
+        assert solver.fill <= disc.ordering.fill
+
+    def test_singular_fill_within_k_fill_on_disk(self):
+        # a 4.2k-node Delaunay disk, built as the benchmark's imported disk is;
+        # a dense border doubled the fill here (388k against 192k)
+        disc = Discretization(sunflower_disk(4200), 1.0)
+        assert disc.solver.fill <= disc.ordering.fill
+
+    def test_singular_solve_accuracy(self, square150):
+        # measured 3.9e-13 and 5.1e-17 here (a dense border: 3.5e-13), and
+        # 2.6e-12 on the shuffled 400² square.  Without the row-k correction
+        # the pinned solve gave 2.9e-12 here and 1.1e-10 at 400²
+        shuffled = square150[2]
+        disc = Discretization(shuffled, 1.0)
+        solver, pencil = disc.solver, disc.pencil
+        x, y = shuffled.node_coords.T
+        f = compatible(solver, pencil.restrict(np.sin(3.0 * x) * y))
+        v = solver.solve(f)
+        g = f - float(solver.u0f @ f) * solver.Mu0
+        A = pencil.K - solver.lambda0 * pencil.M
+        assert np.linalg.norm(A @ v - g) <= 1e-10 * np.linalg.norm(f)
+        assert abs(float(solver.Mu0 @ v)) <= 1e-11 * np.sqrt(v @ (pencil.M @ v))
 
     def test_polish_restores_residual_contract(self):
         disc = Discretization(generate_unit_square(16, 16), 1.0)

@@ -290,7 +290,7 @@ class TestCertifiedSweep:
         assert list(report.lambda_eps) == direct
 
     def test_factors_twice(self, monkeypatch, mesh32):
-        # the ground K and the bordered system; the ε-sweep and λ₂ factor nothing
+        # the ground K and the pinned system; the ε-sweep and λ₂ factor nothing
         calls = []
         splu = eig.spla.splu
         monkeypatch.setattr(eig.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
