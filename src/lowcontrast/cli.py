@@ -134,6 +134,9 @@ def _theta_from_args(args, mesh) -> np.ndarray:
     ]
     if sum(sources) != 1:
         raise ValueError("choose exactly one of --theta, --chi, --random-theta")
+    # numpy's generators, here and in the bounds diagnostic, take no negative seed
+    if args.seed is not None and args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     if args.theta is not None:
         return read_field_csv(args.theta, mesh.n_nodes)
     if args.chi:
@@ -288,6 +291,8 @@ def cmd_export(args) -> int:
         if "=" not in item:
             raise ValueError(f"--field needs name=path.csv, got '{item}'")
         name, path = item.split("=", 1)
+        if name in fields:
+            raise ValueError(f"--field '{name}' given twice")
         fields[name] = read_field_csv(path, m.n_nodes)
     vtkio.export_vtk(m, fields, args.out)
     print(f"wrote {args.out}")

@@ -4,29 +4,32 @@ per-mesh :class:`Discretization` that owns both.
 
 Any method meeting the stated residual contracts is acceptable; here the
 smallest pairs come from shift-invert Lanczos (dense fallback on tiny
-pencils) with Rayleigh-quotient polishing.  A singular solve pins one node
-where u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes its result
+pencils).  A pair that misses its contract goes through one Rayleigh–Ritz
+refinement (:func:`_refine`), preconditioned by a solve its caller already
+holds, so refining factors nothing.  A singular solve pins one node where
+u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes its result
 against u₀, so the constraint u₀ᵀMv = 0 is enforced exactly.
 
 Every sparse factorization on one discretization shares one symmetric
-fill-reducing order (:class:`Ordering`).  SuperLU picks it once, as a
-multiple-minimum-degree order of K + Kᵀ while factoring K in symmetric mode
-with diagonal pivots; that LU serves the ground eigensolve and is then
-dropped.  Later matrices with K's pattern (the pinned singular system,
-with its pinned node left out of the order, and the polishing shifts when
-a pair misses its contract) are permuted symmetrically by it and factored
-in natural order.  A discretization thus factors twice: K for the ground
-pair, and the pinned system, whose deflated solve also drives the
-shift-invert Lanczos for λ₂ and preconditions the remainder report's
-ε-sweep.
+fill-reducing order (:class:`Ordering`) and keeps its pivots on the
+diagonal.  SuperLU picks the order once, as a multiple-minimum-degree order
+of K + Kᵀ while factoring K in symmetric mode; that LU serves the ground
+eigensolve and its refinement and is then dropped.  Later matrices with
+K's pattern (the pinned singular system, with its pinned node left out of
+the order, and the finite-contrast stiffness of the direct fallback) are
+permuted symmetrically by it and factored in natural order.  A
+discretization thus factors twice: K for the ground pair, and the pinned
+system, whose deflated solve also drives the shift-invert Lanczos for λ₂
+and refines λ₂ and the remainder report's ε-sweep.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import eigh
 from scipy.sparse import linalg as spla
 from scipy.sparse.csgraph import connected_components
 
@@ -37,6 +40,8 @@ RESIDUAL_TOL = 1e-12  # largest normwise backward error an eigenpair may carry
 MAX_OUTER_ITERS = 10_000
 FREDHOLM_TOL = 1e-9  # largest |u₀ᵀf|/|f| a singular-solve load may carry
 _DENSE_CUTOFF = 12
+_REFINE_STEPS = 12  # Rayleigh–Ritz steps before a pair is declared to miss its contract
+_GRAM_FLOOR = 1e-12  # Rayleigh–Ritz drops basis directions below this share of the Gram spectrum
 # SuperLU options that keep pivots on the diagonal of the ordered matrix
 _DIAGONAL_PIVOTS = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
 
@@ -61,12 +66,45 @@ class EigenPair:
     residual: float
 
 
-def _rel_residual(K, M, lam, u):
-    """Normwise backward error of the approximate eigenpair (λ, u) of (K, M)."""
-    denom = (spla.norm(K, 1) + abs(lam) * spla.norm(M, 1)) * np.linalg.norm(u)
-    if denom == 0.0:
-        return np.inf
-    return float(np.linalg.norm(K @ u - lam * (M @ u)) / denom)
+def _refine(K, M, lam, u, precond):
+    """Refine the approximate eigenpair (λ, u) of (K, M) until it meets the residual contract.
+
+    Returns ``(λ, u, res)`` with res the normwise backward error
+    |Ku − λMu| / ((‖K‖₁ + |λ|‖M‖₁)|u|); a pair that already meets
+    RESIDUAL_TOL comes back unchanged.  Otherwise each step is a
+    Rayleigh–Ritz on {u, w, p} (LOBPCG, Knyazev 2001): w = precond(r) for
+    the residual r, p the previous step's direction, and u the lowest Ritz
+    vector, whose Rayleigh quotient is the next λ.  After _REFINE_STEPS
+    steps the last pair is returned with its residual, for the caller to
+    reject.  The Ritz vector is the lowest of the span, so above the
+    smallest eigenvalue both u and w must be free of the lower eigenvectors:
+    for λ₂, a Lanczos vector of the deflated singular solve is M-orthogonal
+    to u₀, and that solve as ``precond`` keeps w so.
+    """
+    norm_K, norm_M = spla.norm(K, 1), spla.norm(M, 1)
+    p = None
+    for step in range(_REFINE_STEPS + 1):
+        Ku, Mu = K @ u, M @ u
+        if step:
+            lam = float(u @ Ku) / float(u @ Mu)
+        r = Ku - lam * Mu
+        denom = (norm_K + abs(lam) * norm_M) * np.linalg.norm(u)
+        res = float(np.linalg.norm(r) / denom) if denom else np.inf
+        if res <= RESIDUAL_TOL or step == _REFINE_STEPS:
+            return lam, u, res
+        S = np.column_stack([u, precond(r)] if p is None else [u, precond(r), p])
+        MS = M @ S
+        norms = np.sqrt(np.einsum("ij,ij->j", S, MS))
+        nonzero = norms > 0
+        S, MS = S[:, nonzero] / norms[nonzero], MS[:, nonzero] / norms[nonzero]
+        G, A = S.T @ MS, S.T @ (K @ S)
+        g, V = np.linalg.eigh(G)
+        keep = g > _GRAM_FLOOR * g[-1]
+        Z = V[:, keep] / np.sqrt(g[keep])
+        _, Y = np.linalg.eigh(Z.T @ A @ Z)
+        y = Z @ Y[:, 0]
+        p = S[:, 1:] @ y[1:]
+        u = S[:, 0] * y[0] + p
 
 
 class Ordering:
@@ -95,13 +133,12 @@ class Ordering:
         self.perm = None
         self.fill = None
 
-    def factor(self, A, pivot=False, pin=None):
-        """Factor A, or A without the row and column of node ``pin``.
+    def factor(self, A, pin=None):
+        """Factor the SPD matrix A, or A without the row and column of node ``pin``.
 
-        ``pivot`` keeps SuperLU's threshold pivoting, which an indefinite matrix
-        needs; otherwise the pivots stay on the diagonal, as suits an SPD matrix.
-        Returns ``(solve, fill)``: ``solve`` maps vectors in the original numbering,
-        and with ``pin`` it ignores the pinned entry of its argument and zeroes its own.
+        The pivots stay on the diagonal.  Returns ``(solve, fill)``: ``solve`` maps
+        vectors in the original numbering, and with ``pin`` it ignores the pinned
+        entry of its argument and zeroes its own.
         """
         if self.perm is None:
             lu = spla.splu(self._K.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
@@ -113,8 +150,7 @@ class Ordering:
         p = self.perm if pin is None else self.perm[self.perm != pin]
         # one column per panel: SuperLU's panel workspace (panel_size·n values and indices)
         # then adds no peak memory, where the default took 13 MB at 200², and is no slower
-        opts = {} if pivot else _DIAGONAL_PIVOTS
-        lu = spla.splu(A.tocsr()[p][:, p].tocsc(), permc_spec="NATURAL", panel_size=1, **opts)
+        lu = spla.splu(A.tocsr()[p][:, p].tocsc(), permc_spec="NATURAL", panel_size=1, **_DIAGONAL_PIVOTS)
 
         def solve(rhs):
             x = np.zeros_like(rhs)
@@ -124,74 +160,38 @@ class Ordering:
         return solve, lu.nnz
 
 
-def _polish(K, M, lam, u, ordering):
-    """Inverse iteration at the converged shift until the residual contract holds."""
-    res = _rel_residual(K, M, lam, u)
-    for _ in range(3):
-        if res <= RESIDUAL_TOL:
-            break
-        shift = lam * (1.0 - 1e-10)
-        try:
-            solve, _ = ordering.factor(K - shift * M, pivot=True)
-            w = solve(M @ u)
-        except RuntimeError:
-            break
-        nrm = np.sqrt(w @ (M @ w))
-        if not np.isfinite(nrm) or nrm == 0.0:
-            break
-        w /= nrm
-        lam = float(w @ (K @ w))
-        u = w
-        res = _rel_residual(K, M, lam, u)
-    return lam, u, res
-
-
-def _smallest_pairs(pencil, k, ordering):
-    """k smallest eigenpairs of the free-node pencil, M-normalized, ascending."""
-    n = pencil.n_free
-    K, M = pencil.K, pencil.M
-    if k > n:
-        raise SolverError(f"pencil has only {n} free node(s), cannot extract {k} eigenpairs")
-    if n <= max(_DENSE_CUTOFF, k + 2):
-        from scipy.linalg import eigh
-
-        vals, vecs = eigh(K.toarray(), M.toarray())
-        vals, vecs = vals[:k], vecs[:, :k]
-    else:
-        v0 = np.ones(n) / np.sqrt(n)
-        try:
-            # the shift-invert operator (K − 0·M)⁻¹; its LU is dropped after the solve
-            op_inv = spla.LinearOperator((n, n), matvec=ordering.factor(K)[0], dtype=float)
-            vals, vecs = spla.eigsh(
-                K, k=k, M=M, sigma=0.0, which="LM", v0=v0, OPinv=op_inv,
-                maxiter=MAX_OUTER_ITERS,
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"eigensolver did not converge: {exc}") from exc
-        except RuntimeError as exc:
-            raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
-        del op_inv
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-
-    out = []
-    for j in range(k):
-        lam, u = float(vals[j]), vecs[:, j].copy()
-        u /= np.sqrt(u @ (M @ u))
-        lam, u, res = _polish(K, M, lam, u, ordering)
-        if res > RESIDUAL_TOL:
-            raise SolverError(f"eigenpair {j} residual {res:.3e} exceeds tol {RESIDUAL_TOL:.3e}")
-        out.append((lam, u, res))
-    return out
-
-
 def smallest_eigenpair(pencil, ordering: Ordering) -> EigenPair:
     """Smallest eigenpair of the pencil, sign-fixed by positive lumped integral.
 
     ``ordering`` is the :class:`Ordering` of a pencil with the same pattern
-    (a discretization's).
+    (a discretization's).  The factorization of K behind the shift-invert
+    Lanczos (a dense solve of K on tiny pencils) also preconditions the
+    refinement; it is dropped on return.
     """
-    ((lam, u, res),) = _smallest_pairs(pencil, 1, ordering)
+    n, K, M = pencil.n_free, pencil.K, pencil.M
+    if n <= _DENSE_CUTOFF:
+        Kd = K.toarray()
+        vals, vecs = eigh(Kd, M.toarray())
+        precond = partial(np.linalg.solve, Kd)
+    else:
+        v0 = np.ones(n) / np.sqrt(n)
+        try:
+            precond = ordering.factor(K)[0]  # the shift-invert operator (K − 0·M)⁻¹
+            vals, vecs = spla.eigsh(
+                K, k=1, M=M, sigma=0.0, which="LM", v0=v0,
+                OPinv=spla.LinearOperator((n, n), matvec=precond, dtype=float),
+                maxiter=MAX_OUTER_ITERS,
+            )
+        except spla.ArpackNoConvergence as exc:
+            raise SolverError(f"eigensolver did not converge: {exc}") from exc
+        except spla.ArpackError as exc:
+            raise SolverError(f"eigensolver failed: {exc}") from exc
+        except RuntimeError as exc:
+            raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
+    u = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (M @ vecs[:, 0]))
+    lam, u, res = _refine(K, M, float(vals[0]), u, precond)
+    if res > RESIDUAL_TOL:
+        raise SolverError(f"eigenpair 0 residual {res:.3e} exceeds tol {RESIDUAL_TOL:.3e}")
     if pencil.lumped[pencil.free] @ u < 0:
         u = -u
     return EigenPair(lam=lam, u=pencil.extend(u), residual=res)
@@ -258,6 +258,15 @@ class ShiftedSolver:
             raise SolverError(f"pinned solve breakdown: residual {resid:.3e}")
         return v
 
+    def deflated_solve(self, b: np.ndarray) -> np.ndarray:
+        """:meth:`solve` for the compatible part b − (u₀ᵀb)·Mu₀ of any free-node load b.
+
+        It maps Mu_j to u_j/(λ_j − λ₀) for every eigenvector u_j but u₀, which
+        it maps to 0: the shift-invert operator of λ₂ and the preconditioner
+        that refines eigenpairs other than the ground pair.
+        """
+        return self.solve(b - float(self.u0f @ b) * self.Mu0)
+
 
 class Discretization:
     """One mesh at background conductivity α, set up once and shared.
@@ -298,20 +307,19 @@ class Discretization:
         Shift-invert Lanczos at σ = λ₀ whose inverse is the deflated
         singular solve: it maps u₀ to 0 and every other eigenvector u_j to
         u_j/(λ_j − λ₀), so its largest Ritz value gives λ₂ and K is not
-        factored again.  The pair meets the residual contract; it must lie
-        strictly above λ₀, and a pencil with one free node has none.
-        Tiny pencils are solved densely.
+        factored again.  Tiny pencils start from a dense solve instead.
+        The same solve refines the pair to the residual contract; λ₂ must
+        lie strictly above λ₀, and a pencil with one free node has none.
         """
         pencil, lam0 = self.pencil, self.ground.lam
         n, K, M = pencil.n_free, pencil.K, pencil.M
+        if n < 2:
+            raise SolverError(f"pencil has only {n} free node(s), cannot extract 2 eigenpairs")
+        solver = self.solver
         if n <= _DENSE_CUTOFF:
-            lam2 = _smallest_pairs(pencil, 2, self.ordering)[1][0]
+            vals, vecs = eigh(K.toarray(), M.toarray())
+            vals, vecs = vals[1:], vecs[:, 1:]
         else:
-            solver = self.solver
-
-            def deflated_solve(b):
-                return solver.solve(b - float(solver.u0f @ b) * solver.Mu0)
-
             # a fixed random start: on the square the constant vector is
             # M-orthogonal to the second eigenspace, which Lanczos would
             # then reach through rounding alone
@@ -319,15 +327,15 @@ class Discretization:
             try:
                 vals, vecs = spla.eigsh(
                     K, k=1, M=M, sigma=lam0, which="LM", v0=v0,
-                    OPinv=spla.LinearOperator((n, n), matvec=deflated_solve, dtype=float),
+                    OPinv=spla.LinearOperator((n, n), matvec=solver.deflated_solve, dtype=float),
                     maxiter=MAX_OUTER_ITERS,
                 )
             except spla.ArpackError as exc:
                 raise SolverError(f"second eigenvalue: {exc}") from exc
-            u = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (M @ vecs[:, 0]))
-            lam2, _, res = _polish(K, M, float(vals[0]), u, self.ordering)
-            if res > RESIDUAL_TOL:
-                raise SolverError(f"eigenpair 1 residual {res:.3e} exceeds tol {RESIDUAL_TOL:.3e}")
+        u = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (M @ vecs[:, 0]))
+        lam2, _, res = _refine(K, M, float(vals[0]), u, solver.deflated_solve)
+        if res > RESIDUAL_TOL:
+            raise SolverError(f"eigenpair 1 residual {res:.3e} exceeds tol {RESIDUAL_TOL:.3e}")
         if lam2 <= lam0:
             raise SolverError(f"second eigenvalue {lam2} does not exceed ground {lam0}")
         return lam2

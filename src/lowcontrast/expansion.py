@@ -14,12 +14,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.sparse import linalg as spla
 
-from .eig import RESIDUAL_TOL, SolverError, smallest_eigenpair
-
-_REFINE_STEPS = 12  # Rayleigh–Ritz steps before an ε falls back to a direct eigensolve
-_GRAM_FLOOR = 1e-12  # Rayleigh–Ritz drops basis directions below this share of the Gram spectrum
+from .eig import RESIDUAL_TOL, SolverError, _refine, smallest_eigenpair
 
 
 def check_density(theta, n_nodes: int) -> np.ndarray:
@@ -123,57 +119,25 @@ def direct_eigenvalue(disc, theta, epsilon: float):
 def _refined_eigenvalue(disc, Kt, epsilon: float, lam2: float) -> float | None:
     """Certified smallest eigenvalue of (K0 + ε·Kθ, M) refined from u₀, or None.
 
-    Each step is a Rayleigh–Ritz on {u, w, p}: LOBPCG with the deflated
-    shifted preconditioner of Jacobi–Davidson.  w is the singular solve
-    applied to the residual projected onto loads compatible with u₀, and p
-    is the previous step's direction.  The Ritz pair is accepted only when
-    it meets the residual contract (measured with matvecs alone),
+    The pair (R_ε(u₀), u₀) is refined by :func:`eig._refine`, preconditioned
+    by the deflated singular solve of Jacobi–Davidson.  The result is
+    accepted only when it meets the residual contract,
     min(1, 1+ε)·λ₀ ≤ λ ≤ R_ε(u₀), and λ < min(1, 1+ε)·λ₂: since
     K0 + εKθ ≥ min(1, 1+ε)·K0, Weyl's inequality then makes λ the smallest
     eigenvalue.  None means the step cap was reached, the arithmetic
     overflowed (huge ε) or a check failed.
     """
+    pencil, solver = disc.pencil, disc.solver
+    M, u0 = pencil.M, solver.u0f
     with np.errstate(over="raise", invalid="raise"):
         try:
-            return _lobpcg(disc, Kt, epsilon, lam2)
+            K = (pencil.K + epsilon * Kt).tocsr()
+            upper = float(u0 @ (K @ u0)) / float(u0 @ (M @ u0))  # R_ε(u₀) = λ₀ + ε·u₀ᵀKθu₀
+            lam, _, res = _refine(K, M, upper, u0, solver.deflated_solve)
         except FloatingPointError:
             return None
-
-
-def _lobpcg(disc, Kt, epsilon, lam2):
-    """The steps and checks of :func:`_refined_eigenvalue`."""
-    pencil, solver = disc.pencil, disc.solver
-    M, u0, Mu0 = pencil.M, solver.u0f, solver.Mu0
-    K = (pencil.K + epsilon * Kt).tocsr()
-    norm_K, norm_M = spla.norm(K, 1), spla.norm(M, 1)
-    u, p = u0, None
-    for step in range(_REFINE_STEPS + 1):
-        Ku, Mu = K @ u, M @ u
-        lam = float(u @ Ku) / float(u @ Mu)
-        if step == 0:
-            upper = lam  # R_ε(u₀) = λ₀ + ε·u₀ᵀKθu₀
-        r = Ku - lam * Mu
-        # the normwise backward error of eig._rel_residual
-        if np.linalg.norm(r) <= RESIDUAL_TOL * (norm_K + abs(lam) * norm_M) * np.linalg.norm(u):
-            break
-        if step == _REFINE_STEPS:
-            return None
-        w = solver.solve(r - float(u0 @ r) * Mu0)
-        S = np.column_stack([u, w] if p is None else [u, w, p])
-        MS = M @ S
-        norms = np.sqrt(np.einsum("ij,ij->j", S, MS))
-        nonzero = norms > 0
-        S, MS = S[:, nonzero] / norms[nonzero], MS[:, nonzero] / norms[nonzero]
-        G, A = S.T @ MS, S.T @ (K @ S)
-        g, V = np.linalg.eigh(G)
-        keep = g > _GRAM_FLOOR * g[-1]
-        Z = V[:, keep] / np.sqrt(g[keep])
-        _, Y = np.linalg.eigh(Z.T @ A @ Z)
-        y = Z @ Y[:, 0]
-        p = S[:, 1:] @ y[1:]
-        u = S[:, 0] * y[0] + p
     shrink = min(1.0, 1.0 + epsilon)
-    if shrink * disc.ground.lam <= lam <= upper and lam < shrink * lam2:
+    if res <= RESIDUAL_TOL and shrink * disc.ground.lam <= lam <= upper and lam < shrink * lam2:
         return lam
     return None
 

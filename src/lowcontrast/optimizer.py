@@ -50,6 +50,8 @@ class OptimizerConfig:
                 raise ValueError(f"{name} must be {expected}, got {value!r}")
             if name in ("max_iters", "tol_step") and value <= 0:
                 raise ValueError(f"{name} must be positive")
+            if name == "seed" and value < 0:
+                raise ValueError(f"seed must be >= 0, got {value}")
         if not 0.0 < self.volume_fraction < 1.0:
             raise ValueError("volume_fraction must lie in (0, 1)")
 

@@ -13,8 +13,11 @@ def export_vtk(mesh, fields: dict, path) -> None:
     """Write an UNSTRUCTURED_GRID file with one SCALARS block per field.
 
     ``fields`` maps names to nodal arrays; insertion order is preserved.
+    A name is one token of the format: non-empty, without whitespace.
     """
     for name, values in fields.items():
+        if not name or any(c.isspace() for c in name):
+            raise ValueError(f"field name '{name}' must be non-empty and hold no whitespace")
         v = np.asarray(values)
         if v.shape != (mesh.n_nodes,):
             raise ValueError(f"field '{name}' is not a nodal array")

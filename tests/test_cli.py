@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from lowcontrast import cli
+from lowcontrast import cli, eig
 from lowcontrast.eig import ShiftedSolver, SolverError
 from lowcontrast.mesh import generate_unit_square
 from lowcontrast.vtkio import export_vtk, write_csv
@@ -529,6 +529,28 @@ class TestExportCommand:
         code = run_cli(["export", "--nx", 1, "--ny", 1, "--field", "nope", "--out", tmp_path / "o.vtk"])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "names,message",
+        [
+            (["my field"], "field name 'my field' must be non-empty and hold no whitespace"),
+            ([""], "field name '' must be non-empty and hold no whitespace"),
+            (["tab\there"], "field name 'tab\there' must be non-empty and hold no whitespace"),
+            (["a", "b", "a"], "--field 'a' given twice"),
+        ],
+        ids=["space", "empty", "tab", "repeated"],
+    )
+    def test_bad_field_name_exit_2(self, tmp_path, capsys, names, message):
+        # a name is one token of a SCALARS line, and each names one field
+        field = tmp_path / "f.csv"
+        cli.write_field_csv(field, np.full(4, 0.3))
+        out = tmp_path / "o.vtk"
+        argv = ["export", "--nx", 1, "--ny", 1, "--out", out]
+        for name in names:
+            argv += ["--field", f"{name}={field}"]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
 
 class TestConfigFile:
     def test_overrides_flags(self, tmp_path, capsys):
@@ -713,6 +735,39 @@ class TestDisconnectedDomain:
         err = capsys.readouterr().err
         assert "2 disconnected parts" in err
         assert "ground state need not be simple" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["optimize", "--nx", 4, "--ny", 4, "--epsilon", 0.1, "--volume-fraction", 0.4, "--seed", -1],
+        ["expand", "--nx", 4, "--ny", 4, "--random-theta", "--seed", -1],
+        ["expand", "--nx", 4, "--ny", 4, "--chi", "disk", 0.5, 0.5, 0.25, "--bounds-samples", 1,
+         "--seed", -2],
+        ["eval", "--nx", 4, "--ny", 4, "--random-theta", "--seed", -1, "--epsilon", 0.1],
+    ],
+    ids=["optimize", "expand-random-theta", "expand-bounds-samples", "eval"],
+)
+def test_negative_seed_exit_2(tmp_path, capsys, args):
+    out = [] if args[0] == "eval" else ["--out-dir", tmp_path]
+    assert run_cli(args + out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed must be >= 0, got -" in err
+
+
+def test_eigensolver_failure_exit_4(monkeypatch, capsys):
+    # an ARPACK error is the eigensolver's, not the factorization's
+    def fail(*args, **kwargs):
+        raise eig.spla.ArpackError(-9)
+
+    monkeypatch.setattr(eig.spla, "eigsh", fail)
+    # 49 free nodes: past the dense cutoff, so the ground pair comes from ARPACK
+    code = run_cli(["eval", "--nx", 8, "--ny", 8, "--random-theta", "--epsilon", 0.1])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: eigensolver failed: ARPACK error -9")
+    assert err.count("\n") == 1
 
 
 def test_solver_error_exit_4(monkeypatch, capsys):

@@ -14,14 +14,33 @@ from lowcontrast.eig import (
     Ordering,
     ShiftedSolver,
     SolverError,
-    _polish,
-    _rel_residual,
+    _refine,
     smallest_eigenpair,
 )
 from lowcontrast.expansion import direct_eigenvalue
 from lowcontrast.mesh import from_arrays, generate_unit_square
 
 PI2 = np.pi**2
+
+
+def backward_error(K, M, lam, u):
+    """Normwise backward error |Ku − λMu| / ((‖K‖₁ + |λ|‖M‖₁)|u|) of (λ, u)."""
+    denom = (spla.norm(K, 1) + abs(lam) * spla.norm(M, 1)) * np.linalg.norm(u)
+    return float(np.linalg.norm(K @ u - lam * (M @ u)) / denom)
+
+
+def perturbed(u, M, seed, scale=1e-3):
+    """u plus Gaussian noise of standard deviation ``scale``, M-normalized."""
+    u = u + scale * np.random.default_rng(seed).standard_normal(u.size)
+    return u / np.sqrt(u @ (M @ u))
+
+
+def count_splu(monkeypatch):
+    """Record the keyword arguments of every SuperLU factorization from here on."""
+    calls = []
+    splu = eig.spla.splu
+    monkeypatch.setattr(eig.spla, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw))
+    return calls
 
 
 def unit_disc(n, alpha=1.0, **kw):
@@ -118,9 +137,7 @@ class TestSecondEigenvalue:
     def test_reuses_bordered_factorization(self, monkeypatch):
         disc = unit_disc(32)
         disc.solver
-        calls = []
-        splu = eig.spla.splu
-        monkeypatch.setattr(eig.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
+        calls = count_splu(monkeypatch)
         assert disc.lambda2 > disc.ground.lam
         assert calls == []
 
@@ -335,18 +352,61 @@ class TestOrdering:
         assert np.linalg.norm(A @ v - g) <= 1e-10 * np.linalg.norm(f)
         assert abs(float(solver.Mu0 @ v)) <= 1e-11 * np.sqrt(v @ (pencil.M @ v))
 
-    def test_polish_restores_residual_contract(self):
+
+class TestRefine:
+    def test_restores_residual_contract(self):
         disc = Discretization(generate_unit_square(16, 16), 1.0)
         pencil, perm = disc.pencil, disc.ordering.perm
         K, M = pencil.K, pencil.M
-        u = pencil.restrict(disc.ground.u)
-        u = u + 1e-3 * np.random.default_rng(5).standard_normal(u.size)
-        u /= np.sqrt(u @ (M @ u))
+        u = perturbed(pencil.restrict(disc.ground.u), M, 5)
         lam = float(u @ (K @ u))
-        assert _rel_residual(K, M, lam, u) > RESIDUAL_TOL
+        assert backward_error(K, M, lam, u) > RESIDUAL_TOL
 
-        lam, u, res = _polish(K, M, lam, u, disc.ordering)
+        lam, u, res = _refine(K, M, lam, u, disc.ordering.factor(K)[0])
         assert res <= RESIDUAL_TOL
-        assert res == pytest.approx(_rel_residual(K, M, lam, u))
+        assert res == pytest.approx(backward_error(K, M, lam, u))
         assert lam == pytest.approx(disc.ground.lam, rel=1e-12)
         assert disc.ordering.perm is perm
+
+    def test_converged_pair_returned_unchanged(self):
+        disc = unit_disc(16)
+        K, M = disc.pencil.K, disc.pencil.M
+        u = disc.pencil.restrict(disc.ground.u)
+        lam, v, res = _refine(K, M, disc.ground.lam, u, None)  # step 0 calls no preconditioner
+        assert lam == disc.ground.lam and v is u
+        assert res == disc.ground.residual
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_second_pair_on_deflated_solve(self, monkeypatch, n):
+        # the λ₂ pair is refined by the pinned factorization λ₂'s Lanczos
+        # already uses; nothing else is factored
+        disc = unit_disc(n)
+        pencil, solver = disc.pencil, disc.solver
+        K, M = pencil.K, pencil.M
+        _, vecs = spla.eigsh(K, k=2, M=M, sigma=0.0)
+        # noise M-orthogonal to u₀, as a Lanczos vector of the deflated solve is;
+        # with a u₀ component the lowest Ritz value would head for λ₀
+        u = perturbed(vecs[:, 1], M, 6)
+        u = u - float(u @ solver.Mu0) * solver.u0f
+        lam = float(u @ (K @ u)) / float(u @ (M @ u))
+        assert backward_error(K, M, lam, u) > RESIDUAL_TOL
+
+        calls = count_splu(monkeypatch)
+        lam, u, res = _refine(K, M, lam, u, solver.deflated_solve)
+        assert calls == []
+        assert res <= RESIDUAL_TOL
+        assert res == pytest.approx(backward_error(K, M, lam, u))
+        assert lam == pytest.approx(disc.lambda2, rel=1e-12)
+
+    def test_dense_path(self):
+        disc = unit_disc(4)  # 9 free nodes: the ground pair comes from a dense solve
+        assert disc.pencil.n_free <= eig._DENSE_CUTOFF
+        K, M = disc.pencil.K, disc.pencil.M
+        u = perturbed(disc.pencil.restrict(disc.ground.u), M, 7)
+        lam = float(u @ (K @ u))
+        assert backward_error(K, M, lam, u) > RESIDUAL_TOL
+
+        Kd = K.toarray()
+        lam, u, res = _refine(K, M, lam, u, lambda b: np.linalg.solve(Kd, b))
+        assert res <= RESIDUAL_TOL
+        assert lam == pytest.approx(eigh(Kd, M.toarray(), eigvals_only=True)[0], rel=1e-12)

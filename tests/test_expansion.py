@@ -298,6 +298,17 @@ class TestCertifiedSweep:
         remainder_report(Discretization(mesh32, 1.0), theta, 2, self.EPS)
         assert len(calls) == 2
 
+    def test_every_factorization_keeps_diagonal_pivots(self, monkeypatch, mesh16):
+        # the ground solve, λ₂, the sweep and the ε = 1e6 fallback factor
+        # K, the pinned system and K0 + 1e6·Kθ, each with diagonal pivots
+        calls = []
+        splu = eig.spla.splu
+        monkeypatch.setattr(eig.spla, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw))
+        theta = density("binary", mesh16.n_nodes)
+        remainder_report(Discretization(mesh16, 1.0), theta, 2, [1e6, 0.1])
+        assert len(calls) == 3
+        assert all(kw["diag_pivot_thresh"] == 0 for kw in calls)
+
 
 def test_mode_bound_diagnostic(mesh8, disc8):
     diag = mode_bound_diagnostic(disc8, samples=3, seed=5)

@@ -91,6 +91,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             OptimizerConfig(volume_fraction=0.5, **{field: value})
 
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_negative_seed(self, seed):
+        # numpy's generators take no negative seed
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            OptimizerConfig(volume_fraction=0.5, seed=seed)
+
     @pytest.mark.parametrize("field,value", [
         (field, value)
         for field in ("volume_fraction", "tol_step")
