@@ -45,6 +45,57 @@ def read_field_csv(path, n_nodes: int) -> np.ndarray:
     Blank rows are skipped.  The first other row may be a header; every row
     after it must start with an integer node id.
     """
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read field file: {exc}") from exc
+    values = _field_block(raw, n_nodes)
+    return _field_rows(path, n_nodes) if values is None else values
+
+
+def _field_block(raw: bytes, n_nodes: int) -> np.ndarray | None:
+    """Values of a regular field CSV in whole-block array passes, or None.
+
+    Regular: ASCII, LF or CRLF line ends, an optional plain header line, then
+    one unquoted ``id,value`` line per node with the ids a permutation of the
+    nodes.  For any other file this returns None and `_field_rows`, which
+    defines the format and names the line of an error, reads it.
+    """
+    if not raw.isascii():
+        return None
+    if b"\r" in raw:
+        if raw.count(b"\r") != raw.count(b"\r\n"):
+            return None  # a lone CR ends a csv row
+        raw = raw.replace(b"\r\n", b"\n")
+    if not raw.endswith(b"\n"):
+        raw += b"\n"
+    first = raw[: raw.find(b"\n")]
+    try:
+        int(first.split(b",")[0])
+        body = raw
+    except ValueError:
+        # a header: csv.reader must read it as plain comma-separated cells
+        if b'"' in first or not first.decode().isprintable() or not first.strip(b" ,"):
+            return None
+        body = raw[len(first) + 1 :]
+    rows = vtkio.parse_rows(body, n_nodes, 2, b",")
+    if rows is None:
+        return None
+    ids = rows[:, 0].astype(np.int64)
+    if ids.min() < 0 or ids.max() >= n_nodes:
+        return None
+    seen = np.zeros(n_nodes, dtype=bool)
+    seen[ids] = True
+    if not seen.all():  # a repeated id leaves another node unseen
+        return None
+    values = np.empty(n_nodes)
+    values[ids] = rows[:, 1]
+    return values
+
+
+def _field_rows(path, n_nodes: int) -> np.ndarray:
+    """read_field_csv one csv row at a time: the definition of the format."""
     values = np.zeros(n_nodes)
     seen = np.zeros(n_nodes, dtype=bool)
     try:
@@ -52,26 +103,26 @@ def read_field_csv(path, n_nodes: int) -> np.ndarray:
             reader = csv.reader(fh)
             rows = (row for row in reader if any(cell.strip() for cell in row))
             for k, row in enumerate(rows):
+                where = f"{path}: line {reader.line_num}"
                 try:
                     idx = int(row[0])
                 except ValueError:
                     if k == 0:
                         continue  # header line
                     raise InputError(
-                        f"{path}: line {reader.line_num}: {','.join(row)!r} "
-                        "does not start with an integer node id"
+                        f"{where}: {','.join(row)!r} does not start with an integer node id"
                     ) from None
                 if len(row) < 2:
-                    raise InputError(f"{path}: row for node {idx} has no value")
+                    raise InputError(f"{where}: row for node {idx} has no value")
                 if not 0 <= idx < n_nodes:
-                    raise InputError(f"{path}: node id {idx} out of range (mesh has {n_nodes})")
+                    raise InputError(f"{where}: node id {idx} out of range (mesh has {n_nodes})")
                 if seen[idx]:
-                    raise InputError(f"{path}: node id {idx} appears more than once")
+                    raise InputError(f"{where}: node id {idx} appears more than once")
                 try:
                     values[idx] = float(row[1])
                 except ValueError:
                     raise InputError(
-                        f"{path}: value {row[1].strip()!r} for node {idx} is not a number"
+                        f"{where}: value {row[1].strip()!r} for node {idx} is not a number"
                     ) from None
                 seen[idx] = True
     except OSError as exc:

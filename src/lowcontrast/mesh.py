@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .vtkio import parse_rows
+
 
 class MshParseError(Exception):
     """Raised when an MSH file cannot be parsed; carries the line number."""
@@ -162,6 +164,119 @@ def import_msh(path) -> Mesh:
     triangles, or an unsupported format version, and ValueError naming the
     line and MSH node id of a non-finite coordinate.
     """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    parsed = _parse_blocks(raw)
+    if parsed is None:
+        parsed = _parse_lines(path)
+    return from_arrays(*parsed)
+
+
+def _parse_blocks(raw: bytes):
+    """(coords, triangles) of a regular file in whole-section array passes, or None.
+
+    Regular: ASCII; every $Nodes and $Elements body holds exactly its count
+    of lines, single-space separated, with integer ids, finite coordinates and
+    no token past a triangle's nodes; each section appears once.  For any
+    other file this returns None and `_parse_lines`, which defines the
+    format and names the line of an error, reads it.
+    """
+    # str.splitlines also breaks lines at these; leave such files to the loop
+    if not raw.isascii() or any(c in raw for c in b"\x0b\x0c\x1c\x1d\x1e"):
+        return None
+    if b"\r" in raw:  # as text mode reads the file
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    pos = 0
+
+    def next_line():
+        nonlocal pos
+        while pos < len(raw):
+            end = raw.find(b"\n", pos)
+            end = len(raw) if end < 0 else end
+            text = raw[pos:end].decode().strip()
+            pos = end + 1
+            if text:
+                return text
+        return None
+
+    def body(end_marker):
+        # the counted lines between the count line and the end marker line
+        nonlocal pos
+        try:
+            count = int(next_line())
+        except (TypeError, ValueError):
+            return None
+        start, stop = pos, raw.find(b"\n" + end_marker, pos - 1)
+        after = stop + 1 + len(end_marker)
+        if count < 1 or stop < start or raw[after : after + 1] not in (b"\n", b""):
+            return None
+        pos = after + 1
+        return raw[start : stop + 1], count
+
+    blocks = {}
+    saw_format = False
+    while (section := next_line()) is not None:
+        if section == "$MeshFormat":
+            header = next_line()
+            if header is None or not header.split()[0].startswith("2.2"):
+                return None
+            if next_line() != "$EndMeshFormat":
+                return None
+            saw_format = True
+        elif section in ("$Nodes", "$Elements"):
+            found = None if section in blocks else body(b"$End" + section[1:].encode())
+            parse = _node_block if section == "$Nodes" else _triangle_block
+            blocks[section] = None if found is None else parse(*found)
+            if blocks[section] is None:
+                return None
+    if not saw_format or len(blocks) < 2:
+        return None
+
+    (ids, xy), tris = blocks["$Nodes"], blocks["$Elements"]
+    used, conn = np.unique(tris, return_inverse=True)
+    # a repeated node id keeps its last line, as the loop's dict does
+    order = np.argsort(ids, kind="stable")
+    ids = ids[order]
+    last = np.r_[ids[1:] != ids[:-1], True]
+    ids, rows = ids[last], order[last]
+    at = np.minimum(np.searchsorted(ids, used), ids.size - 1)
+    if (ids[at] != used).any():
+        return None
+    return xy[rows[at]], conn.reshape(-1, 3)
+
+
+def _node_block(body: bytes, count: int):
+    """MSH ids and (x, y) of a regular $Nodes body, or None."""
+    values = parse_rows(body, count, 4, b" ")
+    if values is None or not np.isfinite(values[:, 1:3]).all():
+        return None
+    return values[:, 0].astype(np.int64), values[:, 1:3]
+
+
+def _triangle_block(body: bytes, count: int):
+    """(m, 3) MSH node ids of the triangles of a regular $Elements body, or None."""
+    if body.translate(None, b"0123456789 \n"):
+        return None
+    buf = np.frombuffer(body, dtype=np.uint8)
+    gaps = np.flatnonzero(buf <= ord(" "))  # the space or newline after each token
+    if np.diff(gaps, prepend=-1).min() < 2:  # an empty token: padding or a blank line
+        return None
+    last = np.flatnonzero(buf[gaps] == ord("\n"))  # each line's last token
+    n_tokens = np.diff(last, prepend=-1)
+    if last.size != count or n_tokens.min() < 3:
+        return None
+    values = np.fromstring(body, dtype=np.int64, sep=" ")
+    first = last - n_tokens + 1
+    etype, ntags = values[first + 1], values[first + 2]
+    tri = etype == 2
+    if not tri.any() or (n_tokens[tri] != 6 + ntags[tri]).any():
+        return None
+    nodes = (first + 3 + ntags)[tri]
+    return values[nodes[:, None] + np.arange(3)]
+
+
+def _parse_lines(path):
+    """(coords, triangles) read one line at a time: the definition of the format."""
     try:
         with open(path, "r") as fh:
             lines = fh.read().splitlines()
@@ -246,4 +361,4 @@ def import_msh(path) -> Mesh:
         coords = np.array([nodes[i] for i in used.tolist()])
     except KeyError as exc:
         raise MshParseError(f"element references unknown node id {exc.args[0]}") from None
-    return from_arrays(coords, conn.reshape(-1, 3))
+    return coords, conn.reshape(-1, 3)

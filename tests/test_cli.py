@@ -3,14 +3,37 @@ import json
 import numpy as np
 import pytest
 
-from lowcontrast import cli, eig
+from lowcontrast import cli, eig, vtkio
 from lowcontrast.eig import ShiftedSolver, SolverError
-from lowcontrast.mesh import generate_unit_square
+from lowcontrast.mesh import Mesh, generate_unit_square
 from lowcontrast.vtkio import export_vtk, write_csv
+
+# values whose 17-digit text is easy to get wrong: signed zero, the least
+# subnormal, a huge and a non-terminating value, infinity
+SPECIAL_FLOATS = [-0.0, 5e-324, 1e300, 1 / 3, float("inf")]
+CHUNK_ROWS = [vtkio._CHUNK - 1, vtkio._CHUNK, vtkio._CHUNK + 1]
 
 
 def run_cli(args):
     return cli.main([str(a) for a in args])
+
+
+def reference_export_vtk(mesh, fields, path):
+    """export_vtk's output written one f-string per line: the reference bytes."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(
+            "# vtk DataFile Version 3.0\nlowcontrast output\nASCII\n"
+            f"DATASET UNSTRUCTURED_GRID\nPOINTS {mesh.n_nodes} double\n"
+        )
+        fh.writelines(f"{x:.17g} {y:.17g} 0\n" for x, y in mesh.node_coords.tolist())
+        fh.write(f"CELLS {mesh.n_elems} {4 * mesh.n_elems}\n")
+        fh.writelines(f"3 {a} {b} {c}\n" for a, b, c in mesh.triangles.tolist())
+        fh.write(f"CELL_TYPES {mesh.n_elems}\n" + "5\n" * mesh.n_elems)
+        if fields:
+            fh.write(f"POINT_DATA {mesh.n_nodes}\n")
+            for name, values in fields.items():
+                fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+                fh.writelines(f"{v:.17g}\n" for v in np.asarray(values, dtype=float).tolist())
 
 
 def parse_vtk_points_and_scalars(text):
@@ -461,9 +484,12 @@ class TestFieldCsv:
         assert "volume = 0.5" in capsys.readouterr().out
 
     @pytest.mark.parametrize("text,message", [
-        ("node_id,value\n0\n", "row for node 0 has no value"),
-        ("node_id,value\n99,0.5\n", "node id 99 out of range (mesh has 25)"),
-    ], ids=["no-value", "out-of-range"])
+        ("node_id,value\n0\n", "line 2: row for node 0 has no value"),
+        ("node_id,value\n99,0.5\n", "line 2: node id 99 out of range (mesh has 25)"),
+        ("node_id,value\n0,0.5\n\n0,0.5\n", "line 4: node id 0 appears more than once"),
+        ("node_id,value\n0,0.5\n1,abc\n", "line 3: value 'abc' for node 1 is not a number"),
+        ("node_id,value\n0,0.5\n", "24 node(s) missing a value"),
+    ], ids=["no-value", "out-of-range", "repeated", "not-a-number", "missing"])
     def test_bad_row_exit_3(self, tmp_path, capsys, text, message):
         path, code = self.eval_csv(tmp_path, text)
         assert code == 3
@@ -511,19 +537,35 @@ class TestExportCommand:
         export_vtk(m, {"f": values}, p1)
         export_vtk(m, {"f": values}, p2)
         assert p1.read_bytes() == p2.read_bytes()
+        # the chunked writer against one f-string per line, across chunk edges;
+        # export_vtk only formats the arrays, so they need not form a valid mesh
+        for rows in CHUNK_ROWS:
+            special = np.resize(SPECIAL_FLOATS, 2 * rows)
+            m = Mesh(
+                node_coords=special.reshape(rows, 2),
+                triangles=np.arange(3 * rows).reshape(rows, 3) * 7919,
+                boundary_nodes=np.arange(0),
+                elem_area=np.ones(rows),
+                elem_basis_grad=np.zeros((rows, 3, 2)),
+            )
+            fields = {"f": special[:rows], "g": -special[rows:]}
+            export_vtk(m, fields, p1)
+            reference_export_vtk(m, fields, p2)
+            assert p1.read_bytes() == p2.read_bytes(), rows
 
     def test_write_csv_matches_csv_writer(self, tmp_path):
         import csv
 
-        ints = np.arange(5)
-        floats = np.array([0.0, -0.0, 1e-7, 1 / 3, 1e300])
-        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-        write_csv(ours, ["i", "x"], [ints, floats])
-        with open(ref, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["i", "x"])
-            w.writerows([i, f"{x:.17g}"] for i, x in zip(ints, floats))
-        assert ours.read_bytes() == ref.read_bytes()
+        for rows in [5, *CHUNK_ROWS]:
+            ints = np.arange(rows) - 2
+            floats = np.resize([0.0, 1e-7, *SPECIAL_FLOATS], rows)
+            ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+            write_csv(ours, ["i", "x", "y"], [ints, floats, floats[::-1]])
+            with open(ref, "w", newline="") as fh:
+                w = csv.writer(fh)
+                w.writerow(["i", "x", "y"])
+                w.writerows([i, f"{x:.17g}", f"{y:.17g}"] for i, x, y in zip(ints, floats, floats[::-1]))
+            assert ours.read_bytes() == ref.read_bytes(), rows
 
     def test_bad_field_spec(self, tmp_path):
         code = run_cli(["export", "--nx", 1, "--ny", 1, "--field", "nope", "--out", tmp_path / "o.vtk"])
