@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -51,7 +52,7 @@ def read_field_csv(path, n_nodes: int) -> np.ndarray:
     except OSError as exc:
         raise InputError(f"cannot read field file: {exc}") from exc
     values = _field_block(raw, n_nodes)
-    return _field_rows(path, n_nodes) if values is None else values
+    return _field_rows(raw, path, n_nodes) if values is None else values
 
 
 def _field_block(raw: bytes, n_nodes: int) -> np.ndarray | None:
@@ -94,41 +95,40 @@ def _field_block(raw: bytes, n_nodes: int) -> np.ndarray | None:
     return values
 
 
-def _field_rows(path, n_nodes: int) -> np.ndarray:
+def _field_rows(raw: bytes, path, n_nodes: int) -> np.ndarray:
     """read_field_csv one csv row at a time: the definition of the format."""
     values = np.zeros(n_nodes)
     seen = np.zeros(n_nodes, dtype=bool)
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            rows = (row for row in reader if any(cell.strip() for cell in row))
-            for k, row in enumerate(rows):
-                where = f"{path}: line {reader.line_num}"
-                try:
-                    idx = int(row[0])
-                except ValueError:
-                    if k == 0:
-                        continue  # header line
-                    raise InputError(
-                        f"{where}: {','.join(row)!r} does not start with an integer node id"
-                    ) from None
-                if len(row) < 2:
-                    raise InputError(f"{where}: row for node {idx} has no value")
-                if not 0 <= idx < n_nodes:
-                    raise InputError(f"{where}: node id {idx} out of range (mesh has {n_nodes})")
-                if seen[idx]:
-                    raise InputError(f"{where}: node id {idx} appears more than once")
-                try:
-                    values[idx] = float(row[1])
-                except ValueError:
-                    raise InputError(
-                        f"{where}: value {row[1].strip()!r} for node {idx} is not a number"
-                    ) from None
-                seen[idx] = True
-    except OSError as exc:
-        raise InputError(f"cannot read field file: {exc}") from exc
+        reader = csv.reader(io.StringIO(raw.decode(), newline=""))
+        rows = (row for row in reader if any(cell.strip() for cell in row))
+        for k, row in enumerate(rows):
+            where = f"{path}: line {reader.line_num}"
+            try:
+                idx = int(row[0])
+            except ValueError:
+                if k == 0:
+                    continue  # header line
+                raise InputError(
+                    f"{where}: {','.join(row)!r} does not start with an integer node id"
+                ) from None
+            if len(row) < 2:
+                raise InputError(f"{where}: row for node {idx} has no value")
+            if not 0 <= idx < n_nodes:
+                raise InputError(f"{where}: node id {idx} out of range (mesh has {n_nodes})")
+            if seen[idx]:
+                raise InputError(f"{where}: node id {idx} appears more than once")
+            try:
+                values[idx] = float(row[1])
+            except ValueError:
+                raise InputError(
+                    f"{where}: value {row[1].strip()!r} for node {idx} is not a number"
+                ) from None
+            seen[idx] = True
     except UnicodeDecodeError as exc:
         raise InputError(f"{exc} (reading {path})") from None
+    except csv.Error as exc:  # a cell past csv.field_size_limit(), say
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     if not seen.all():
         raise InputError(f"{path}: {n_nodes - int(seen.sum())} node(s) missing a value")
     return values

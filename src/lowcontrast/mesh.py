@@ -4,6 +4,8 @@ Provides structured unit-square generation (crossed-diagonal pattern),
 a Gmsh MSH 2.2 ASCII importer, and per-element geometry (areas and
 P1 basis gradients).  Boundary nodes are detected topologically from
 single-owner edges, so imported curved domains work without tags.
+The importer reads its file once and walks its sections once; each body
+goes through one array pass or, if that pass refuses it, a line loop.
 """
 from __future__ import annotations
 
@@ -160,97 +162,152 @@ def import_msh(path) -> Mesh:
     """Read a Gmsh MSH 2.2 ASCII file; keeps 3-node triangles only.
 
     Physical tags are ignored; boundary nodes are recovered topologically.
-    Raises MshParseError (with line number) on malformed input, missing
-    triangles, or an unsupported format version, and ValueError naming the
-    line and MSH node id of a non-finite coordinate.
+    The file is read once and its sections walked once.  A regular $Nodes or
+    $Elements body is parsed in one array pass, any other one line by line
+    from the same cursor.  Raises MshParseError (with line number) on
+    malformed input, missing triangles, or an unsupported format version,
+    and ValueError naming the line and MSH node id of a non-finite coordinate.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    parsed = _parse_blocks(raw)
-    if parsed is None:
-        parsed = _parse_lines(path)
-    return from_arrays(*parsed)
+    # text mode and str.splitlines also break lines at these: rewrite a file
+    # that has one, or a non-ASCII byte, once with one LF after each line
+    if not raw.isascii() or any(c in raw for c in b"\r\x0b\x0c\x1c\x1d\x1e"):
+        try:
+            raw = "\n".join(raw.decode().splitlines() + [""]).encode()
+        except UnicodeDecodeError as exc:
+            raise MshParseError(f"{exc} (reading {path})") from None
+    return from_arrays(*_parse_msh(raw))
 
 
-def _parse_blocks(raw: bytes):
-    """(coords, triangles) of a regular file in whole-section array passes, or None.
+def _parse_msh(raw: bytes):
+    """(coords, triangles) of MSH text whose only line break is LF.
 
-    Regular: ASCII; every $Nodes and $Elements body holds exactly its count
-    of lines, single-space separated, with integer ids, finite coordinates and
-    no token past a triangle's nodes; each section appears once.  For any
-    other file this returns None and `_parse_lines`, which defines the
-    format and names the line of an error, reads it.
+    A function of its own so that the section arrays are freed before
+    `from_arrays` allocates.
     """
-    # str.splitlines also breaks lines at these; leave such files to the loop
-    if not raw.isascii() or any(c in raw for c in b"\x0b\x0c\x1c\x1d\x1e"):
-        return None
-    if b"\r" in raw:  # as text mode reads the file
-        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    pos = 0
+    pos = ln = 0  # the cursor: byte offset of the next line, lines passed
 
     def next_line():
-        nonlocal pos
+        """(line number, stripped text) of the next non-blank line, or None at the end."""
+        nonlocal pos, ln
         while pos < len(raw):
             end = raw.find(b"\n", pos)
             end = len(raw) if end < 0 else end
             text = raw[pos:end].decode().strip()
-            pos = end + 1
+            pos, ln = end + 1, ln + 1
             if text:
-                return text
+                return ln, text
         return None
 
-    def body(end_marker):
-        # the counted lines between the count line and the end marker line
-        nonlocal pos
+    def line():
+        found = next_line()
+        if found is None:
+            raise MshParseError("unexpected end of file", ln)
+        return found
+
+    def expect(marker):
+        at, text = line()
+        if text != marker:
+            raise MshParseError(f"expected {marker}", at)
+
+    def body(section, what, block, lines):
+        """(count, parsed) of the body of ``section`` and its end marker."""
+        nonlocal pos, ln
+        at, text = line()
         try:
-            count = int(next_line())
-        except (TypeError, ValueError):
-            return None
-        start, stop = pos, raw.find(b"\n" + end_marker, pos - 1)
-        after = stop + 1 + len(end_marker)
-        if count < 1 or stop < start or raw[after : after + 1] not in (b"\n", b""):
-            return None
-        pos = after + 1
-        return raw[start : stop + 1], count
+            count = int(text)
+        except ValueError:
+            raise MshParseError(f"{what} count is not an integer", at) from None
+        marker = "$End" + section[1:]
+        # the array pass takes the lines up to the first marker at a line start
+        stop = raw.find(b"\n" + marker.encode(), pos - 1)
+        parsed = block(raw[pos : stop + 1], count) if count > 0 and stop >= pos else None
+        if parsed is None:
+            parsed = lines(line, count)
+        else:
+            pos, ln = stop + 1, ln + count
+        expect(marker)
+        return count, parsed
 
-    blocks = {}
-    saw_format = False
-    while (section := next_line()) is not None:
+    node_ids, node_xy, tri_blocks = [], [], []
+    saw_format = saw_nodes = False
+    while (found := next_line()) is not None:  # lines outside the three sections are skipped
+        section = found[1]
         if section == "$MeshFormat":
-            header = next_line()
-            if header is None or not header.split()[0].startswith("2.2"):
-                return None
-            if next_line() != "$EndMeshFormat":
-                return None
+            at, header = line()
+            version = header.split()[0]
+            if not version.startswith("2.2"):
+                raise MshParseError(f"unsupported MSH version '{version}' (need 2.2)", at)
+            expect("$EndMeshFormat")
             saw_format = True
-        elif section in ("$Nodes", "$Elements"):
-            found = None if section in blocks else body(b"$End" + section[1:].encode())
-            parse = _node_block if section == "$Nodes" else _triangle_block
-            blocks[section] = None if found is None else parse(*found)
-            if blocks[section] is None:
-                return None
-    if not saw_format or len(blocks) < 2:
-        return None
+        elif section == "$Nodes":
+            count, (ids, xy) = body(section, "node", _node_block, _node_lines)
+            node_ids.append(ids)
+            node_xy.append(xy)
+            saw_nodes |= count > 0
+        elif section == "$Elements":
+            tris = body(section, "element", _triangle_block, _triangle_lines)[1]
+            if tris.size:
+                tri_blocks.append(tris)
 
-    (ids, xy), tris = blocks["$Nodes"], blocks["$Elements"]
-    used, conn = np.unique(tris, return_inverse=True)
-    # a repeated node id keeps its last line, as the loop's dict does
+    if not saw_format:
+        raise MshParseError("missing $MeshFormat section")
+    if not saw_nodes:
+        raise MshParseError("missing or empty $Nodes section")
+    if not tri_blocks:
+        raise MshParseError("no triangles (element type 2) found")
+
+    # keep only nodes referenced by a triangle; files often carry nodes that
+    # belong to discarded line/point elements, which would orphan the pencil;
+    # kept nodes are numbered in ascending MSH id order
+    ids, xy, tris = (a[0] if len(a) == 1 else np.concatenate(a) for a in (node_ids, node_xy, tri_blocks))
+    used, conn = np.unique(tris.ravel(), return_inverse=True)
+    # a repeated node id keeps its last line
     order = np.argsort(ids, kind="stable")
     ids = ids[order]
     last = np.r_[ids[1:] != ids[:-1], True]
     ids, rows = ids[last], order[last]
     at = np.minimum(np.searchsorted(ids, used), ids.size - 1)
-    if (ids[at] != used).any():
-        return None
+    unknown = used[ids[at] != used] if ids.size else used
+    if unknown.size:
+        raise MshParseError(f"element references unknown node id {int(unknown[0])}")
     return xy[rows[at]], conn.reshape(-1, 3)
 
 
+_INT64 = range(-(2**63), 2**63)  # the MSH ids the id map can hold
+
+
 def _node_block(body: bytes, count: int):
-    """MSH ids and (x, y) of a regular $Nodes body, or None."""
+    """MSH ids and (x, y) of a regular $Nodes body in one array pass, or None."""
     values = parse_rows(body, count, 4, b" ")
     if values is None or not np.isfinite(values[:, 1:3]).all():
         return None
     return values[:, 0].astype(np.int64), values[:, 1:3]
+
+
+def _node_lines(line, count: int):
+    """MSH ids and (x, y) of a $Nodes body read one line at a time.
+
+    ``line`` returns the (number, stripped text) of the next non-blank line.
+    An id outside int64 is checked but not kept: no triangle can name it.
+    """
+    ids, xy = [], []
+    for _ in range(count):
+        at, text = line()
+        parts = text.split()
+        if len(parts) < 4:
+            raise MshParseError("node line needs 'id x y z'", at)
+        try:
+            node_id, x, y = int(parts[0]), float(parts[1]), float(parts[2])
+        except ValueError:
+            raise MshParseError("malformed node line", at) from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"line {at}: node {node_id} has non-finite coordinates ({x}, {y})")
+        if node_id in _INT64:
+            ids.append(node_id)
+            xy.append((x, y))
+    return np.array(ids, dtype=np.int64), np.array(xy, dtype=float).reshape(-1, 2)
 
 
 def _triangle_block(body: bytes, count: int):
@@ -259,8 +316,11 @@ def _triangle_block(body: bytes, count: int):
         return None
     buf = np.frombuffer(body, dtype=np.uint8)
     gaps = np.flatnonzero(buf <= ord(" "))  # the space or newline after each token
-    if np.diff(gaps, prepend=-1).min() < 2:  # an empty token: padding or a blank line
+    widths = np.diff(gaps, prepend=-1)
+    # an empty token (padding or a blank line), or one that may not fit int64
+    if widths.min() < 2 or widths.max() > 19:
         return None
+    del widths  # one entry per token, as the token array below: free it first
     last = np.flatnonzero(buf[gaps] == ord("\n"))  # each line's last token
     n_tokens = np.diff(last, prepend=-1)
     if last.size != count or n_tokens.min() < 3:
@@ -269,96 +329,31 @@ def _triangle_block(body: bytes, count: int):
     first = last - n_tokens + 1
     etype, ntags = values[first + 1], values[first + 2]
     tri = etype == 2
-    if not tri.any() or (n_tokens[tri] != 6 + ntags[tri]).any():
+    if (n_tokens[tri] != 6 + ntags[tri]).any():
         return None
     nodes = (first + 3 + ntags)[tri]
     return values[nodes[:, None] + np.arange(3)]
 
 
-def _parse_lines(path):
-    """(coords, triangles) read one line at a time: the definition of the format."""
-    try:
-        with open(path, "r") as fh:
-            lines = fh.read().splitlines()
-    except UnicodeDecodeError as exc:
-        raise MshParseError(f"{exc} (reading {path})") from None
-    # (line number, stripped text) of every non-blank line
-    numbered = ((ln, text) for ln, text in enumerate(map(str.strip, lines), start=1) if text)
-
-    def next_line():
-        line = next(numbered, None)
-        if line is None:
-            raise MshParseError("unexpected end of file", len(lines))
-        return line
-
-    def read_count(what):
-        ln, text = next_line()
+def _triangle_lines(line, count: int):
+    """(m, 3) MSH node ids of the triangles of an $Elements body read one line at a time."""
+    tris = []
+    for _ in range(count):
+        at, text = line()
+        parts = text.split()
+        if len(parts) < 3:
+            raise MshParseError("element line too short", at)
         try:
-            return int(text)
+            etype, ntags = int(parts[1]), int(parts[2])
+            if etype != 2:  # not a 3-node triangle
+                continue
+            ids = [int(x) for x in parts[3 + ntags : 6 + ntags]]
         except ValueError:
-            raise MshParseError(f"{what} count is not an integer", ln) from None
-
-    def expect_end(marker):
-        ln, text = next_line()
-        if text != marker:
-            raise MshParseError(f"expected {marker}", ln)
-
-    nodes: dict[int, tuple[float, float]] = {}
-    tris: list[tuple[int, int, int]] = []
-    saw_format = False
-    for _, section in numbered:  # lines outside the three sections are skipped
-        if section == "$MeshFormat":
-            ln, header = next_line()
-            version = header.split()[0]
-            if not version.startswith("2.2"):
-                raise MshParseError(f"unsupported MSH version '{version}' (need 2.2)", ln)
-            expect_end("$EndMeshFormat")
-            saw_format = True
-        elif section == "$Nodes":
-            for _ in range(read_count("node")):
-                ln, text = next_line()
-                parts = text.split()
-                if len(parts) < 4:
-                    raise MshParseError("node line needs 'id x y z'", ln)
-                try:
-                    node_id, x, y = int(parts[0]), float(parts[1]), float(parts[2])
-                except ValueError:
-                    raise MshParseError("malformed node line", ln) from None
-                if not (math.isfinite(x) and math.isfinite(y)):
-                    raise ValueError(f"line {ln}: node {node_id} has non-finite coordinates ({x}, {y})")
-                nodes[node_id] = (x, y)
-            expect_end("$EndNodes")
-        elif section == "$Elements":
-            for _ in range(read_count("element")):
-                ln, text = next_line()
-                parts = text.split()
-                if len(parts) < 3:
-                    raise MshParseError("element line too short", ln)
-                try:
-                    etype = int(parts[1])
-                    ntags = int(parts[2])
-                    if etype == 2:  # 3-node triangle
-                        ids = [int(x) for x in parts[3 + ntags : 6 + ntags]]
-                        if len(ids) != 3:
-                            raise MshParseError("triangle needs 3 node ids", ln)
-                        tris.append(tuple(ids))
-                except ValueError:
-                    raise MshParseError("malformed element line", ln) from None
-            expect_end("$EndElements")
-
-    if not saw_format:
-        raise MshParseError("missing $MeshFormat section")
-    if not nodes:
-        raise MshParseError("missing or empty $Nodes section")
-    if not tris:
-        raise MshParseError("no triangles (element type 2) found")
-
-    # keep only nodes referenced by a triangle; files often carry nodes that
-    # belong to discarded line/point elements, which would orphan the pencil;
-    # kept nodes are numbered in ascending MSH id order
-    used, conn = np.unique(np.array(tris, dtype=np.int64).ravel(), return_inverse=True)
-    try:
-        coords = np.array([nodes[i] for i in used.tolist()])
-    except KeyError as exc:
-        raise MshParseError(f"element references unknown node id {exc.args[0]}") from None
-    return coords, conn.reshape(-1, 3)
+            raise MshParseError("malformed element line", at) from None
+        if len(ids) != 3:
+            raise MshParseError("triangle needs 3 node ids", at)
+        outside = [i for i in ids if i not in _INT64]
+        if outside:
+            raise MshParseError(f"triangle node id {outside[0]} does not fit in int64", at)
+        tris.append(ids)
+    return np.array(tris, dtype=np.int64).reshape(-1, 3)

@@ -82,6 +82,16 @@ class TestMeshCommand:
         p.write_text("$MeshFormat\n9.9 0 8\n$EndMeshFormat\n")
         assert run_cli(["mesh", "import", "--file", p]) == 3
 
+    def test_import_node_id_past_int64_exit_3(self, tmp_path, capsys):
+        p = tmp_path / "big.msh"
+        p.write_text(
+            "$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n"
+            "$Elements\n1\n1 2 2 0 1 1 2 99999999999999999999\n$EndElements\n"
+        )
+        assert run_cli(["mesh", "import", "--file", p]) == 3
+        err = capsys.readouterr().err
+        assert err == "input error: line 12: triangle node id 99999999999999999999 does not fit in int64\n"
+
     def test_import_non_finite_node_exit_2(self, tmp_path, capsys):
         from test_mesh import write_msh
 
@@ -443,6 +453,15 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert str(path) in err
         assert "'abc' for node 5 is not a number" in err
+
+    def test_cell_past_field_size_limit_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "theta.csv"
+        path.write_text("node_id,value\n0," + "1" * 140000 + '\n"1",0.5\n')
+        code = run_cli(["eval", "--nx", 4, "--ny", 4, "--theta", path, "--epsilon", 0.1])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {path}: line 2: field larger than field limit")
+        assert err.count("\n") == 1
 
     def test_infinite_density_exit_2(self, tmp_path, capsys):
         m = generate_unit_square(4, 4)

@@ -86,6 +86,9 @@ def reference_import_msh(path):
                         ids = [int(x) for x in parts[3 + ntags : 6 + ntags]]
                         if len(ids) != 3:
                             raise MshParseError("triangle needs 3 node ids", ln)
+                        outside = [i for i in ids if not -(2**63) <= i < 2**63]
+                        if outside:
+                            raise MshParseError(f"triangle node id {outside[0]} does not fit in int64", ln)
                         tris.append(tuple(ids))
                 except ValueError:
                     raise MshParseError("malformed element line", ln) from None
@@ -138,6 +141,8 @@ def reference_read_field_csv(path, n_nodes):
                 seen[idx] = True
     except OSError as exc:
         raise InputError(f"cannot read field file: {exc}") from exc
+    except csv.Error as exc:
+        raise InputError(f"{path}: line {reader.line_num}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise InputError(f"{exc} (reading {path})") from None
     if not seen.all():
@@ -161,7 +166,7 @@ def outcome(read, *args):
 TOKENS = [
     "1.0", "9007199254740993", "1_0", "nan", "1e500", "-0", "+1", "007", "1e0", "1e",
     "x", "0x1", "1-2", "", "5e-324", "-1", "99", "2", "0.5", "inf", "123456789012345678",
-    '"3"', "4 ", "\x1c", "0\x0c", "1E0",
+    '"3"', "4 ", "\x1c", "0\x0c", "1E0", "99999999999999999999",
 ]
 # (what, where, line index, token index, token): what is applied to the index-th line of where
 MUTATION = st.tuples(
@@ -280,7 +285,14 @@ class TestImportMshMatchesLineReader:
         (["3 0 1 0", "4 0 3 0", "3 0 2 0"], "1 2 3"),
         # as many tokens as regular lines, but one too many on a line and one short on the next
         (["3 0 1 0 7", "4 1 1"], "1 2 3"),
-    ], ids=["past-2**53", "past-2**53-swapped", "repeated-id", "repeated-id-apart", "shifted-token"])
+        # ids past int64: accepted on a node no triangle names, an error on a triangle
+        (["3 0 1 0", "99999999999999999999 5 5 0"], "1 2 3"),
+        (["3 0 1 0"], "1 2 99999999999999999999"),
+        (["3 0 1 0"], "1 2 -99999999999999999999"),
+        # the smallest unknown id is the one reported
+        (["3 0 1 0"], "1 9 8"),
+    ], ids=["past-2**53", "past-2**53-swapped", "repeated-id", "repeated-id-apart", "shifted-token",
+            "unreferenced-past-int64", "triangle-past-int64", "triangle-below-int64", "unknown-ids"])
     def test_node_lines(self, tmp_path, nodes, triangle):
         nodes = ["1 0 0 0", "2 1 0 0", *nodes]
         lines = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat", "$Nodes", str(len(nodes)), *nodes,
@@ -289,11 +301,17 @@ class TestImportMshMatchesLineReader:
         assert outcome(import_msh, path) == outcome(reference_import_msh, path)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_regular_file_takes_block_pass(self, tmp_path, newline):
+    def test_regular_file_takes_block_pass(self, tmp_path, monkeypatch, newline):
         lines, _, _ = msh_lines(order=1, ntags=2)
         path = write(tmp_path / "square.msh", lines, newline, True)
-        assert mesh._parse_blocks(path.read_bytes()) is not None
-        assert outcome(import_msh, path) == outcome(reference_import_msh, path)
+        expected = outcome(reference_import_msh, path)
+
+        def line_loop(line, count):
+            raise AssertionError("a regular body was read line by line")
+
+        monkeypatch.setattr(mesh, "_node_lines", line_loop)
+        monkeypatch.setattr(mesh, "_triangle_lines", line_loop)
+        assert outcome(import_msh, path) == expected
 
 
 CSV_HEADERS = [None, "node_id,value", "id,theta", '"node_id","value"', '"node_id,value', "node_id,value,extra", " ,", "#"]
@@ -353,3 +371,10 @@ class TestReadFieldCsvMatchesRowReader:
         assert cli._field_block(written.read_bytes(), 9) is not None
         for p in (path, written):
             assert outcome(read_field_csv, p, 9) == outcome(reference_read_field_csv, p, 9)
+
+    def test_cell_past_field_size_limit(self, tmp_path):
+        # quoted, so the row reader reads it; csv.reader refuses a cell this long
+        lines, _ = csv_lines(order=0, header="node_id,value")
+        lines[1] = lines[1].split(",")[0] + ',"' + "1" * 140000 + '"'
+        path = write(tmp_path / "long.csv", lines, "\n", True)
+        assert outcome(read_field_csv, path, 9) == outcome(reference_read_field_csv, path, 9)
