@@ -7,7 +7,7 @@ gradient optimizer.
 """
 from .eig import Discretization, EigenPair, ShiftedSolver, SolverError
 from .expansion import ExpansionSeries, RemainderReport, compute_series, direct_eigenvalue, remainder_report
-from .fem import SparsePencil, assemble_mass, assemble_stiffness, build_pencil, element_gradient, nodal_project
+from .fem import SparsePencil, assemble_mass, assemble_stiffness, build_pencil, element_gradient
 from .mesh import Mesh, MshParseError, generate_unit_square, import_msh
 from .optimizer import OptimizerConfig, OptimizerState, project_volume, run
 from .relax import RelaxedEval, RelaxedObjective
@@ -36,7 +36,6 @@ __all__ = [
     "export_vtk",
     "generate_unit_square",
     "import_msh",
-    "nodal_project",
     "project_volume",
     "remainder_report",
     "run",

@@ -58,8 +58,9 @@ def read_field_csv(path, n_nodes: int) -> np.ndarray:
 def _field_block(raw: bytes, n_nodes: int) -> np.ndarray | None:
     """Values of a regular field CSV in whole-block array passes, or None.
 
-    Regular: ASCII, LF or CRLF line ends, an optional plain header line, then
-    one unquoted ``id,value`` line per node with the ids a permutation of the
+    Regular: ASCII, LF or CRLF line ends, no cell longer than
+    ``csv.field_size_limit()``, an optional plain header line, then one
+    unquoted ``id,value`` line per node with the ids a permutation of the
     nodes.  For any other file this returns None and `_field_rows`, which
     defines the format and names the line of an error, reads it.
     """
@@ -79,6 +80,8 @@ def _field_block(raw: bytes, n_nodes: int) -> np.ndarray | None:
         # a header: csv.reader must read it as plain comma-separated cells
         if b'"' in first or not first.decode().isprintable() or not first.strip(b" ,"):
             return None
+        if len(first) > csv.field_size_limit():
+            return None  # csv.reader refuses a cell longer than the limit
         body = raw[len(first) + 1 :]
     rows = vtkio.parse_rows(body, n_nodes, 2, b",")
     if rows is None:

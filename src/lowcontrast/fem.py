@@ -1,5 +1,5 @@
-"""P1 finite-element assembly: stiffness/mass pairs, element gradients
-and lumped-mass projections.
+"""P1 finite-element assembly: stiffness/mass pairs, element averages and
+gradients.
 
 Nodal fields are plain float arrays of length ``mesh.n_nodes``; element
 fields have length ``mesh.n_elems``.  Assembly returns full matrices
@@ -78,20 +78,6 @@ def element_gradient(mesh, f) -> np.ndarray:
     """Gradient of the P1 interpolant of ``f``: one 2-vector per triangle."""
     f = _check_nodal(mesh, f)
     return np.einsum("ti,tid->td", f[mesh.triangles], mesh.elem_basis_grad)
-
-
-def nodal_project(mesh, e, lumped: np.ndarray) -> np.ndarray:
-    """Lumped-mass projection of an element field onto nodes.
-
-    Node value = Σ_{T∋j} (area_T/3)·e_T / lumped_j, with ``lumped`` the
-    lumped mass of :func:`assemble_mass`.  Constants are reproduced exactly
-    and Σ_j lumped_j·out_j = Σ_T area_T·e_T.
-    """
-    e = _check_elem(mesh, e)
-    contrib = (mesh.elem_area / 3.0 * e)[:, None].repeat(3, axis=1)
-    out = np.zeros(mesh.n_nodes)
-    np.add.at(out, mesh.triangles.ravel(), contrib.ravel())
-    return out / lumped
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ template, never through a list of every row.
 """
 from __future__ import annotations
 
+import csv
 import warnings
 
 import numpy as np
@@ -32,13 +33,17 @@ def export_vtk(mesh, fields: dict, path) -> None:
 
     ``fields`` maps names to nodal arrays; insertion order is preserved.
     A name is one token of the format: non-empty, without whitespace.
+    Every value must be finite.
     """
     for name, values in fields.items():
         if not name or any(c.isspace() for c in name):
             raise ValueError(f"field name '{name}' must be non-empty and hold no whitespace")
-        v = np.asarray(values)
+        v = np.asarray(values, dtype=float)
         if v.shape != (mesh.n_nodes,):
             raise ValueError(f"field '{name}' is not a nodal array")
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"field '{name}' has the non-finite value {v[bad[0]]} at node {bad[0]}")
 
     with open(path, "w", newline="\n") as fh:
         fh.write(
@@ -77,7 +82,8 @@ def parse_rows(body: bytes, rows: int, width: int, sep: bytes) -> np.ndarray | N
     Every line ends in a newline.  Column 0 holds integers: written without
     '.' or exponent and below 2**53 in magnitude, so the float array holds
     them exactly.  Returns the (rows, width) array, or None for any other
-    text (padding, blank lines, extra tokens, nan, '1_0', a wrong count):
+    text (padding, blank lines, extra tokens, nan, '1_0', a wrong count, a
+    token longer than ``csv.field_size_limit()``, which csv.reader refuses):
     the caller's per-line reader, which defines the format, then reads it
     and names the offending line.
     """
@@ -90,8 +96,10 @@ def parse_rows(body: bytes, rows: int, width: int, sep: bytes) -> np.ndarray | N
         return None
     # token j of line i lies strictly between bounds[i, j] and bounds[i, j + 1]
     bounds = np.column_stack([np.r_[-1, ends[:-1]], seps.reshape(rows, width - 1), ends])
-    if (np.diff(bounds, axis=1) < 2).any():
+    gaps = np.diff(bounds, axis=1)  # token length + 1
+    if (gaps < 2).any() or gaps.max() > csv.field_size_limit() + 1:
         return None
+    del gaps  # held through the parse, it raised eval's peak RSS on a 45k-node disk by 11 MB
     fraction = np.flatnonzero((buf == ord(".")) | (buf == ord("e")) | (buf == ord("E")))
     if (fraction < bounds[np.searchsorted(ends, fraction), 1]).any():
         return None

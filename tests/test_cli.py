@@ -455,13 +455,16 @@ class TestEvalCommand:
         assert "'abc' for node 5 is not a number" in err
 
     def test_cell_past_field_size_limit_exit_3(self, tmp_path, capsys):
+        # the same cell is refused whether or not a later row is quoted
         path = tmp_path / "theta.csv"
-        path.write_text("node_id,value\n0," + "1" * 140000 + '\n"1",0.5\n')
-        code = run_cli(["eval", "--nx", 4, "--ny", 4, "--theta", path, "--epsilon", 0.1])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"input error: {path}: line 2: field larger than field limit")
-        assert err.count("\n") == 1
+        rows = "".join(f"\n{i},0.5" for i in range(2, 25)) + "\n"
+        for node_1 in ['"1",0.5', "1,0.5"]:
+            path.write_text("node_id,value\n0," + "1" * 140000 + "\n" + node_1 + rows)
+            code = run_cli(["eval", "--nx", 4, "--ny", 4, "--theta", path, "--epsilon", 0.1])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {path}: line 2: field larger than field limit")
+            assert err.count("\n") == 1
 
     def test_infinite_density_exit_2(self, tmp_path, capsys):
         m = generate_unit_square(4, 4)
@@ -567,7 +570,9 @@ class TestExportCommand:
                 elem_area=np.ones(rows),
                 elem_basis_grad=np.zeros((rows, 3, 2)),
             )
-            fields = {"f": special[:rows], "g": -special[rows:]}
+            # field values must be finite; the coordinates still carry inf
+            finite = np.where(np.isfinite(special), special, 0.5)
+            fields = {"f": finite[:rows], "g": -finite[rows:]}
             export_vtk(m, fields, p1)
             reference_export_vtk(m, fields, p2)
             assert p1.read_bytes() == p2.read_bytes(), rows
@@ -585,6 +590,17 @@ class TestExportCommand:
                 w.writerow(["i", "x", "y"])
                 w.writerows([i, f"{x:.17g}", f"{y:.17g}"] for i, x, y in zip(ints, floats, floats[::-1]))
             assert ours.read_bytes() == ref.read_bytes(), rows
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_field_value_exit_2(self, tmp_path, capsys, value):
+        field = tmp_path / "f.csv"
+        field.write_text("node_id,value\n0,0.5\n1,0.5\n2," + value + "\n3,0.5\n")
+        out = tmp_path / "o.vtk"
+        code = run_cli(["export", "--nx", 1, "--ny", 1, "--field", f"theta={field}", "--out", out])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: field 'theta' has the non-finite value {float(value)} at node 2\n"
+        assert not out.exists()
 
     def test_bad_field_spec(self, tmp_path):
         code = run_cli(["export", "--nx", 1, "--ny", 1, "--field", "nope", "--out", tmp_path / "o.vtk"])

@@ -118,28 +118,6 @@ class TestElementGradient:
             fem.element_gradient(square, np.zeros(3))
 
 
-class TestNodalProject:
-    def test_constant_reproduction(self, square):
-        out = fem.nodal_project(square, np.full(square.n_elems, 5.0), fem.assemble_mass(square)[1])
-        np.testing.assert_allclose(out, 5.0, rtol=1e-13)
-
-    def test_locality(self, square):
-        e = np.zeros(square.n_elems)
-        e[10] = 1.0
-        out = fem.nodal_project(square, e, fem.assemble_mass(square)[1])
-        support = set(np.flatnonzero(out != 0.0))
-        assert support == set(square.triangles[10])
-
-    def test_mass_conservation(self, square):
-        rng = np.random.default_rng(5)
-        e = rng.standard_normal(square.n_elems)
-        lumped = fem.assemble_mass(square)[1]
-        out = fem.nodal_project(square, e, lumped)
-        assert float(lumped @ out) == pytest.approx(
-            float(np.sum(square.elem_area * e)), rel=1e-12
-        )
-
-
 class TestPencil:
     def test_build_and_restrict(self, square):
         pencil = fem.build_pencil(square, np.ones(square.n_elems))

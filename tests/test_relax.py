@@ -4,7 +4,7 @@ import pytest
 from lowcontrast import fem
 from lowcontrast.eig import Discretization
 from lowcontrast.expansion import compute_series
-from lowcontrast.mesh import generate_unit_square
+from lowcontrast.mesh import from_arrays, generate_unit_square
 from lowcontrast.relax import RelaxedObjective
 
 EPS = 0.08
@@ -23,6 +23,79 @@ def disc(mesh):
 @pytest.fixture(scope="module")
 def prob(disc):
     return RelaxedObjective(disc, EPS)
+
+
+def reference_objective(prob):
+    """The objective's value, state and gradient, and its Hessian form, with
+    per-call element gathers and ``np.add.at`` scatters: the reference."""
+    mesh, eps, alpha, lumped = prob.mesh, prob.epsilon, prob.alpha, prob.lumped
+    area, tris = mesh.elem_area, mesh.triangles.ravel()
+    grad_u0 = fem.element_gradient(mesh, prob.ground.u)
+    gu0_sq = np.einsum("td,td->t", grad_u0, grad_u0)
+    coupling = np.einsum("tid,td->ti", mesh.elem_basis_grad, grad_u0)
+
+    def project(e):
+        out = np.zeros(mesh.n_nodes)
+        np.add.at(out, tris, np.repeat(area / 3.0 * e, 3))
+        return out / lumped
+
+    def state(theta_e):
+        lam1 = alpha * float(np.sum(area * theta_e * gu0_sq))
+        load = np.zeros(mesh.n_nodes)
+        np.add.at(load, tris, ((-alpha * area * theta_e)[:, None] * coupling).ravel())
+        f = load[prob.pencil.free] + lam1 * prob.solver.Mu0
+        v = prob.pencil.extend(prob.solver.solve(f))
+        return v, lam1, np.einsum("td,td->t", fem.element_gradient(mesh, v), grad_u0)
+
+    def evaluate(theta):
+        theta_e = fem.element_average(mesh, theta)
+        v, lam1, gv_dot = state(theta_e)
+        mixing = theta_e - fem.element_average(mesh, theta**2)
+        F = alpha * float(np.sum(area * (theta_e * (gu0_sq + eps * gv_dot) - eps * mixing * gu0_sq)))
+        e_lin = alpha * (2.0 * eps * gv_dot + (1.0 - eps) * gu0_sq)
+        grad = project(e_lin) + 2.0 * eps * alpha * theta * project(gu0_sq)
+        return F, lam1, v, grad
+
+    def hessian_form(phi):
+        phi_e = fem.element_average(mesh, phi)
+        _, _, gv_dot = state(phi_e)
+        diag = float(np.sum(lumped * phi**2 * project(gu0_sq)))
+        return 2.0 * eps * alpha * (float(np.sum(area * phi_e * gv_dot)) + diag)
+
+    return evaluate, hessian_form
+
+
+def shuffled(mesh, rng):
+    """The same mesh with its nodes renumbered and its triangles reordered."""
+    perm = rng.permutation(mesh.n_nodes)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(mesh.n_nodes)
+    return from_arrays(mesh.node_coords[perm], inv[mesh.triangles][rng.permutation(mesh.n_elems)])
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["square", "shuffled"])
+def test_matches_element_loop_reference(mesh, shuffle):
+    rng = np.random.default_rng(52)
+    if shuffle:
+        mesh = shuffled(mesh, rng)
+    disc = Discretization(mesh, 1.7)
+
+    def assert_close(actual, expected):
+        expected = np.asarray(expected)
+        assert np.abs(actual - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    for _ in range(4):
+        problem = RelaxedObjective(disc, 10.0 ** rng.uniform(-6.0, 0.0))
+        evaluate, hessian_form = reference_objective(problem)
+        theta = rng.uniform(0.0, 1.0, mesh.n_nodes)
+        phi = rng.uniform(-1.0, 1.0, mesh.n_nodes)
+        ev = problem.evaluate(theta)
+        F, lam1, v, grad = evaluate(theta)
+        assert_close(ev.F, F)
+        assert_close(ev.lambda1, lam1)
+        assert_close(ev.v_inf, v)
+        assert_close(ev.grad_density, grad)
+        assert_close(problem.hessian_form(phi), hessian_form(phi))
 
 
 class TestStateEquation:
@@ -89,11 +162,12 @@ class TestObjective:
         ev = prob.evaluate(theta)
         theta_e = fem.element_average(mesh, theta)
         gv = fem.element_gradient(mesh, ev.v_inf)
+        grad_u0 = fem.element_gradient(mesh, prob.ground.u)
         first = float(
             np.sum(
                 mesh.elem_area
                 * theta_e
-                * (prob.gu0_sq + EPS * np.einsum("td,td->t", gv, prob.grad_u0))
+                * (prob.gu0_sq + EPS * np.einsum("td,td->t", gv, grad_u0))
             )
         )
         assert ev.F < first  # strictly, since theta(1-theta)|grad u0|^2 > 0 somewhere
@@ -104,6 +178,12 @@ class TestGradient:
         g = prob.evaluate(np.ones(mesh.n_nodes)).grad_density
         expected = (1 + EPS) * prob.p_nodal
         np.testing.assert_allclose(g, expected, rtol=1e-12)
+
+    def test_projection_integrates_ground_energy(self, mesh):
+        # Σ lumped·p_nodal = Σ area·|∇u0|² = u0ᵀK u0/α = λ0/α
+        problem = RelaxedObjective(Discretization(mesh, 0.7), EPS)
+        total = float(problem.lumped @ problem.p_nodal)
+        assert total == pytest.approx(problem.ground.lam / problem.alpha, rel=1e-12)
 
     def test_central_difference(self, mesh, prob):
         rng = np.random.default_rng(46)

@@ -373,8 +373,11 @@ class TestReadFieldCsvMatchesRowReader:
             assert outcome(read_field_csv, p, 9) == outcome(reference_read_field_csv, p, 9)
 
     def test_cell_past_field_size_limit(self, tmp_path):
-        # quoted, so the row reader reads it; csv.reader refuses a cell this long
-        lines, _ = csv_lines(order=0, header="node_id,value")
-        lines[1] = lines[1].split(",")[0] + ',"' + "1" * 140000 + '"'
-        path = write(tmp_path / "long.csv", lines, "\n", True)
-        assert outcome(read_field_csv, path, 9) == outcome(reference_read_field_csv, path, 9)
+        # csv.reader refuses a cell this long, so the array pass must not read
+        # it either, quoted or not
+        for quote in ['"', ""]:
+            for newline in ["\n", "\r\n"]:
+                lines, _ = csv_lines(order=0, header="node_id,value")
+                lines[1] = lines[1].split(",")[0] + "," + quote + "1" * 140000 + quote
+                path = write(tmp_path / "long.csv", lines, newline, True)
+                assert outcome(read_field_csv, path, 9) == outcome(reference_read_field_csv, path, 9)
