@@ -3,10 +3,11 @@ solves (K − λ₀M)v = f that drive the perturbation cascade, and the
 per-mesh :class:`Discretization` that owns both.
 
 Any method meeting the stated residual contracts is acceptable; here the
-smallest pairs come from shift-invert Lanczos (dense fallback on tiny
-pencils).  A pair that misses its contract goes through one Rayleigh–Ritz
-refinement (:func:`_refine`), preconditioned by a solve its caller already
-holds, so refining factors nothing.  A singular solve pins one node where
+ground pair comes from shift-invert Lanczos (ARPACK; dense on tiny
+pencils), and λ₂ from a cold Rayleigh–Ritz refinement (:func:`_refine`) on
+the deflated singular solve.  A pair that misses its contract goes through
+that same refinement, preconditioned by a solve its caller already holds,
+so refining factors nothing.  A singular solve pins one node where
 u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes its result
 against u₀, so the constraint u₀ᵀMv = 0 is enforced exactly.
 
@@ -19,8 +20,8 @@ K's pattern (the pinned singular system, with its pinned node left out of
 the order, and the finite-contrast stiffness of the direct fallback) are
 permuted symmetrically by it and factored in natural order.  A
 discretization thus factors twice: K for the ground pair, and the pinned
-system, whose deflated solve also drives the shift-invert Lanczos for λ₂
-and refines λ₂ and the remainder report's ε-sweep.
+system, whose deflated solve refines λ₂ from a random start and each λ_ε
+of the remainder report's ε-sweep from u₀.
 """
 from __future__ import annotations
 
@@ -41,6 +42,9 @@ MAX_OUTER_ITERS = 10_000
 FREDHOLM_TOL = 1e-9  # largest |u₀ᵀf|/|f| a singular-solve load may carry
 _DENSE_CUTOFF = 12
 _REFINE_STEPS = 12  # Rayleigh–Ritz steps before a pair is declared to miss its contract
+# the same for λ₂, refined from a random start: a near-double λ₂ slows it, and
+# an 800-node Delaunay disk (λ₃/λ₂ − 1 = 2e-5) took 38 steps, the most seen
+_COLD_STEPS = 60
 _GRAM_FLOOR = 1e-12  # Rayleigh–Ritz drops basis directions below this share of the Gram spectrum
 # SuperLU options that keep pivots on the diagonal of the ordered matrix
 _DIAGONAL_PIVOTS = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
@@ -66,7 +70,7 @@ class EigenPair:
     residual: float
 
 
-def _refine(K, M, lam, u, precond):
+def _refine(K, M, lam, u, precond, steps=_REFINE_STEPS):
     """Refine the approximate eigenpair (λ, u) of (K, M) until it meets the residual contract.
 
     Returns ``(λ, u, res)`` with res the normwise backward error
@@ -74,23 +78,23 @@ def _refine(K, M, lam, u, precond):
     RESIDUAL_TOL comes back unchanged.  Otherwise each step is a
     Rayleigh–Ritz on {u, w, p} (LOBPCG, Knyazev 2001): w = precond(r) for
     the residual r, p the previous step's direction, and u the lowest Ritz
-    vector, whose Rayleigh quotient is the next λ.  After _REFINE_STEPS
-    steps the last pair is returned with its residual, for the caller to
-    reject.  The Ritz vector is the lowest of the span, so above the
-    smallest eigenvalue both u and w must be free of the lower eigenvectors:
-    for λ₂, a Lanczos vector of the deflated singular solve is M-orthogonal
-    to u₀, and that solve as ``precond`` keeps w so.
+    vector, whose Rayleigh quotient is the next λ.  After ``steps`` steps
+    the last pair is returned with its residual, for the caller to reject.
+    The Ritz vector is the lowest of the span, so above the smallest
+    eigenvalue both u and w must be free of the lower eigenvectors:
+    for λ₂, a start in the range of the deflated singular solve is
+    M-orthogonal to u₀, and that solve as ``precond`` keeps w so.
     """
     norm_K, norm_M = spla.norm(K, 1), spla.norm(M, 1)
     p = None
-    for step in range(_REFINE_STEPS + 1):
+    for step in range(steps + 1):
         Ku, Mu = K @ u, M @ u
         if step:
             lam = float(u @ Ku) / float(u @ Mu)
         r = Ku - lam * Mu
         denom = (norm_K + abs(lam) * norm_M) * np.linalg.norm(u)
         res = float(np.linalg.norm(r) / denom) if denom else np.inf
-        if res <= RESIDUAL_TOL or step == _REFINE_STEPS:
+        if res <= RESIDUAL_TOL or step == steps:
             return lam, u, res
         S = np.column_stack([u, precond(r)] if p is None else [u, precond(r), p])
         MS = M @ S
@@ -262,8 +266,8 @@ class ShiftedSolver:
         """:meth:`solve` for the compatible part b − (u₀ᵀb)·Mu₀ of any free-node load b.
 
         It maps Mu_j to u_j/(λ_j − λ₀) for every eigenvector u_j but u₀, which
-        it maps to 0: the shift-invert operator of λ₂ and the preconditioner
-        that refines eigenpairs other than the ground pair.
+        it maps to 0: the preconditioner that refines every eigenpair other
+        than the ground pair, and the start of λ₂'s refinement.
         """
         return self.solve(b - float(self.u0f @ b) * self.Mu0)
 
@@ -304,36 +308,25 @@ class Discretization:
     def lambda2(self) -> float:
         """Second-smallest eigenvalue of the α-pencil, computed on first access.
 
-        Shift-invert Lanczos at σ = λ₀ whose inverse is the deflated
-        singular solve: it maps u₀ to 0 and every other eigenvector u_j to
-        u_j/(λ_j − λ₀), so its largest Ritz value gives λ₂ and K is not
-        factored again.  Tiny pencils start from a dense solve instead.
-        The same solve refines the pair to the residual contract; λ₂ must
-        lie strictly above λ₀, and a pencil with one free node has none.
+        A cold refinement on the deflated singular solve, which maps u₀ to 0
+        and every other eigenvector u_j to u_j/(λ_j − λ₀): the solve of a
+        fixed random vector starts it M-orthogonal to u₀, and the same solve
+        preconditions each Rayleigh–Ritz step, so the lowest Ritz value
+        heads for λ₂ and K is not factored again.  It runs up to
+        _COLD_STEPS steps to the residual contract; λ₂ must lie strictly
+        above λ₀, and a pencil with one free node has none.
         """
         pencil, lam0 = self.pencil, self.ground.lam
         n, K, M = pencil.n_free, pencil.K, pencil.M
         if n < 2:
             raise SolverError(f"pencil has only {n} free node(s), cannot extract 2 eigenpairs")
-        solver = self.solver
-        if n <= _DENSE_CUTOFF:
-            vals, vecs = eigh(K.toarray(), M.toarray())
-            vals, vecs = vals[1:], vecs[:, 1:]
-        else:
-            # a fixed random start: on the square the constant vector is
-            # M-orthogonal to the second eigenspace, which Lanczos would
-            # then reach through rounding alone
-            v0 = np.random.default_rng(0).standard_normal(n)
-            try:
-                vals, vecs = spla.eigsh(
-                    K, k=1, M=M, sigma=lam0, which="LM", v0=v0,
-                    OPinv=spla.LinearOperator((n, n), matvec=solver.deflated_solve, dtype=float),
-                    maxiter=MAX_OUTER_ITERS,
-                )
-            except spla.ArpackError as exc:
-                raise SolverError(f"second eigenvalue: {exc}") from exc
-        u = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (M @ vecs[:, 0]))
-        lam2, _, res = _refine(K, M, float(vals[0]), u, solver.deflated_solve)
+        solve = self.solver.deflated_solve
+        # a fixed random start: on the square the constant vector is
+        # M-orthogonal to the second eigenspace, which the refinement would
+        # then reach through rounding alone
+        u = solve(np.random.default_rng(0).standard_normal(n))
+        u /= np.sqrt(u @ (M @ u))
+        lam2, _, res = _refine(K, M, float(u @ (K @ u)), u, solve, _COLD_STEPS)
         if res > RESIDUAL_TOL:
             raise SolverError(f"eigenpair 1 residual {res:.3e} exceeds tol {RESIDUAL_TOL:.3e}")
         if lam2 <= lam0:

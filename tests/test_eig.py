@@ -118,20 +118,43 @@ class TestSecondEigenvalue:
             (1 + eps) * unit_disc(8).lambda2, rel=1e-12
         )
 
-    def test_dense_oracle_5x5_nodes(self):
-        # 5x5-node mesh: both smallest pencil eigenvalues vs a full dense spectrum
-        disc = unit_disc(4)
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_dense_oracle_tiny_pencils(self, n):
+        # 4 and 9 free nodes: both smallest pencil eigenvalues vs a full dense spectrum
+        disc = unit_disc(n)
         pencil = disc.pencil
         vals = eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
         assert disc.ground.lam == pytest.approx(vals[0], rel=1e-9)
         assert disc.lambda2 == pytest.approx(vals[1], rel=1e-9)
 
     def test_sparse_path_matches_dense_oracle(self):
-        # 49 free nodes, above the dense cutoff: Lanczos on the singular solve
+        # 49 free nodes, above the ground pair's dense cutoff; λ₂ comes from
+        # the cold refinement on the singular solve at every size
         disc = unit_disc(8)
         assert disc.pencil.n_free > eig._DENSE_CUTOFF
         pencil = disc.pencil
         vals = eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+        assert disc.lambda2 == pytest.approx(vals[1], rel=1e-12)
+
+    def test_no_lanczos(self, monkeypatch):
+        # ARPACK serves only the ground pair; λ₂ is refined from a random start
+        disc = unit_disc(8)
+
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("eigsh called for λ₂")
+
+        monkeypatch.setattr(eig.spla, "eigsh", no_eigsh)
+        pencil = disc.pencil
+        vals = eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
+        assert disc.lambda2 == pytest.approx(vals[1], rel=1e-12)
+
+    @pytest.mark.parametrize("n_nodes", [800, 4200])
+    def test_cold_start_within_step_cap_on_disk(self, n_nodes):
+        # Delaunay disks have a near-double λ₂, which slows the cold start:
+        # these take 38 and 26 steps, where a warm refinement stops at 12
+        disc = Discretization(sunflower_disk(n_nodes), 1.0)
+        K, M = disc.pencil.K, disc.pencil.M
+        vals = np.sort(spla.eigsh(K, k=2, M=M, sigma=0.0, return_eigenvectors=False))
         assert disc.lambda2 == pytest.approx(vals[1], rel=1e-12)
 
     def test_reuses_bordered_factorization(self, monkeypatch):
@@ -378,13 +401,13 @@ class TestRefine:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_second_pair_on_deflated_solve(self, monkeypatch, n):
-        # the λ₂ pair is refined by the pinned factorization λ₂'s Lanczos
-        # already uses; nothing else is factored
+        # the λ₂ pair is refined by the pinned factorization the singular
+        # solves already use; nothing else is factored
         disc = unit_disc(n)
         pencil, solver = disc.pencil, disc.solver
         K, M = pencil.K, pencil.M
         _, vecs = spla.eigsh(K, k=2, M=M, sigma=0.0)
-        # noise M-orthogonal to u₀, as a Lanczos vector of the deflated solve is;
+        # noise M-orthogonal to u₀, as the range of the deflated solve is;
         # with a u₀ component the lowest Ritz value would head for λ₀
         u = perturbed(vecs[:, 1], M, 6)
         u = u - float(u @ solver.Mu0) * solver.u0f

@@ -256,6 +256,25 @@ def density(kind, n_nodes):
     }[kind]
 
 
+class TestInfiniteContrastLimit:
+    """λ_ε stays bounded as ε → ∞: the minimizer is driven to zero gradient on
+    every element where θ > 0, so the Rayleigh quotient tends to a finite
+    constrained minimum.  Shift-invert Lanczos on K0 + εKθ finds it; a
+    refinement from u₀ preconditioned by the same LU meets the residual
+    contract at a wrong value there (8691.57 for 4895.73 on 32², ε = 1e14),
+    which is why the direct fallback keeps ARPACK.
+    """
+
+    @pytest.mark.parametrize("eps", [1e14, 1e100, 1e300])
+    def test_16x16(self, mesh16, disc16, eps):
+        lam = direct_eigenvalue(disc16, density("binary", mesh16.n_nodes), eps).lam
+        assert lam == pytest.approx(3072.0, rel=1e-9)
+
+    def test_32x32(self, mesh32, disc32):
+        lam = direct_eigenvalue(disc32, density("binary", mesh32.n_nodes), 1e14).lam
+        assert lam == pytest.approx(4895.733176, rel=1e-9)
+
+
 @pytest.mark.filterwarnings("ignore:.*solver floor:UserWarning")
 class TestCertifiedSweep:
     EPS = TestRemainderReport.EPS  # the default `expand --eps` grid
