@@ -2,26 +2,28 @@
 solves (K − λ₀M)v = f that drive the perturbation cascade, and the
 per-mesh :class:`Discretization` that owns both.
 
-Any method meeting the stated residual contracts is acceptable; here the
-ground pair comes from shift-invert Lanczos (ARPACK; dense on tiny
-pencils), and λ₂ from a cold Rayleigh–Ritz refinement (:func:`_refine`) on
-the deflated singular solve.  A pair that misses its contract goes through
-that same refinement, preconditioned by a solve its caller already holds,
-so refining factors nothing.  A singular solve pins one node where
-u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes its result
-against u₀, so the constraint u₀ᵀMv = 0 is enforced exactly.
+Any method meeting the stated residual contracts is acceptable; here every
+pair of the α-pencil comes from a cold Rayleigh–Ritz refinement
+(:func:`_refine`) preconditioned by a solve its caller already holds: the
+ground pair from K⁻¹·1 on the LU of K, and λ₂ from a random start on the
+deflated singular solve.  A pair that misses its contract goes through that
+same refinement, so refining factors nothing.  Only the finite-contrast
+fallback of the remainder report runs shift-invert Lanczos (ARPACK; dense on
+tiny pencils).  A singular solve pins one node where u₀ ≠ 0, which leaves
+an SPD system, and M-orthogonalizes its result against u₀, so the
+constraint u₀ᵀMv = 0 is enforced exactly.
 
 Every sparse factorization on one discretization shares one symmetric
 fill-reducing order (:class:`Ordering`) and keeps its pivots on the
 diagonal.  SuperLU picks the order once, as a multiple-minimum-degree order
 of K + Kᵀ while factoring K in symmetric mode; that LU serves the ground
-eigensolve and its refinement and is then dropped.  Later matrices with
-K's pattern (the pinned singular system, with its pinned node left out of
-the order, and the finite-contrast stiffness of the direct fallback) are
-permuted symmetrically by it and factored in natural order.  A
-discretization thus factors twice: K for the ground pair, and the pinned
-system, whose deflated solve refines λ₂ from a random start and each λ_ε
-of the remainder report's ε-sweep from u₀.
+refinement and is then dropped.  Later matrices with K's pattern (the
+pinned singular system, with its pinned node left out of the order, and
+the finite-contrast stiffness of the direct fallback) are permuted
+symmetrically by it and factored in natural order.  A discretization thus
+factors twice: K for the ground pair, and the pinned system, whose deflated
+solve refines λ₂ from a random start and each λ_ε of the remainder
+report's ε-sweep from u₀.
 """
 from __future__ import annotations
 
@@ -40,11 +42,17 @@ from . import fem
 RESIDUAL_TOL = 1e-12  # largest normwise backward error an eigenpair may carry
 MAX_OUTER_ITERS = 10_000
 FREDHOLM_TOL = 1e-9  # largest |u₀ᵀf|/|f| a singular-solve load may carry
-_DENSE_CUTOFF = 12
+_DENSE_CUTOFF = 12  # the finite-contrast fallback solves pencils this small densely
 _REFINE_STEPS = 12  # Rayleigh–Ritz steps before a pair is declared to miss its contract
-# the same for λ₂, refined from a random start: a near-double λ₂ slows it, and
-# an 800-node Delaunay disk (λ₃/λ₂ − 1 = 2e-5) took 38 steps, the most seen
+# the same for a cold start (the ground pair from K⁻¹·1, λ₂ from a random
+# vector): a near-double λ₂ slows it, and an 800-node Delaunay disk
+# (λ₃/λ₂ − 1 = 2e-5) took 38 steps, the most seen
 _COLD_STEPS = 60
+# the residual the ground refinement aims for, far below RESIDUAL_TOL: every
+# singular solve is built on (λ₀, u₀), and a pair stopped at 1e-12 left the
+# singular solve's residual at 5e-10 of its load (bound 1e-10) on a randomly
+# numbered 150² square; at this aim the pairs seen stop at 5e-17 to 9e-16
+_GROUND_TOL = 1e-15
 _GRAM_FLOOR = 1e-12  # Rayleigh–Ritz drops basis directions below this share of the Gram spectrum
 # SuperLU options that keep pivots on the diagonal of the ordered matrix
 _DIAGONAL_PIVOTS = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
@@ -70,12 +78,12 @@ class EigenPair:
     residual: float
 
 
-def _refine(K, M, lam, u, precond, steps=_REFINE_STEPS):
-    """Refine the approximate eigenpair (λ, u) of (K, M) until it meets the residual contract.
+def _refine(K, M, lam, u, precond, steps=_REFINE_STEPS, tol=RESIDUAL_TOL):
+    """Refine the approximate eigenpair (λ, u) of (K, M) until its residual is at most ``tol``.
 
     Returns ``(λ, u, res)`` with res the normwise backward error
     |Ku − λMu| / ((‖K‖₁ + |λ|‖M‖₁)|u|); a pair that already meets
-    RESIDUAL_TOL comes back unchanged.  Otherwise each step is a
+    ``tol`` comes back unchanged.  Otherwise each step is a
     Rayleigh–Ritz on {u, w, p} (LOBPCG, Knyazev 2001): w = precond(r) for
     the residual r, p the previous step's direction, and u the lowest Ritz
     vector, whose Rayleigh quotient is the next λ.  After ``steps`` steps
@@ -94,7 +102,7 @@ def _refine(K, M, lam, u, precond, steps=_REFINE_STEPS):
         r = Ku - lam * Mu
         denom = (norm_K + abs(lam) * norm_M) * np.linalg.norm(u)
         res = float(np.linalg.norm(r) / denom) if denom else np.inf
-        if res <= RESIDUAL_TOL or step == steps:
+        if res <= tol or step == steps:
             return lam, u, res
         S = np.column_stack([u, precond(r)] if p is None else [u, precond(r), p])
         MS = M @ S
@@ -120,7 +128,10 @@ class Ordering:
     but swap rows away from it; on a randomly numbered mesh the fill, and
     the time, then grow by orders of magnitude.  Each later matrix with K's
     pattern is permuted symmetrically by the order and factored in natural
-    order.
+    order.  Every factorization takes one column per panel
+    (``panel_size=1``): SuperLU's panel workspace (panel_size·n values and
+    indices) then adds no peak memory, where the default took 13 MB at
+    200², and the factorization is faster (0.14 s against 0.20 s at 200²).
 
     A factorization's fill is SuperLU's count of the nonzeros it stores for
     L and U (``SuperLU.nnz``).  It is within a few percent of L.nnz + U.nnz,
@@ -145,15 +156,15 @@ class Ordering:
         entry of its argument and zeroes its own.
         """
         if self.perm is None:
-            lu = spla.splu(self._K.tocsc(), permc_spec="MMD_AT_PLUS_A", **_DIAGONAL_PIVOTS)
+            lu = spla.splu(
+                self._K.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1, **_DIAGONAL_PIVOTS
+            )
             self.perm = np.argsort(lu.perm_c)
             self.fill = lu.nnz
             if A is self._K and pin is None:
                 return lu.solve, self.fill
             del lu
         p = self.perm if pin is None else self.perm[self.perm != pin]
-        # one column per panel: SuperLU's panel workspace (panel_size·n values and indices)
-        # then adds no peak memory, where the default took 13 MB at 200², and is no slower
         lu = spla.splu(A.tocsr()[p][:, p].tocsc(), permc_spec="NATURAL", panel_size=1, **_DIAGONAL_PIVOTS)
 
         def solve(rhs):
@@ -168,9 +179,31 @@ def smallest_eigenpair(pencil, ordering: Ordering) -> EigenPair:
     """Smallest eigenpair of the pencil, sign-fixed by positive lumped integral.
 
     ``ordering`` is the :class:`Ordering` of a pencil with the same pattern
-    (a discretization's).  The factorization of K behind the shift-invert
-    Lanczos (a dense solve of K on tiny pencils) also preconditions the
-    refinement; it is dropped on return.
+    (a discretization's); K is factored through it, with one column per
+    panel.  The pair is a cold refinement on that LU from u = K⁻¹·1, which
+    overlaps u₀ (both are positive when K is an M-matrix, as on a Delaunay
+    mesh), so the lowest Ritz value heads for λ₀.  :func:`_refine` runs up to
+    _COLD_STEPS Rayleigh–Ritz steps, each with one K-solve, to _GROUND_TOL
+    (9–11 solves from 8² to a 45k-node disk).  The LU is dropped on return.
+    """
+    K, M = pencil.K, pencil.M
+    try:
+        solve = ordering.factor(K)[0]
+    except RuntimeError as exc:
+        raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
+    u = solve(np.ones(pencil.n_free))
+    u /= np.sqrt(u @ (M @ u))
+    return _checked_pair(
+        pencil, *_refine(K, M, float(u @ (K @ u)), u, solve, _COLD_STEPS, tol=_GROUND_TOL)
+    )
+
+
+def _lanczos_eigenpair(pencil, ordering: Ordering) -> EigenPair:
+    """:func:`smallest_eigenpair` by shift-invert Lanczos, for pencils far from the α-pencil.
+
+    The direct fallback of the remainder report calls it at a finite contrast
+    whose pair the warm refinement could not certify.  ARPACK runs on the
+    LU of K (a dense solve of K on tiny pencils), which then refines its pair.
     """
     n, K, M = pencil.n_free, pencil.K, pencil.M
     if n <= _DENSE_CUTOFF:
@@ -193,7 +226,11 @@ def smallest_eigenpair(pencil, ordering: Ordering) -> EigenPair:
         except RuntimeError as exc:
             raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
     u = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (M @ vecs[:, 0]))
-    lam, u, res = _refine(K, M, float(vals[0]), u, precond)
+    return _checked_pair(pencil, *_refine(K, M, float(vals[0]), u, precond))
+
+
+def _checked_pair(pencil, lam, u, res) -> EigenPair:
+    """The smallest pair (λ, u) on free nodes as an :class:`EigenPair`, if it meets RESIDUAL_TOL."""
     if res > RESIDUAL_TOL:
         raise SolverError(f"eigenpair 0 residual {res:.3e} exceeds tol {RESIDUAL_TOL:.3e}")
     if pencil.lumped[pencil.free] @ u < 0:
@@ -284,8 +321,7 @@ class Discretization:
     The perturbation cascade, the remainder certificate and the relaxed
     objective all reuse it.  It factors twice: K for the ground pair, and
     the pinned system on the first singular solve, which λ₂ also uses.
-    ``ordering.fill`` is the fill of the ground factorization of K (None
-    when a tiny pencil was solved densely).
+    ``ordering.fill`` is the fill of the ground factorization of K.
     """
 
     def __init__(self, mesh, alpha: float):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .eig import RESIDUAL_TOL, SolverError, _refine, smallest_eigenpair
+from .eig import RESIDUAL_TOL, SolverError, _lanczos_eigenpair, _refine
 
 
 def check_density(theta, n_nodes: int) -> np.ndarray:
@@ -104,7 +104,8 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     Kθ uses the per-element vertex average of θ, so the coefficient is
     α·(1 + ε·avg θ); K0 and M are the discretization's α-pencil.  K0 + εKθ
     has K0's pattern, so its factorization follows the discretization's
-    ordering.
+    ordering.  The pair comes from shift-invert Lanczos (ARPACK), which
+    needs no start near it.
     """
     if not np.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -113,7 +114,7 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     theta = check_density(theta, disc.mesh.n_nodes)
     pencil0 = disc.pencil
     pencil = replace(pencil0, K=(pencil0.K + epsilon * disc.theta_stiffness(theta)).tocsr())
-    return smallest_eigenpair(pencil, disc.ordering)
+    return _lanczos_eigenpair(pencil, disc.ordering)
 
 
 def _refined_eigenvalue(disc, Kt, epsilon: float, lam2: float) -> float | None:

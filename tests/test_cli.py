@@ -833,18 +833,31 @@ def test_negative_seed_exit_2(tmp_path, capsys, args):
     assert "seed must be >= 0, got -" in err
 
 
-def test_eigensolver_failure_exit_4(monkeypatch, capsys):
+def test_eigensolver_failure_exit_4(monkeypatch, capsys, tmp_path):
     # an ARPACK error is the eigensolver's, not the factorization's
     def fail(*args, **kwargs):
         raise eig.spla.ArpackError(-9)
 
     monkeypatch.setattr(eig.spla, "eigsh", fail)
-    # 49 free nodes: past the dense cutoff, so the ground pair comes from ARPACK
-    code = run_cli(["eval", "--nx", 8, "--ny", 8, "--random-theta", "--epsilon", 0.1])
+    # ARPACK serves only the remainder report's direct fallback: at ε = 5 the
+    # refinement from u₀ is not certified, so that ε is solved by Lanczos
+    code = run_cli(["expand", "--nx", 8, "--ny", 8, "--random-theta", "--seed", 1,
+                    "--order", 1, "--eps", "5,0.01", "--out-dir", tmp_path])
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("solver error: eigensolver failed: ARPACK error -9")
     assert err.count("\n") == 1
+
+
+def test_ground_refinement_past_step_cap_exit_4(monkeypatch, capsys):
+    # one Rayleigh–Ritz step from K⁻¹·1 leaves the ground pair above its contract
+    monkeypatch.setattr(eig, "_COLD_STEPS", 1)
+    code = run_cli(["eval", "--nx", 8, "--ny", 8, "--random-theta", "--epsilon", 0.1])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solver error: eigenpair 0 residual ")
+    assert captured.err.endswith(" exceeds tol 1.000e-12\n") and captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_solver_error_exit_4(monkeypatch, capsys):

@@ -19,6 +19,7 @@ from lowcontrast.eig import (
 )
 from lowcontrast.expansion import direct_eigenvalue
 from lowcontrast.mesh import from_arrays, generate_unit_square
+from lowcontrast.relax import RelaxedObjective
 
 PI2 = np.pi**2
 
@@ -41,6 +42,37 @@ def count_splu(monkeypatch):
     splu = eig.spla.splu
     monkeypatch.setattr(eig.spla, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw))
     return calls
+
+
+def dense_ground(pencil):
+    """λ₀ from the dense inverted pencil M x = μ K x, as 1/max μ.
+
+    The largest μ carries a small relative error, where eigh(K, M) puts an
+    error of ε_mach·λ_max on every eigenvalue: 1.6e-12 relative on λ₀ of the
+    800-node disk, against 3e-16 here.
+    """
+    return 1.0 / eigh(pencil.M.toarray(), pencil.K.toarray(), eigvals_only=True)[-1]
+
+
+def count_ground_solves(monkeypatch):
+    """Count the solves made with K's LU, the first factorization on an ordering."""
+    counts = []
+    factor = Ordering.factor
+
+    def counted(self, A, pin=None):
+        solve, fill = factor(self, A, pin)
+        if pin is not None or counts:
+            return solve, fill
+        counts.append(0)
+
+        def counted_solve(rhs):
+            counts[0] += 1
+            return solve(rhs)
+
+        return counted_solve, fill
+
+    monkeypatch.setattr(Ordering, "factor", counted)
+    return counts
 
 
 def unit_disc(n, alpha=1.0, **kw):
@@ -102,6 +134,51 @@ class TestSmallestEigenpair:
         lam = unit_disc(8, 1 + eps).ground.lam
         assert lam == pytest.approx((1 + eps) * lam0, rel=1e-13)
 
+    def test_no_lanczos(self, monkeypatch):
+        # ARPACK serves only the remainder report's direct fallback: the set-up,
+        # the singular solver, λ₂ and the objective never call it
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(eig.spla, "eigsh", no_eigsh)
+        disc = unit_disc(8)
+        assert disc.lambda2 > disc.ground.lam and disc.solver.lambda0 == disc.ground.lam
+        RelaxedObjective(disc, 0.1).evaluate(np.full(disc.mesh.n_nodes, 0.4))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 8])
+    def test_dense_oracle_on_squares(self, n):
+        # 1, 4, 9 and 49 free nodes, all through the LU of K
+        disc = unit_disc(n)
+        assert disc.ground.lam == pytest.approx(dense_ground(disc.pencil), rel=1e-12)
+        assert disc.ground.residual <= 1e-14
+
+    def test_dense_oracle_on_disk(self):
+        disc = Discretization(sunflower_disk(800), 1.0)
+        assert disc.ground.lam == pytest.approx(dense_ground(disc.pencil), rel=1e-12)
+        assert disc.ground.residual <= 1e-14
+
+    @pytest.mark.parametrize("mesh", ["shuffled150", "disk4200"])
+    def test_matches_lanczos(self, request, mesh):
+        # a randomly numbered square and a Delaunay disk, against shift-invert Lanczos
+        shape = request.getfixturevalue("square150")[2] if mesh == "shuffled150" else sunflower_disk(4200)
+        disc = Discretization(shape, 1.0)
+        K, M = disc.pencil.K, disc.pencil.M
+        lam = spla.eigsh(K, k=1, M=M, sigma=0.0, return_eigenvectors=False)[0]
+        assert disc.ground.lam == pytest.approx(lam, rel=1e-12)
+        assert disc.ground.residual <= 1e-14
+        assert disc.ground.residual == pytest.approx(
+            backward_error(K, M, disc.ground.lam, disc.pencil.restrict(disc.ground.u))
+        )
+
+    @pytest.mark.parametrize("mesh", ["square128", "disk4200"])
+    def test_solves_with_k(self, monkeypatch, mesh):
+        # the start K⁻¹·1 and one solve per Rayleigh–Ritz step: 9 and 10 measured,
+        # where shift-invert Lanczos made 21
+        shape = generate_unit_square(128, 128) if mesh == "square128" else sunflower_disk(4200)
+        counts = count_ground_solves(monkeypatch)
+        Discretization(shape, 1.0)
+        assert 0 < counts[0] <= 12
+
 
 class TestSecondEigenvalue:
     def test_value_on_square(self):
@@ -128,16 +205,15 @@ class TestSecondEigenvalue:
         assert disc.lambda2 == pytest.approx(vals[1], rel=1e-9)
 
     def test_sparse_path_matches_dense_oracle(self):
-        # 49 free nodes, above the ground pair's dense cutoff; λ₂ comes from
-        # the cold refinement on the singular solve at every size
+        # 49 free nodes; λ₂ comes from the cold refinement on the singular
+        # solve at every size
         disc = unit_disc(8)
-        assert disc.pencil.n_free > eig._DENSE_CUTOFF
         pencil = disc.pencil
         vals = eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
         assert disc.lambda2 == pytest.approx(vals[1], rel=1e-12)
 
     def test_no_lanczos(self, monkeypatch):
-        # ARPACK serves only the ground pair; λ₂ is refined from a random start
+        # λ₂ is refined from a random start, with no Lanczos run
         disc = unit_disc(8)
 
         def no_eigsh(*args, **kwargs):
@@ -422,7 +498,9 @@ class TestRefine:
         assert lam == pytest.approx(disc.lambda2, rel=1e-12)
 
     def test_dense_path(self):
-        disc = unit_disc(4)  # 9 free nodes: the ground pair comes from a dense solve
+        # 9 free nodes: the direct fallback solves such a pencil densely and
+        # refines its pair with a dense solve of K
+        disc = unit_disc(4)
         assert disc.pencil.n_free <= eig._DENSE_CUTOFF
         K, M = disc.pencil.K, disc.pencil.M
         u = perturbed(disc.pencil.restrict(disc.ground.u), M, 7)
