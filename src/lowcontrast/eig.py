@@ -6,12 +6,12 @@ Any method meeting the stated residual contracts is acceptable; here every
 pair of the α-pencil comes from a cold Rayleigh–Ritz refinement
 (:func:`_refine`) preconditioned by a solve its caller already holds: the
 ground pair from K⁻¹·1 on the LU of K, and λ₂ from a random start on the
-deflated singular solve.  A pair that misses its contract goes through that
-same refinement, so refining factors nothing.  Only the finite-contrast
-fallback of the remainder report runs shift-invert Lanczos (ARPACK; dense on
-tiny pencils).  A singular solve pins one node where u₀ ≠ 0, which leaves
-an SPD system, and M-orthogonalizes its result against u₀, so the
-constraint u₀ᵀMv = 0 is enforced exactly.
+deflated singular solve.  A remainder report's λ_ε starts from a Ritz pair
+on the cascade's modes (:func:`_ritz_basis`), refined only if it misses its
+contract, so refining factors nothing.  Only the report's direct fallback
+runs shift-invert Lanczos (ARPACK; dense on tiny pencils).  A singular solve
+pins one node where u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes
+its result against u₀, so the constraint u₀ᵀMv = 0 is enforced exactly.
 
 Every sparse factorization on one discretization shares one symmetric
 fill-reducing order (:class:`Ordering`) and keeps its pivots on the
@@ -21,9 +21,8 @@ refinement and is then dropped.  Later matrices with K's pattern (the
 pinned singular system, with its pinned node left out of the order, and
 the finite-contrast stiffness of the direct fallback) are permuted
 symmetrically by it and factored in natural order.  A discretization thus
-factors twice: K for the ground pair, and the pinned system, whose deflated
-solve refines λ₂ from a random start and each λ_ε of the remainder
-report's ε-sweep from u₀.
+factors twice: K for the ground pair, and the pinned system, which runs the
+cascade and preconditions λ₂ and every λ_ε that needs refining.
 """
 from __future__ import annotations
 
@@ -104,19 +103,28 @@ def _refine(K, M, lam, u, precond, steps=_REFINE_STEPS, tol=RESIDUAL_TOL):
         res = float(np.linalg.norm(r) / denom) if denom else np.inf
         if res <= tol or step == steps:
             return lam, u, res
-        S = np.column_stack([u, precond(r)] if p is None else [u, precond(r), p])
-        MS = M @ S
-        norms = np.sqrt(np.einsum("ij,ij->j", S, MS))
-        nonzero = norms > 0
-        S, MS = S[:, nonzero] / norms[nonzero], MS[:, nonzero] / norms[nonzero]
-        G, A = S.T @ MS, S.T @ (K @ S)
-        g, V = np.linalg.eigh(G)
-        keep = g > _GRAM_FLOOR * g[-1]
-        Z = V[:, keep] / np.sqrt(g[keep])
-        _, Y = np.linalg.eigh(Z.T @ A @ Z)
-        y = Z @ Y[:, 0]
+        S, Z = _ritz_basis(np.column_stack([u, precond(r)] if p is None else [u, precond(r), p]), M)
+        if not Z.size:  # no finite direction left: the pair under- or overflowed
+            return lam, u, np.inf
+        y = Z @ np.linalg.eigh(Z.T @ (S.T @ (K @ S)) @ Z)[1][:, 0]
         p = S[:, 1:] @ y[1:]
         u = S[:, 0] * y[0] + p
+
+
+def _ritz_basis(S, M):
+    """``(S, Z)``: S's finite nonzero columns at unit M-norm, and S·Z an M-orthonormal basis of their span.
+
+    Gram directions under _GRAM_FLOOR are cut (nearly dependent columns are safe); Z may have no columns.
+    """
+    MS = M @ S
+    norms = np.sqrt(np.einsum("ij,ij->j", S, MS))
+    live = np.isfinite(norms) & (norms > 0)
+    S, MS = S[:, live], MS[:, live]  # column-major copies, scaled in place
+    S /= norms[live]
+    MS /= norms[live]
+    g, V = np.linalg.eigh(S.T @ MS)
+    keep = g > _GRAM_FLOOR * g.max(initial=0.0)
+    return S, V[:, keep] / np.sqrt(g[keep])
 
 
 class Ordering:
@@ -318,9 +326,9 @@ class Discretization:
     K − λ₀M.  A domain whose free nodes fall into several connected parts
     is rejected: its ground eigenvalue can be repeated, and the cascade
     assumes it is simple.
-    The perturbation cascade, the remainder certificate and the relaxed
-    objective all reuse it.  It factors twice: K for the ground pair, and
-    the pinned system on the first singular solve, which λ₂ also uses.
+    The cascade, the remainder certificate (which reads λ₂ only past a
+    closed-form bound) and the relaxed objective reuse it.  It factors twice:
+    K for the ground pair, and the pinned system on the first singular solve.
     ``ordering.fill`` is the fill of the ground factorization of K.
     """
 

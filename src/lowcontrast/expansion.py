@@ -14,8 +14,11 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import sparse
 
-from .eig import RESIDUAL_TOL, SolverError, _lanczos_eigenpair, _refine
+from .eig import RESIDUAL_TOL, SolverError, _lanczos_eigenpair, _refine, _ritz_basis
+
+_RITZ_ORDER = 6  # the cascade order whose modes are the ε-sweep's Rayleigh–Ritz basis
 
 
 def check_density(theta, n_nodes: int) -> np.ndarray:
@@ -117,30 +120,32 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     return _lanczos_eigenpair(pencil, disc.ordering)
 
 
-def _refined_eigenvalue(disc, Kt, epsilon: float, lam2: float) -> float | None:
-    """Certified smallest eigenvalue of (K0 + ε·Kθ, M) refined from u₀, or None.
+def _refined_eigenvalue(disc, Kt, epsilon: float, S, Z, A0, At) -> float | None:
+    """Certified smallest eigenvalue of (K0 + ε·Kθ, M) from a Ritz start, or None.
 
-    The pair (R_ε(u₀), u₀) is refined by :func:`eig._refine`, preconditioned
-    by the deflated singular solve of Jacobi–Davidson.  The result is
-    accepted only when it meets the residual contract,
-    min(1, 1+ε)·λ₀ ≤ λ ≤ R_ε(u₀), and λ < min(1, 1+ε)·λ₂: since
-    K0 + εKθ ≥ min(1, 1+ε)·K0, Weyl's inequality then makes λ the smallest
-    eigenvalue.  None means the step cap was reached, the arithmetic
-    overflowed (huge ε) or a check failed.
+    The lowest Ritz pair of A0 + ε·At on the basis S·Z (:func:`eig._ritz_basis`,
+    A0 = SᵀK0S, At = SᵀKθS), its value clamped to the bounds it meets in exact
+    arithmetic, goes to :func:`eig._refine` on the deflated singular solve, which
+    keeps a pair that meets the residual contract.  λ is accepted only when it meets
+    that contract, min(1, 1+ε)·λ₀ ≤ λ ≤ R_ε(u₀) and λ < min(1, 1+ε)·λ₂, with λ₂ read
+    first as the Krahn–Szegő bound 2π·j₀₁²·α/|Ω| under the P1 λ₂.  K0 + εKθ ≥ min(1, 1+ε)·K0,
+    so Weyl's inequality makes λ the smallest eigenvalue.  None: the step cap was
+    reached, the arithmetic overflowed (huge ε) or a check failed.
     """
-    pencil, solver = disc.pencil, disc.solver
-    M, u0 = pencil.M, solver.u0f
+    M, K0, u0 = disc.pencil.M, disc.pencil.K, disc.solver.u0f
+    shrink = min(1.0, 1.0 + epsilon)
     with np.errstate(over="raise", invalid="raise"):
-        try:
-            K = (pencil.K + epsilon * Kt).tocsr()
+        try:  # Kθ has K0's pattern (both from fem._scatter), so K_ε needs new values only
+            K = sparse.csr_matrix((K0.data + epsilon * Kt.data, K0.indices, K0.indptr), shape=K0.shape)
             upper = float(u0 @ (K @ u0)) / float(u0 @ (M @ u0))  # R_ε(u₀) = λ₀ + ε·u₀ᵀKθu₀
-            lam, _, res = _refine(K, M, upper, u0, solver.deflated_solve)
+            vals, Y = np.linalg.eigh(Z.T @ (A0 + epsilon * At) @ Z)
+            lam = min(max(float(vals[0]), shrink * disc.ground.lam), upper)
+            lam, _, res = _refine(K, M, lam, S @ (Z @ Y[:, 0]), disc.solver.deflated_solve)
         except FloatingPointError:
             return None
-    shrink = min(1.0, 1.0 + epsilon)
-    if res <= RESIDUAL_TOL and shrink * disc.ground.lam <= lam <= upper and lam < shrink * lam2:
-        return lam
-    return None
+    certified = res <= RESIDUAL_TOL and shrink * disc.ground.lam <= lam <= upper
+    bound = shrink * 2.0 * np.pi * 2.404825557695773**2 * disc.alpha / disc.mesh.total_area
+    return lam if certified and (lam < bound or lam < shrink * disc.lambda2) else None
 
 
 @dataclass(frozen=True)
@@ -171,11 +176,11 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     noise floor (100·RESIDUAL_TOL·|λ0|, a hundred times the eigen residual
     contract; it scales with α as the remainders do) are excluded from the
     fit with a warning.
-    Kθ, the discretization's λ₂ and its pinned factorization come first.  Each
-    λ_ε is then refined from u₀ with the singular solve as preconditioner
-    and certified against λ₀, R_ε(u₀) and λ₂; an ε whose certificate fails
-    (large ε, a small gap) falls back to :func:`direct_eigenvalue`.  The
-    cascade runs last, on the same factorization.
+    Kθ comes first, then the cascade to N = max(order, _RITZ_ORDER); its
+    order-``order`` prefix is the series reported.  K0, Kθ and M are projected
+    once onto its modes, which span u_ε up to O(ε^{N+1}), for each λ_ε's Ritz
+    start (:func:`_refined_eigenvalue`).  An ε whose certificate fails (large
+    ε, a small gap) falls back to :func:`direct_eigenvalue`.
     """
     eps = np.sort(np.asarray(eps_values, dtype=float))[::-1]
     if eps.size == 0:
@@ -190,17 +195,19 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     theta = check_density(theta, disc.mesh.n_nodes)
     # assembled before the pinned LU exists, so its temporaries do not add to the LU's peak memory
     Kt = disc.theta_stiffness(theta)
-    # a single free node has no λ₂ to certify against: each ε is then solved directly
-    lam2 = disc.lambda2 if disc.pencil.n_free > 1 else None
-    lam_eps = []
-    for e in eps:
-        lam = None if lam2 is None else _refined_eigenvalue(disc, Kt, e, lam2)
-        lam_eps.append(direct_eigenvalue(disc, theta, e).lam if lam is None else lam)
-    lam_eps = np.array(lam_eps)
-    series = compute_series(disc, theta, order)
-
+    series = compute_series(disc, theta, max(order, _RITZ_ORDER))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
         trunc = np.array([series.truncated(e, order) for e in eps])
+    S = series.modes[:, disc.pencil.free].T  # the full-node modes go before the basis is built
+    del series
+    S, Z = _ritz_basis(S, disc.pencil.M)
+    ritz = (S, Z, S.T @ (disc.pencil.K @ S), S.T @ (Kt @ S))
+    lam_eps = []
+    for e in eps:
+        # a single free node has no λ₂ to certify against: each ε is then solved directly
+        lam = _refined_eigenvalue(disc, Kt, e, *ritz) if disc.pencil.n_free > 1 else None
+        lam_eps.append(direct_eigenvalue(disc, theta, e).lam if lam is None else lam)
+    lam_eps = np.array(lam_eps)
     finite = np.isfinite(lam_eps) & np.isfinite(trunc)
     if not finite.all():
         i = int(np.flatnonzero(~finite)[0])
@@ -210,7 +217,7 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
         )
     rem = np.abs(lam_eps - trunc)
 
-    floor = 100.0 * RESIDUAL_TOL * abs(series.lambdas[0])
+    floor = 100.0 * RESIDUAL_TOL * abs(disc.ground.lam)
     keep = rem > floor
     excluded = [float(e) for e in eps[~keep]]
     if excluded:

@@ -22,6 +22,7 @@ from lowcontrast.mesh import from_arrays, generate_unit_square
 from lowcontrast.relax import RelaxedObjective
 
 PI2 = np.pi**2
+J01 = 2.404825557695773  # first zero of the Bessel function J₀
 
 
 def backward_error(K, M, lam, u):
@@ -233,6 +234,21 @@ class TestSecondEigenvalue:
         vals = np.sort(spla.eigsh(K, k=2, M=M, sigma=0.0, return_eigenvectors=False))
         assert disc.lambda2 == pytest.approx(vals[1], rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.0, 1e-6])
+    @pytest.mark.parametrize("kind", ["3", "4", "8", "32", "rect4x1", "disk800"])
+    def test_krahn_szego_bound_below(self, kind, alpha):
+        # λ₂(Ω) ≥ 2π·j₀₁²/|Ω|, and the conforming P1 λ₂ lies above λ₂(Ω) by min–max
+        if kind == "rect4x1":
+            square = generate_unit_square(32, 8)
+            mesh = from_arrays(square.node_coords * [4.0, 1.0], square.triangles)
+        elif kind == "disk800":
+            mesh = sunflower_disk(800)
+        else:
+            mesh = generate_unit_square(int(kind), int(kind))
+        disc = Discretization(mesh, alpha)
+        bound = 2.0 * np.pi * J01**2 * alpha / mesh.total_area
+        assert 0.5 < bound / disc.lambda2 < 0.8
+
     def test_reuses_bordered_factorization(self, monkeypatch):
         disc = unit_disc(32)
         disc.solver
@@ -365,6 +381,16 @@ class TestDiscretization:
         assert ones is not Kt
         np.testing.assert_allclose(ones.toarray(), disc.pencil.K.toarray(), rtol=1e-14, atol=1e-14)
 
+    @pytest.mark.parametrize("kind", ["zero", "binary", "disk"])
+    def test_theta_stiffness_has_k_pattern(self, kind):
+        # the remainder report builds K0 + ε·Kθ from the two value arrays alone
+        mesh = sunflower_disk(800) if kind == "disk" else generate_unit_square(16, 16)
+        disc = Discretization(mesh, 1.0)
+        rng = np.random.default_rng(3)
+        theta = np.zeros(mesh.n_nodes) if kind == "zero" else (rng.random(mesh.n_nodes) < 0.5) * 1.0
+        Kt, K = disc.theta_stiffness(theta), disc.pencil.K
+        assert np.array_equal(Kt.indptr, K.indptr) and np.array_equal(Kt.indices, K.indices)
+
     @pytest.mark.parametrize(
         "alpha", [0.0, -1.0, np.nan, np.inf, 1e-200, 1e-300, 1e200, 1e300, 9e-101, 1.1e100]
     )
@@ -496,6 +522,21 @@ class TestRefine:
         assert res <= RESIDUAL_TOL
         assert res == pytest.approx(backward_error(K, M, lam, u))
         assert lam == pytest.approx(disc.lambda2, rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1e-160, 1e-155, 1e165, 1e170])
+    def test_no_finite_direction_left(self, alpha):
+        # outside Discretization's α range the squared M-norm of the start
+        # K⁻¹·1 under- or overflows; no basis direction survives, and the pair
+        # is refused with residual ∞ instead of an IndexError
+        mesh = generate_unit_square(16, 16)
+        pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
+        with np.errstate(all="ignore"):
+            try:
+                lam = smallest_eigenpair(pencil, Ordering(pencil.K)).lam
+            except SolverError as exc:
+                assert "residual inf exceeds tol" in str(exc)
+            else:
+                assert lam == pytest.approx(alpha * unit_disc(16).ground.lam, rel=1e-12)
 
     def test_dense_path(self):
         # 9 free nodes: the direct fallback solves such a pencil densely and

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from lowcontrast import eig, fem
+from lowcontrast import eig, expansion, fem
 from lowcontrast.eig import Discretization
 from lowcontrast.expansion import (
     _refined_eigenvalue,
@@ -11,7 +11,10 @@ from lowcontrast.expansion import (
     mode_bound_diagnostic,
     remainder_report,
 )
-from lowcontrast.mesh import generate_unit_square
+from lowcontrast.mesh import from_arrays, generate_unit_square
+from test_eig import sunflower_disk
+
+J01 = 2.404825557695773  # first zero of the Bessel function J₀
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +259,14 @@ def density(kind, n_nodes):
     }[kind]
 
 
+def ritz_projection(disc, theta):
+    """``(S, Z, A0, At)`` of ``_refined_eigenvalue``, built as ``remainder_report`` builds them."""
+    pencil, Kt = disc.pencil, disc.theta_stiffness(theta)
+    modes = compute_series(disc, theta, expansion._RITZ_ORDER).modes
+    S, Z = eig._ritz_basis(modes[:, pencil.free].T, pencil.M)
+    return S, Z, S.T @ (pencil.K @ S), S.T @ (Kt @ S)
+
+
 class TestInfiniteContrastLimit:
     """λ_ε stays bounded as ε → ∞: the minimizer is driven to zero gradient on
     every element where θ > 0, so the Rayleigh quotient tends to a finite
@@ -289,14 +300,67 @@ class TestCertifiedSweep:
     def test_large_eps_falls_back_to_direct(self, mesh16, disc16):
         # past λ₂ the certificate cannot hold, so these ε are solved directly
         theta = density("binary", mesh16.n_nodes)
-        Kt = disc16.theta_stiffness(theta)
+        Kt, ritz = disc16.theta_stiffness(theta), ritz_projection(disc16, theta)
         for e in (10.0, 1e6):
-            assert _refined_eigenvalue(disc16, Kt, e, disc16.lambda2) is None
+            assert _refined_eigenvalue(disc16, Kt, e, *ritz) is None
         report = remainder_report(disc16, theta, 2, [10.0, 1e6])
         direct = [direct_eigenvalue(disc16, theta, e).lam for e in report.eps_values]
         assert list(report.lambda_eps) == direct
         assert report.lambda_eps[0] == pytest.approx(3071.92, abs=0.01)
         assert report.lambda_eps[0] > disc16.lambda2
+
+    @pytest.mark.parametrize("kind", ["square128", "disk4200"])
+    def test_default_grid_needs_no_lambda2(self, monkeypatch, kind):
+        # the cascade's N singular solves are all there is: each Ritz start
+        # meets the residual contract and lies below the Krahn–Szegő bound
+        mesh = generate_unit_square(128, 128) if kind == "square128" else sunflower_disk(4200)
+        disc = Discretization(mesh, 1.0)
+        calls = []
+        solve = eig.ShiftedSolver.solve
+        monkeypatch.setattr(eig.ShiftedSolver, "solve", lambda self, f: calls.append(1) or solve(self, f))
+        remainder_report(disc, density("binary", mesh.n_nodes), 4, self.EPS)
+        assert len(calls) <= expansion._RITZ_ORDER + 1
+        assert "lambda2" not in disc.__dict__
+
+    def test_lambda2_only_past_the_bound(self, mesh16):
+        # θ ≡ 1 gives λ_ε = (1 + ε)·λ₀: at ε = 1 that is 39.8, above the bound
+        # 2π·j₀₁² = 36.3 and below λ₂ = 50.3, so λ₂ is computed there only
+        theta = np.ones(mesh16.n_nodes)
+        for e in (0.5, 0.1):
+            disc = Discretization(mesh16, 1.0)
+            remainder_report(disc, theta, 1, [e])
+            assert "lambda2" not in disc.__dict__
+        disc = Discretization(mesh16, 1.0)
+        lam = remainder_report(disc, theta, 1, [1.0]).lambda_eps[0]
+        assert 2.0 * np.pi * J01**2 < lam < disc.__dict__["lambda2"]
+        assert lam == pytest.approx(direct_eigenvalue(disc, theta, 1.0).lam, rel=1e-12)
+
+    def test_elongated_domain_computes_lambda2(self):
+        # on a 4×1 rectangle the bound lies below λ₀, so it never certifies
+        square = generate_unit_square(32, 8)
+        mesh = from_arrays(square.node_coords * [4.0, 1.0], square.triangles)
+        disc = Discretization(mesh, 1.0)
+        assert 2.0 * np.pi * J01**2 / mesh.total_area < disc.ground.lam
+        theta = density("binary", mesh.n_nodes)
+        report = remainder_report(disc, theta, 2, [1e-2])
+        assert "lambda2" in disc.__dict__
+        assert report.lambda_eps[0] == pytest.approx(direct_eigenvalue(disc, theta, 1e-2).lam, rel=1e-12)
+
+    @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
+    def test_constant_density(self, monkeypatch, mesh16, value):
+        # θ ≡ c has u_ε = u₀: the modes past u₀ vanish (c = 0) or are rounding
+        # noise along one direction, which the Gram cut keeps as one more; the
+        # Ritz value, clamped into [λ₀, R_ε(u₀)], certifies with no fallback
+        bases = []
+        ritz_basis = expansion._ritz_basis
+        monkeypatch.setattr(expansion, "_ritz_basis", lambda S, M: bases.append(ritz_basis(S, M)) or bases[-1])
+        monkeypatch.setattr(expansion, "direct_eigenvalue", lambda *a: pytest.fail("fell back to ARPACK"))
+        disc = Discretization(mesh16, 1.0)
+        report = remainder_report(disc, np.full(mesh16.n_nodes, value), 2, self.EPS)
+        assert bases[0][1].shape[1] == (1 if value == 0.0 else 2)
+        exact = (1.0 + value * report.eps_values) * disc.ground.lam
+        np.testing.assert_allclose(report.lambda_eps, exact, rtol=1e-14, atol=0)
+        assert "lambda2" not in disc.__dict__
 
     def test_single_free_node_solves_directly(self):
         # one free node has no λ₂ to certify against
@@ -318,7 +382,7 @@ class TestCertifiedSweep:
         assert len(calls) == 2
 
     def test_every_factorization_keeps_diagonal_pivots(self, monkeypatch, mesh16):
-        # the ground solve, λ₂, the sweep and the ε = 1e6 fallback factor
+        # the ground solve, the sweep and the ε = 1e6 fallback factor
         # K, the pinned system and K0 + 1e6·Kθ, each with diagonal pivots
         calls = []
         splu = eig.spla.splu
