@@ -13,13 +13,13 @@ runs shift-invert Lanczos (ARPACK; dense on tiny pencils).  A singular solve
 pins one node where u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes
 its result against u₀, so the constraint u₀ᵀMv = 0 is enforced exactly.
 
-Every sparse factorization on one discretization shares one symmetric
-fill-reducing order (:class:`Ordering`) and keeps its pivots on the
-diagonal.  SuperLU picks the order once, as a multiple-minimum-degree order
-of K + Kᵀ while factoring K in symmetric mode; that LU serves the ground
-refinement and is then dropped.  Later matrices with K's pattern (the
-pinned singular system, with its pinned node left out of the order, and
-the finite-contrast stiffness of the direct fallback) are permuted
+Every sparse factorization goes through :func:`factor`, which keeps its
+pivots on the diagonal of one symmetric fill-reducing order per
+discretization.  The discretization factors K once, and SuperLU picks the
+order then, as a multiple-minimum-degree order of K + Kᵀ; that LU serves
+the ground refinement and is then dropped.  Later matrices with K's pattern
+(the pinned singular system, with its pinned node left out of the order,
+and the finite-contrast stiffness of the direct fallback) are permuted
 symmetrically by it and factored in natural order.  A discretization thus
 factors twice: K for the ground pair, and the pinned system, which runs the
 cascade and preconditions λ₂ and every λ_ε that needs refining.
@@ -127,78 +127,52 @@ def _ritz_basis(S, M):
     return S, V[:, keep] / np.sqrt(g[keep])
 
 
-class Ordering:
-    """Symmetric fill-reducing order shared by every factorization of one pencil.
+def factor(A, perm=None):
+    """Factor the SPD matrix A with its pivots on the diagonal of a symmetric order.
 
-    The pencil's SPD stiffness K fixes it on first use: SuperLU factors K in a
-    multiple-minimum-degree order of K + Kᵀ (``MMD_AT_PLUS_A``), in symmetric
-    mode with diagonal pivots.  Partial pivoting would keep that column order
-    but swap rows away from it; on a randomly numbered mesh the fill, and
-    the time, then grow by orders of magnitude.  Each later matrix with K's
-    pattern is permuted symmetrically by the order and factored in natural
-    order.  Every factorization takes one column per panel
-    (``panel_size=1``): SuperLU's panel workspace (panel_size·n values and
-    indices) then adds no peak memory, where the default took 13 MB at
-    200², and the factorization is faster (0.14 s against 0.20 s at 200²).
+    Returns ``(solve, fill, perm)``; ``solve`` maps vectors in the original
+    numbering.  Without ``perm``, SuperLU picks the order as a
+    multiple-minimum-degree order of A + Aᵀ (``MMD_AT_PLUS_A``) in symmetric
+    mode, and position i of the returned ``perm`` holds node ``perm[i]``.
+    Partial pivoting would keep that column order but swap rows away from
+    it; on a randomly numbered mesh the fill, and the time, then grow by
+    orders of magnitude.  With ``perm`` (an order, or one less a pinned node,
+    whose entry ``solve`` ignores and zeroes), ``A[perm][:, perm]`` is
+    factored in natural order.  K's order serves every matrix of its stored
+    pattern, which ``fem._scatter`` gives M and every Kθ too: it stores every
+    vertex pair of every triangle, exact zeros included.  One column per
+    panel (``panel_size=1``) keeps SuperLU's panel workspace (panel_size·n
+    values and indices, 13 MB at 200² by default) out of the peak memory, and
+    is faster (0.14 s against 0.20 s at 200²).
 
-    A factorization's fill is SuperLU's count of the nonzeros it stores for
-    L and U (``SuperLU.nnz``).  It is within a few percent of L.nnz + U.nnz,
-    which would copy both factors to count them.
-
-    Attributes:
-        perm: position i of the order holds free node ``perm[i]``; None until
-            the first factorization.
-        fill: the fill of K's factorization; None until then.
+    ``fill`` is SuperLU's count of the nonzeros it stores for L and U
+    (``SuperLU.nnz``).  It is within a few percent of L.nnz + U.nnz, which
+    would copy both factors to count them.
     """
+    if perm is None:
+        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1, **_DIAGONAL_PIVOTS)
+        return lu.solve, lu.nnz, np.argsort(lu.perm_c)
+    lu = spla.splu(A.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL", panel_size=1, **_DIAGONAL_PIVOTS)
 
-    def __init__(self, K):
-        self._K = K
-        self.perm = None
-        self.fill = None
+    def solve(rhs):
+        x = np.zeros_like(rhs)
+        x[perm] = lu.solve(rhs[perm])
+        return x
 
-    def factor(self, A, pin=None):
-        """Factor the SPD matrix A, or A without the row and column of node ``pin``.
-
-        The pivots stay on the diagonal.  Returns ``(solve, fill)``: ``solve`` maps
-        vectors in the original numbering, and with ``pin`` it ignores the pinned
-        entry of its argument and zeroes its own.
-        """
-        if self.perm is None:
-            lu = spla.splu(
-                self._K.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1, **_DIAGONAL_PIVOTS
-            )
-            self.perm = np.argsort(lu.perm_c)
-            self.fill = lu.nnz
-            if A is self._K and pin is None:
-                return lu.solve, self.fill
-            del lu
-        p = self.perm if pin is None else self.perm[self.perm != pin]
-        lu = spla.splu(A.tocsr()[p][:, p].tocsc(), permc_spec="NATURAL", panel_size=1, **_DIAGONAL_PIVOTS)
-
-        def solve(rhs):
-            x = np.zeros_like(rhs)
-            x[p] = lu.solve(rhs[p])
-            return x
-
-        return solve, lu.nnz
+    return solve, lu.nnz, perm
 
 
-def smallest_eigenpair(pencil, ordering: Ordering) -> EigenPair:
+def smallest_eigenpair(pencil, solve) -> EigenPair:
     """Smallest eigenpair of the pencil, sign-fixed by positive lumped integral.
 
-    ``ordering`` is the :class:`Ordering` of a pencil with the same pattern
-    (a discretization's); K is factored through it, with one column per
-    panel.  The pair is a cold refinement on that LU from u = K⁻¹·1, which
-    overlaps u₀ (both are positive when K is an M-matrix, as on a Delaunay
-    mesh), so the lowest Ritz value heads for λ₀.  :func:`_refine` runs up to
-    _COLD_STEPS Rayleigh–Ritz steps, each with one K-solve, to _GROUND_TOL
-    (9–11 solves from 8² to a 45k-node disk).  The LU is dropped on return.
+    ``solve`` applies K⁻¹ (the solve of :func:`factor` on K).  The pair is a
+    cold refinement on it from u = K⁻¹·1, which overlaps u₀ (both are
+    positive when K is an M-matrix, as on a Delaunay mesh), so the lowest
+    Ritz value heads for λ₀.  :func:`_refine` runs up to _COLD_STEPS
+    Rayleigh–Ritz steps, each with one K-solve, to _GROUND_TOL (9–11 solves
+    from 8² to a 45k-node disk).
     """
     K, M = pencil.K, pencil.M
-    try:
-        solve = ordering.factor(K)[0]
-    except RuntimeError as exc:
-        raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
     u = solve(np.ones(pencil.n_free))
     u /= np.sqrt(u @ (M @ u))
     return _checked_pair(
@@ -206,12 +180,13 @@ def smallest_eigenpair(pencil, ordering: Ordering) -> EigenPair:
     )
 
 
-def _lanczos_eigenpair(pencil, ordering: Ordering) -> EigenPair:
+def _lanczos_eigenpair(pencil, perm) -> EigenPair:
     """:func:`smallest_eigenpair` by shift-invert Lanczos, for pencils far from the α-pencil.
 
     The direct fallback of the remainder report calls it at a finite contrast
     whose pair the warm refinement could not certify.  ARPACK runs on the
-    LU of K (a dense solve of K on tiny pencils), which then refines its pair.
+    LU of K in the order ``perm`` (a dense solve of K on tiny pencils), which
+    then refines its pair.
     """
     n, K, M = pencil.n_free, pencil.K, pencil.M
     if n <= _DENSE_CUTOFF:
@@ -221,7 +196,7 @@ def _lanczos_eigenpair(pencil, ordering: Ordering) -> EigenPair:
     else:
         v0 = np.ones(n) / np.sqrt(n)
         try:
-            precond = ordering.factor(K)[0]  # the shift-invert operator (K − 0·M)⁻¹
+            precond = factor(K, perm)[0]  # the shift-invert operator (K − 0·M)⁻¹
             vals, vecs = spla.eigsh(
                 K, k=1, M=M, sigma=0.0, which="LM", v0=v0,
                 OPinv=spla.LinearOperator((n, n), matvec=precond, dtype=float),
@@ -251,13 +226,14 @@ class ShiftedSolver:
 
     A is positive semi-definite with kernel span(u₀), so without the row and
     column of node k = argmax|u₀| it is SPD.  That matrix is factored in
-    ``ordering`` (a discretization's) with diagonal pivots: its fill is part
-    of K's and does not depend on α.  A solve maps a load f to v with
-    A v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, reusing the factorization (one per
-    cascade order / objective evaluation).  ``fill``: see :class:`Ordering`.
+    K's order ``perm`` (a discretization's) less node k, with diagonal
+    pivots: its fill is part of K's and does not depend on α.  A solve maps
+    a load f to v with A v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, reusing the
+    factorization (one per cascade order / objective evaluation).  ``fill``:
+    see :func:`factor`.
     """
 
-    def __init__(self, pencil, lambda0: float, u0: np.ndarray, ordering: Ordering):
+    def __init__(self, pencil, lambda0: float, u0: np.ndarray, perm: np.ndarray):
         self.pencil = pencil
         self.lambda0 = float(lambda0)
         self.u0f = pencil.restrict(u0)
@@ -265,7 +241,7 @@ class ShiftedSolver:
         A = (pencil.K - self.lambda0 * pencil.M).tocsr()
         k = int(np.argmax(np.abs(self.u0f)))
         try:
-            self._solve, self.fill = ordering.factor(A, pin=k)
+            self._solve, self.fill, _ = factor(A, perm[perm != k])
         except RuntimeError as exc:
             raise SolverError(f"pinned factorization failed: {exc}") from exc
         self._A, self._k, self._Ak = A, k, A[k]
@@ -320,16 +296,17 @@ class ShiftedSolver:
 class Discretization:
     """One mesh at background conductivity α, set up once and shared.
 
-    Holds the α-pencil (K, M) on free nodes, the :class:`Ordering` every
-    factorization on the mesh follows, its ground pair (λ₀, u₀), a lazy
-    second eigenvalue λ₂ and the pinned solver for the singular operator
-    K − λ₀M.  A domain whose free nodes fall into several connected parts
-    is rejected: its ground eigenvalue can be repeated, and the cascade
-    assumes it is simple.
+    Holds the α-pencil (K, M) on free nodes, the fill-reducing order
+    ``perm`` that every factorization on the mesh follows, its ground pair
+    (λ₀, u₀), a lazy second eigenvalue λ₂ and the pinned solver for the
+    singular operator K − λ₀M.  A domain whose free nodes fall into
+    several connected parts is rejected: its ground eigenvalue can be
+    repeated, and the cascade assumes it is simple.
     The cascade, the remainder certificate (which reads λ₂ only past a
     closed-form bound) and the relaxed objective reuse it.  It factors twice:
-    K for the ground pair, and the pinned system on the first singular solve.
-    ``ordering.fill`` is the fill of the ground factorization of K.
+    K here, which picks ``perm`` and serves the ground pair, and the pinned
+    system on the first singular solve.  ``fill`` is the fill of K's
+    factorization, whose LU is dropped once the ground pair is found.
     """
 
     def __init__(self, mesh, alpha: float):
@@ -344,8 +321,11 @@ class Discretization:
             raise ValueError(
                 f"domain has {parts} disconnected parts; its ground state need not be simple"
             )
-        self.ordering = Ordering(self.pencil.K)
-        self.ground = smallest_eigenpair(self.pencil, self.ordering)
+        try:
+            solve, self.fill, self.perm = factor(self.pencil.K)
+        except RuntimeError as exc:
+            raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
+        self.ground = smallest_eigenpair(self.pencil, solve)
         self._last_theta_stiffness = None
 
     @cached_property
@@ -380,7 +360,7 @@ class Discretization:
     @cached_property
     def solver(self) -> ShiftedSolver:
         """Pinned solver for K − λ₀M, factorized on first access."""
-        return ShiftedSolver(self.pencil, self.ground.lam, self.ground.u, self.ordering)
+        return ShiftedSolver(self.pencil, self.ground.lam, self.ground.u, self.perm)
 
     def theta_stiffness(self, theta) -> sparse.csr_matrix:
         """Free-node stiffness Kθ with coefficient α·(vertex average of θ).

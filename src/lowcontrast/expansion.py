@@ -72,6 +72,8 @@ def compute_series(disc, theta, order: int) -> ExpansionSeries:
     lams = [lam0]
     modes = [u0f]
     Mmodes = [M @ u0f]  # cache M @ u_k
+    full_modes = np.zeros((order + 1, pencil.n_nodes))
+    full_modes[0, pencil.free] = u0f
 
     for i in range(1, order + 1):
         Ku_prev = Kt @ modes[i - 1]
@@ -96,8 +98,8 @@ def compute_series(disc, theta, order: int) -> ExpansionSeries:
         u_i = v + shift * u0f
         modes.append(u_i)
         Mmodes.append(M @ u_i)
+        full_modes[i, pencil.free] = u_i
 
-    full_modes = np.array([pencil.extend(m) for m in modes])
     return ExpansionSeries(order=order, lambdas=np.array(lams), modes=full_modes)
 
 
@@ -107,7 +109,7 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     Kθ uses the per-element vertex average of θ, so the coefficient is
     α·(1 + ε·avg θ); K0 and M are the discretization's α-pencil.  K0 + εKθ
     has K0's pattern, so its factorization follows the discretization's
-    ordering.  The pair comes from shift-invert Lanczos (ARPACK), which
+    order ``perm``.  The pair comes from shift-invert Lanczos (ARPACK), which
     needs no start near it.
     """
     if not np.isfinite(epsilon):
@@ -116,8 +118,13 @@ def direct_eigenvalue(disc, theta, epsilon: float):
         raise ValueError("epsilon must exceed -1 for a positive coefficient")
     theta = check_density(theta, disc.mesh.n_nodes)
     pencil0 = disc.pencil
-    pencil = replace(pencil0, K=(pencil0.K + epsilon * disc.theta_stiffness(theta)).tocsr())
-    return _lanczos_eigenpair(pencil, disc.ordering)
+    pencil = replace(pencil0, K=_contrast_stiffness(pencil0.K, disc.theta_stiffness(theta), epsilon))
+    return _lanczos_eigenpair(pencil, disc.perm)
+
+
+def _contrast_stiffness(K0, Kt, epsilon: float) -> sparse.csr_matrix:
+    """K0 + ε·Kθ on K0's stored pattern, which Kθ shares (both come from fem._scatter)."""
+    return sparse.csr_matrix((K0.data + epsilon * Kt.data, K0.indices, K0.indptr), shape=K0.shape)
 
 
 def _refined_eigenvalue(disc, Kt, epsilon: float, S, Z, A0, At) -> float | None:
@@ -135,8 +142,8 @@ def _refined_eigenvalue(disc, Kt, epsilon: float, S, Z, A0, At) -> float | None:
     M, K0, u0 = disc.pencil.M, disc.pencil.K, disc.solver.u0f
     shrink = min(1.0, 1.0 + epsilon)
     with np.errstate(over="raise", invalid="raise"):
-        try:  # Kθ has K0's pattern (both from fem._scatter), so K_ε needs new values only
-            K = sparse.csr_matrix((K0.data + epsilon * Kt.data, K0.indices, K0.indptr), shape=K0.shape)
+        try:
+            K = _contrast_stiffness(K0, Kt, epsilon)
             upper = float(u0 @ (K @ u0)) / float(u0 @ (M @ u0))  # R_ε(u₀) = λ₀ + ε·u₀ᵀKθu₀
             vals, Y = np.linalg.eigh(Z.T @ (A0 + epsilon * At) @ Z)
             lam = min(max(float(vals[0]), shrink * disc.ground.lam), upper)

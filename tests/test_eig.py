@@ -11,10 +11,10 @@ from lowcontrast import eig, fem
 from lowcontrast.eig import (
     RESIDUAL_TOL,
     Discretization,
-    Ordering,
     ShiftedSolver,
     SolverError,
     _refine,
+    factor,
     smallest_eigenpair,
 )
 from lowcontrast.expansion import direct_eigenvalue
@@ -56,23 +56,22 @@ def dense_ground(pencil):
 
 
 def count_ground_solves(monkeypatch):
-    """Count the solves made with K's LU, the first factorization on an ordering."""
+    """Count the solves made with K's LU, the factorization that picks the order."""
     counts = []
-    factor = Ordering.factor
 
-    def counted(self, A, pin=None):
-        solve, fill = factor(self, A, pin)
-        if pin is not None or counts:
-            return solve, fill
+    def counted(A, perm=None):
+        solve, fill, perm_out = factor(A, perm)
+        if perm is not None or counts:
+            return solve, fill, perm_out
         counts.append(0)
 
         def counted_solve(rhs):
             counts[0] += 1
             return solve(rhs)
 
-        return counted_solve, fill
+        return counted_solve, fill, perm_out
 
-    monkeypatch.setattr(Ordering, "factor", counted)
+    monkeypatch.setattr(eig, "factor", counted)
     return counts
 
 
@@ -265,7 +264,7 @@ class TestSecondEigenvalue:
 @pytest.fixture(scope="module")
 def setup():
     disc = unit_disc(6)
-    return disc.pencil, disc.ground, disc.ordering
+    return disc.pencil, disc.ground, disc.perm
 
 
 def compatible(solver, f):
@@ -275,44 +274,44 @@ def compatible(solver, f):
 
 class TestShiftedSolver:
     def test_zero_load(self, setup):
-        pencil, ground, ordering = setup
-        v = ShiftedSolver(pencil, ground.lam, ground.u, ordering).solve(np.zeros(pencil.n_free))
+        pencil, ground, perm = setup
+        v = ShiftedSolver(pencil, ground.lam, ground.u, perm).solve(np.zeros(pencil.n_free))
         assert np.abs(v).max() == 0.0
 
     def test_spectral_oracle(self, setup):
         # f = M w for the second eigenvector w  =>  v = w / (lam2 - lam0)
-        pencil, ground, ordering = setup
+        pencil, ground, perm = setup
         vals, vecs = eigh(pencil.K.toarray(), pencil.M.toarray())
         w = vecs[:, 1] / np.sqrt(vecs[:, 1] @ (pencil.M @ vecs[:, 1]))
         f = pencil.M @ w
-        v = ShiftedSolver(pencil, ground.lam, ground.u, ordering).solve(f)
+        v = ShiftedSolver(pencil, ground.lam, ground.u, perm).solve(f)
         expected = w / (vals[1] - ground.lam)
         np.testing.assert_allclose(v, expected, atol=1e-9 * np.abs(expected).max())
 
     def test_orthogonality_enforced(self, setup):
         # u0' M v = 0 for every compatible load
-        pencil, ground, ordering = setup
+        pencil, ground, perm = setup
         rng = np.random.default_rng(11)
         u0f = pencil.restrict(ground.u)
-        solver = ShiftedSolver(pencil, ground.lam, ground.u, ordering)
+        solver = ShiftedSolver(pencil, ground.lam, ground.u, perm)
         for _ in range(3):
             v = solver.solve(compatible(solver, rng.standard_normal(pencil.n_free)))
             assert abs(float(u0f @ (pencil.M @ v))) <= 1e-11
 
     def test_bordered_exactness_general_load(self, setup):
         # (K - lam0 M) v = f for a random load projected onto u0-compatible loads
-        pencil, ground, ordering = setup
+        pencil, ground, perm = setup
         rng = np.random.default_rng(12)
-        solver = ShiftedSolver(pencil, ground.lam, ground.u, ordering)
+        solver = ShiftedSolver(pencil, ground.lam, ground.u, perm)
         f = compatible(solver, rng.standard_normal(pencil.n_free))
         v = solver.solve(f)
         A = pencil.K - ground.lam * pencil.M
         assert np.linalg.norm(A @ v - f) <= 1e-10 * np.linalg.norm(f)
 
     def test_compatibility_violation_raises(self, setup):
-        pencil, ground, ordering = setup
+        pencil, ground, perm = setup
         f = pencil.M @ pencil.restrict(ground.u)  # u0.f = 1: maximally incompatible
-        solver = ShiftedSolver(pencil, ground.lam, ground.u, ordering)
+        solver = ShiftedSolver(pencil, ground.lam, ground.u, perm)
         with pytest.raises(SolverError, match="compat"):
             solver.solve(f)
 
@@ -342,7 +341,7 @@ class TestShiftedSolver:
         # where leaving it in the pinned row gave 7.8e-9 (2.9e-8 at 64²)
         disc = unit_disc(16)
         pencil = disc.pencil
-        solver = ShiftedSolver(pencil, disc.ground.lam * (1 + 1e-8), disc.ground.u, disc.ordering)
+        solver = ShiftedSolver(pencil, disc.ground.lam * (1 + 1e-8), disc.ground.u, disc.perm)
         x, y = disc.mesh.node_coords.T
         f = compatible(solver, pencil.restrict(np.sin(3.0 * x) * y))
         v = solver.solve(f)
@@ -350,8 +349,8 @@ class TestShiftedSolver:
         assert np.linalg.norm(A @ v - compatible(solver, f)) <= 1e-12 * np.linalg.norm(f)
 
     def test_wrong_shape(self, setup):
-        pencil, ground, ordering = setup
-        solver = ShiftedSolver(pencil, ground.lam, ground.u, ordering)
+        pencil, ground, perm = setup
+        solver = ShiftedSolver(pencil, ground.lam, ground.u, perm)
         with pytest.raises(ValueError):
             solver.solve(np.zeros(3))
 
@@ -362,7 +361,7 @@ class TestDiscretization:
         pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems))
         disc = Discretization(mesh, 1.0)
         assert (disc.pencil.K != pencil.K).nnz == 0
-        assert disc.ground.lam == smallest_eigenpair(pencil, Ordering(pencil.K)).lam
+        assert disc.ground.lam == smallest_eigenpair(pencil, factor(pencil.K)[0]).lam
 
     def test_solver_built_on_first_use(self):
         disc = Discretization(generate_unit_square(6, 6), 1.0)
@@ -383,13 +382,15 @@ class TestDiscretization:
 
     @pytest.mark.parametrize("kind", ["zero", "binary", "disk"])
     def test_theta_stiffness_has_k_pattern(self, kind):
-        # the remainder report builds K0 + ε·Kθ from the two value arrays alone
+        # the remainder report builds K0 + ε·Kθ from the two value arrays alone,
+        # and K's order serves every matrix with this pattern, M's included
         mesh = sunflower_disk(800) if kind == "disk" else generate_unit_square(16, 16)
         disc = Discretization(mesh, 1.0)
         rng = np.random.default_rng(3)
         theta = np.zeros(mesh.n_nodes) if kind == "zero" else (rng.random(mesh.n_nodes) < 0.5) * 1.0
-        Kt, K = disc.theta_stiffness(theta), disc.pencil.K
-        assert np.array_equal(Kt.indptr, K.indptr) and np.array_equal(Kt.indices, K.indices)
+        K = disc.pencil.K
+        for A in (disc.theta_stiffness(theta), disc.pencil.M):
+            assert np.array_equal(A.indptr, K.indptr) and np.array_equal(A.indices, K.indices)
 
     @pytest.mark.parametrize(
         "alpha", [0.0, -1.0, np.nan, np.inf, 1e-200, 1e-300, 1e200, 1e300, 9e-101, 1.1e100]
@@ -446,7 +447,7 @@ class TestOrdering:
         disc = Discretization(generate_unit_square(64, 64), 1.0)
         K = disc.pencil.K.tocsc()
         colamd = spla.splu(K)
-        assert disc.ordering.fill < colamd.nnz
+        assert disc.fill < colamd.nnz
 
         solver = disc.solver
         A = (K - disc.ground.lam * disc.pencil.M).tocsr()
@@ -454,13 +455,13 @@ class TestOrdering:
         bordered = spla.splu(sparse.bmat([[A, col], [col.T, None]], format="csc"))
         assert solver.fill < bordered.nnz
         # the pinned system is K's pattern less one node (a dense border took 131k against 123k)
-        assert solver.fill <= disc.ordering.fill
+        assert solver.fill <= disc.fill
 
     def test_singular_fill_within_k_fill_on_disk(self):
         # a 4.2k-node Delaunay disk, built as the benchmark's imported disk is;
         # a dense border doubled the fill here (388k against 192k)
         disc = Discretization(sunflower_disk(4200), 1.0)
-        assert disc.solver.fill <= disc.ordering.fill
+        assert disc.solver.fill <= disc.fill
 
     def test_singular_solve_accuracy(self, square150):
         # measured 3.9e-13 and 5.1e-17 here (a dense border: 3.5e-13), and
@@ -481,17 +482,16 @@ class TestOrdering:
 class TestRefine:
     def test_restores_residual_contract(self):
         disc = Discretization(generate_unit_square(16, 16), 1.0)
-        pencil, perm = disc.pencil, disc.ordering.perm
+        pencil = disc.pencil
         K, M = pencil.K, pencil.M
         u = perturbed(pencil.restrict(disc.ground.u), M, 5)
         lam = float(u @ (K @ u))
         assert backward_error(K, M, lam, u) > RESIDUAL_TOL
 
-        lam, u, res = _refine(K, M, lam, u, disc.ordering.factor(K)[0])
+        lam, u, res = _refine(K, M, lam, u, factor(K, disc.perm)[0])
         assert res <= RESIDUAL_TOL
         assert res == pytest.approx(backward_error(K, M, lam, u))
         assert lam == pytest.approx(disc.ground.lam, rel=1e-12)
-        assert disc.ordering.perm is perm
 
     def test_converged_pair_returned_unchanged(self):
         disc = unit_disc(16)
@@ -532,7 +532,7 @@ class TestRefine:
         pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
         with np.errstate(all="ignore"):
             try:
-                lam = smallest_eigenpair(pencil, Ordering(pencil.K)).lam
+                lam = smallest_eigenpair(pencil, factor(pencil.K)[0]).lam
             except SolverError as exc:
                 assert "residual inf exceeds tol" in str(exc)
             else:
