@@ -5,8 +5,9 @@ per-mesh :class:`Discretization` that owns both.
 Any method meeting the stated residual contracts is acceptable; here every
 pair of the α-pencil comes from a cold Rayleigh–Ritz refinement
 (:func:`_refine`) preconditioned by a solve its caller already holds: the
-ground pair from K⁻¹·1 on the LU of K, and λ₂ from a random start on the
-deflated singular solve.  A remainder report's λ_ε starts from a Ritz pair
+ground pair from (K − σM)⁻¹·1 on the LU of K − σM, with σ just under the
+Faber–Krahn bound on λ₀, and λ₂ from a random start on the deflated
+singular solve.  A remainder report's λ_ε starts from a Ritz pair
 on the cascade's modes (:func:`_ritz_basis`), refined only if it misses its
 contract, so refining factors nothing.  Only the report's direct fallback
 runs shift-invert Lanczos (ARPACK; dense on tiny pencils).  A singular solve
@@ -15,14 +16,15 @@ its result against u₀, so the constraint u₀ᵀMv = 0 is enforced exactly.
 
 Every sparse factorization goes through :func:`factor`, which keeps its
 pivots on the diagonal of one symmetric fill-reducing order per
-discretization.  The discretization factors K once, and SuperLU picks the
-order then, as a multiple-minimum-degree order of K + Kᵀ; that LU serves
-the ground refinement and is then dropped.  Later matrices with K's pattern
-(the pinned singular system, with its pinned node left out of the order,
-and the finite-contrast stiffness of the direct fallback) are permuted
-symmetrically by it and factored in natural order.  A discretization thus
-factors twice: K for the ground pair, and the pinned system, which runs the
-cascade and preconditions λ₂ and every λ_ε that needs refining.
+discretization.  The discretization factors K − σM once, built on K's
+stored pattern, and SuperLU picks the order then, as a multiple-minimum-degree
+order of that pattern, so it is K's order; that LU serves the ground
+refinement and is then dropped.  Later matrices with K's pattern (the pinned
+singular system, with its pinned node left out of the order, and the
+finite-contrast stiffness of the direct fallback) are permuted symmetrically
+by it and factored in natural order.  A discretization thus factors twice:
+K − σM for the ground pair, and the pinned system, which runs the cascade and
+preconditions λ₂ and every λ_ε that needs refining.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ MAX_OUTER_ITERS = 10_000
 FREDHOLM_TOL = 1e-9  # largest |u₀ᵀf|/|f| a singular-solve load may carry
 _DENSE_CUTOFF = 12  # the finite-contrast fallback solves pencils this small densely
 _REFINE_STEPS = 12  # Rayleigh–Ritz steps before a pair is declared to miss its contract
-# the same for a cold start (the ground pair from K⁻¹·1, λ₂ from a random
+# the same for a cold start (the ground pair from (K − σM)⁻¹·1, λ₂ from a random
 # vector): a near-double λ₂ slows it, and an 800-node Delaunay disk
 # (λ₃/λ₂ − 1 = 2e-5) took 38 steps, the most seen
 _COLD_STEPS = 60
@@ -52,6 +54,10 @@ _COLD_STEPS = 60
 # singular solve's residual at 5e-10 of its load (bound 1e-10) on a randomly
 # numbered 150² square; at this aim the pairs seen stop at 5e-17 to 9e-16
 _GROUND_TOL = 1e-15
+_J01 = 2.404825557695773  # first zero of the Bessel function J₀
+# the ground factorization's shift σ as a share of the Faber–Krahn bound on λ₀,
+# which keeps K − σM positive definite with a margin of at least 0.1% of λ₀
+_SHIFT_SHARE = 0.999
 _GRAM_FLOOR = 1e-12  # Rayleigh–Ritz drops basis directions below this share of the Gram spectrum
 # SuperLU options that keep pivots on the diagonal of the ordered matrix
 _DIAGONAL_PIVOTS = {"diag_pivot_thresh": 0.0, "options": {"SymmetricMode": True}}
@@ -165,12 +171,16 @@ def factor(A, perm=None):
 def smallest_eigenpair(pencil, solve) -> EigenPair:
     """Smallest eigenpair of the pencil, sign-fixed by positive lumped integral.
 
-    ``solve`` applies K⁻¹ (the solve of :func:`factor` on K).  The pair is a
-    cold refinement on it from u = K⁻¹·1, which overlaps u₀ (both are
-    positive when K is an M-matrix, as on a Delaunay mesh), so the lowest
-    Ritz value heads for λ₀.  :func:`_refine` runs up to _COLD_STEPS
-    Rayleigh–Ritz steps, each with one K-solve, to _GROUND_TOL (9–11 solves
-    from 8² to a 45k-node disk).
+    ``solve`` applies (K − σM)⁻¹ for a shift 0 ≤ σ < λ₀ (the solve of
+    :func:`factor` on K − σM; :class:`Discretization` takes σ just under the
+    Faber–Krahn bound).  The pair is a cold refinement on it from
+    u = (K − σM)⁻¹·1, which overlaps u₀ (both are positive when K − σM is an
+    M-matrix, as on a Delaunay mesh), so the lowest Ritz value heads for λ₀.
+    :func:`_refine` runs up to _COLD_STEPS Rayleigh–Ritz steps, each with one
+    solve, to _GROUND_TOL.  The closer σ lies to λ₀, the fewer solves: at the
+    Faber–Krahn shift 3 on a 45k-node disk and 4 on 800- and 4.2k-node disks
+    (σ/λ₀ ≈ 0.999), 6 on squares from 8² to 200² (σ/λ₀ ≈ 0.92) and 14 on a 4×1
+    rectangle (σ/λ₀ = 0.43); with σ = 0, 9–11 from 8² to the 45k disk.
     """
     K, M = pencil.K, pencil.M
     u = solve(np.ones(pencil.n_free))
@@ -238,7 +248,7 @@ class ShiftedSolver:
         self.lambda0 = float(lambda0)
         self.u0f = pencil.restrict(u0)
         self.Mu0 = pencil.M @ self.u0f
-        A = (pencil.K - self.lambda0 * pencil.M).tocsr()
+        A = fem.add_on_pattern(pencil.K, pencil.M, -self.lambda0)
         k = int(np.argmax(np.abs(self.u0f)))
         try:
             self._solve, self.fill, _ = factor(A, perm[perm != k])
@@ -304,9 +314,12 @@ class Discretization:
     repeated, and the cascade assumes it is simple.
     The cascade, the remainder certificate (which reads λ₂ only past a
     closed-form bound) and the relaxed objective reuse it.  It factors twice:
-    K here, which picks ``perm`` and serves the ground pair, and the pinned
-    system on the first singular solve.  ``fill`` is the fill of K's
-    factorization, whose LU is dropped once the ground pair is found.
+    K − σM here, which picks ``perm`` and serves the ground pair, and the
+    pinned system on the first singular solve.  The shift σ is
+    _SHIFT_SHARE·``faber_krahn``, where ``faber_krahn`` = π·j₀₁²·α/|Ω| is the
+    Faber–Krahn lower bound on λ₀ (and twice it the Krahn–Szegő bound on λ₂).
+    K − σM is built on K's stored pattern, so ``perm`` and ``fill`` are those
+    of K's own factorization; its LU is dropped once the ground pair is found.
     """
 
     def __init__(self, mesh, alpha: float):
@@ -321,8 +334,14 @@ class Discretization:
             raise ValueError(
                 f"domain has {parts} disconnected parts; its ground state need not be simple"
             )
+        # Faber–Krahn: λ₀(Ω) ≥ π·j₀₁²/|Ω| on the mesh's polygon Ω, and the
+        # conforming P1 λ₀ lies above λ₀(Ω) by min–max
+        self.faber_krahn = float(np.pi * _J01**2 * alpha / mesh.total_area)
         try:
-            solve, self.fill, self.perm = factor(self.pencil.K)
+            # the shifted matrix and its LU are dropped by the time the pinned LU is built
+            solve, self.fill, self.perm = factor(
+                fem.add_on_pattern(self.pencil.K, self.pencil.M, -_SHIFT_SHARE * self.faber_krahn)
+            )
         except RuntimeError as exc:
             raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
         self.ground = smallest_eigenpair(self.pencil, solve)

@@ -14,8 +14,8 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import sparse
 
+from . import fem
 from .eig import RESIDUAL_TOL, SolverError, _lanczos_eigenpair, _refine, _ritz_basis
 
 _RITZ_ORDER = 6  # the cascade order whose modes are the ε-sweep's Rayleigh–Ritz basis
@@ -118,13 +118,8 @@ def direct_eigenvalue(disc, theta, epsilon: float):
         raise ValueError("epsilon must exceed -1 for a positive coefficient")
     theta = check_density(theta, disc.mesh.n_nodes)
     pencil0 = disc.pencil
-    pencil = replace(pencil0, K=_contrast_stiffness(pencil0.K, disc.theta_stiffness(theta), epsilon))
+    pencil = replace(pencil0, K=fem.add_on_pattern(pencil0.K, disc.theta_stiffness(theta), epsilon))
     return _lanczos_eigenpair(pencil, disc.perm)
-
-
-def _contrast_stiffness(K0, Kt, epsilon: float) -> sparse.csr_matrix:
-    """K0 + ε·Kθ on K0's stored pattern, which Kθ shares (both come from fem._scatter)."""
-    return sparse.csr_matrix((K0.data + epsilon * Kt.data, K0.indices, K0.indptr), shape=K0.shape)
 
 
 def _refined_eigenvalue(disc, Kt, epsilon: float, S, Z, A0, At) -> float | None:
@@ -135,15 +130,16 @@ def _refined_eigenvalue(disc, Kt, epsilon: float, S, Z, A0, At) -> float | None:
     arithmetic, goes to :func:`eig._refine` on the deflated singular solve, which
     keeps a pair that meets the residual contract.  λ is accepted only when it meets
     that contract, min(1, 1+ε)·λ₀ ≤ λ ≤ R_ε(u₀) and λ < min(1, 1+ε)·λ₂, with λ₂ read
-    first as the Krahn–Szegő bound 2π·j₀₁²·α/|Ω| under the P1 λ₂.  K0 + εKθ ≥ min(1, 1+ε)·K0,
-    so Weyl's inequality makes λ the smallest eigenvalue.  None: the step cap was
-    reached, the arithmetic overflowed (huge ε) or a check failed.
+    first as the Krahn–Szegő bound 2π·j₀₁²·α/|Ω| (twice ``disc.faber_krahn``) under
+    the P1 λ₂.  K0 + εKθ ≥ min(1, 1+ε)·K0, so Weyl's inequality makes λ the smallest
+    eigenvalue.  None: the step cap was reached, the arithmetic overflowed (huge ε)
+    or a check failed.
     """
     M, K0, u0 = disc.pencil.M, disc.pencil.K, disc.solver.u0f
     shrink = min(1.0, 1.0 + epsilon)
     with np.errstate(over="raise", invalid="raise"):
         try:
-            K = _contrast_stiffness(K0, Kt, epsilon)
+            K = fem.add_on_pattern(K0, Kt, epsilon)
             upper = float(u0 @ (K @ u0)) / float(u0 @ (M @ u0))  # R_ε(u₀) = λ₀ + ε·u₀ᵀKθu₀
             vals, Y = np.linalg.eigh(Z.T @ (A0 + epsilon * At) @ Z)
             lam = min(max(float(vals[0]), shrink * disc.ground.lam), upper)
@@ -151,7 +147,7 @@ def _refined_eigenvalue(disc, Kt, epsilon: float, S, Z, A0, At) -> float | None:
         except FloatingPointError:
             return None
     certified = res <= RESIDUAL_TOL and shrink * disc.ground.lam <= lam <= upper
-    bound = shrink * 2.0 * np.pi * 2.404825557695773**2 * disc.alpha / disc.mesh.total_area
+    bound = shrink * 2.0 * disc.faber_krahn
     return lam if certified and (lam < bound or lam < shrink * disc.lambda2) else None
 
 

@@ -126,3 +126,20 @@ def build_pencil(mesh, coeff) -> SparsePencil:
 def restrict_matrix(A: sparse.spmatrix, free: np.ndarray) -> sparse.csr_matrix:
     """Free-node restriction of a full assembled matrix."""
     return A.tocsr()[free][:, free].tocsr()
+
+
+def add_on_pattern(A: sparse.csr_matrix, B: sparse.csr_matrix, c: float) -> sparse.csr_matrix:
+    """A + c·B on A's stored pattern, which B must share.
+
+    Every matrix :func:`_scatter` assembles on a mesh, restricted by
+    :func:`restrict_matrix`, stores every vertex pair of every triangle,
+    exact zeros included, so all of them share one ``indptr`` and
+    ``indices``, and the sum is one pass over their values.  A scipy sum
+    would drop any entry that cancels to 0, and with it the pattern that the
+    discretization's fill-reducing order was picked for.
+    """
+    if A.shape != B.shape or not (
+        np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
+    ):
+        raise ValueError("matrices do not share a stored pattern")
+    return sparse.csr_matrix((A.data + c * B.data, A.indices, A.indptr), shape=A.shape)

@@ -56,7 +56,7 @@ def dense_ground(pencil):
 
 
 def count_ground_solves(monkeypatch):
-    """Count the solves made with K's LU, the factorization that picks the order."""
+    """Count the solves made with the LU of K − σM, the factorization that picks the order."""
     counts = []
 
     def counted(A, perm=None):
@@ -77,6 +77,12 @@ def count_ground_solves(monkeypatch):
 
 def unit_disc(n, alpha=1.0, **kw):
     return Discretization(generate_unit_square(n, n), alpha, **kw)
+
+
+def rectangle4x1():
+    """The 32×8 square mesh stretched to a 4×1 rectangle: far from a disk."""
+    square = generate_unit_square(32, 8)
+    return from_arrays(square.node_coords * [4.0, 1.0], square.triangles)
 
 
 def sunflower_disk(n_nodes):
@@ -171,13 +177,41 @@ class TestSmallestEigenpair:
         )
 
     @pytest.mark.parametrize("mesh", ["square128", "disk4200"])
-    def test_solves_with_k(self, monkeypatch, mesh):
-        # the start K⁻¹·1 and one solve per Rayleigh–Ritz step: 9 and 10 measured,
-        # where shift-invert Lanczos made 21
+    def test_solves_with_shifted_k(self, monkeypatch, mesh):
+        # the start (K − σM)⁻¹·1 and one solve per Rayleigh–Ritz step: 6 and 4
+        # measured, where K itself took 9 and 10 and shift-invert Lanczos 21
         shape = generate_unit_square(128, 128) if mesh == "square128" else sunflower_disk(4200)
         counts = count_ground_solves(monkeypatch)
         Discretization(shape, 1.0)
-        assert 0 < counts[0] <= 12
+        assert 0 < counts[0] <= {"square128": 7, "disk4200": 5}[mesh]
+
+    @pytest.mark.parametrize(
+        "kind, alpha",
+        [(str(n), 1.0) for n in (2, 3, 4, 8, 16, 32, 64, 128)]
+        + [("disk800", 1.0), ("disk4200", 1.0), ("shuffled150", 1.0), ("rect4x1", 1.0)]
+        + [("16", 1e-100), ("16", 1e100)],
+    )
+    def test_shift_below_ground(self, request, kind, alpha):
+        # Faber–Krahn keeps σ = 0.999·π·j₀₁²·α/|Ω| below the P1 λ₀ on any mesh;
+        # the 4×1 rectangle is far from a disk (σ/λ₀ = 0.43)
+        if kind == "rect4x1":
+            mesh = rectangle4x1()
+        elif kind == "shuffled150":
+            mesh = request.getfixturevalue("square150")[2]
+        elif kind.startswith("disk"):
+            mesh = sunflower_disk(int(kind[4:]))
+        else:
+            mesh = generate_unit_square(int(kind), int(kind))
+        disc = Discretization(mesh, alpha)
+        assert disc.faber_krahn == pytest.approx(np.pi * J01**2 * alpha / mesh.total_area, rel=1e-15)
+        assert eig._SHIFT_SHARE * disc.faber_krahn < disc.ground.lam
+        K, M = disc.pencil.K, disc.pencil.M
+        if disc.pencil.n_free <= 9:  # too few free nodes for ARPACK
+            ref = dense_ground(disc.pencil)
+        else:
+            ref = spla.eigsh(K, k=1, M=M, sigma=0.0, return_eigenvectors=False)[0]
+        assert disc.ground.lam == pytest.approx(ref, rel=1e-12)
+        assert disc.ground.residual <= 1e-14
 
 
 class TestSecondEigenvalue:
@@ -238,8 +272,7 @@ class TestSecondEigenvalue:
     def test_krahn_szego_bound_below(self, kind, alpha):
         # λ₂(Ω) ≥ 2π·j₀₁²/|Ω|, and the conforming P1 λ₂ lies above λ₂(Ω) by min–max
         if kind == "rect4x1":
-            square = generate_unit_square(32, 8)
-            mesh = from_arrays(square.node_coords * [4.0, 1.0], square.triangles)
+            mesh = rectangle4x1()
         elif kind == "disk800":
             mesh = sunflower_disk(800)
         else:
@@ -361,7 +394,8 @@ class TestDiscretization:
         pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems))
         disc = Discretization(mesh, 1.0)
         assert (disc.pencil.K != pencil.K).nnz == 0
-        assert disc.ground.lam == smallest_eigenpair(pencil, factor(pencil.K)[0]).lam
+        shifted = fem.add_on_pattern(pencil.K, pencil.M, -eig._SHIFT_SHARE * disc.faber_krahn)
+        assert disc.ground.lam == smallest_eigenpair(pencil, factor(shifted)[0]).lam
 
     def test_solver_built_on_first_use(self):
         disc = Discretization(generate_unit_square(6, 6), 1.0)
@@ -383,13 +417,13 @@ class TestDiscretization:
     @pytest.mark.parametrize("kind", ["zero", "binary", "disk"])
     def test_theta_stiffness_has_k_pattern(self, kind):
         # the remainder report builds K0 + ε·Kθ from the two value arrays alone,
-        # and K's order serves every matrix with this pattern, M's included
+        # and K's order serves every matrix with this pattern, M's and the pinned one's included
         mesh = sunflower_disk(800) if kind == "disk" else generate_unit_square(16, 16)
         disc = Discretization(mesh, 1.0)
         rng = np.random.default_rng(3)
         theta = np.zeros(mesh.n_nodes) if kind == "zero" else (rng.random(mesh.n_nodes) < 0.5) * 1.0
         K = disc.pencil.K
-        for A in (disc.theta_stiffness(theta), disc.pencil.M):
+        for A in (disc.theta_stiffness(theta), disc.pencil.M, disc.solver._A):
             assert np.array_equal(A.indptr, K.indptr) and np.array_equal(A.indices, K.indices)
 
     @pytest.mark.parametrize(
@@ -456,6 +490,18 @@ class TestOrdering:
         assert solver.fill < bordered.nnz
         # the pinned system is K's pattern less one node (a dense border took 131k against 123k)
         assert solver.fill <= disc.fill
+
+    @pytest.mark.parametrize("mesh", ["square64", "disk4200", "shuffled150"])
+    def test_shift_keeps_order_and_fill(self, request, mesh):
+        # K − σM is built on K's stored pattern, so SuperLU picks K's order and fill
+        if mesh == "shuffled150":
+            shape = request.getfixturevalue("square150")[2]
+        else:
+            shape = generate_unit_square(64, 64) if mesh == "square64" else sunflower_disk(4200)
+        disc = Discretization(shape, 1.0)
+        _, fill, perm = factor(disc.pencil.K)
+        assert np.array_equal(disc.perm, perm)
+        assert disc.fill == fill
 
     def test_singular_fill_within_k_fill_on_disk(self):
         # a 4.2k-node Delaunay disk, built as the benchmark's imported disk is;

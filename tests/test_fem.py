@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lowcontrast import fem
 from lowcontrast.mesh import from_arrays, generate_unit_square
@@ -145,3 +146,24 @@ class TestPencil:
         avg = fem.element_average(square, theta)
         centroids_x = square.node_coords[square.triangles, 0].mean(axis=1)
         np.testing.assert_allclose(avg, centroids_x, atol=1e-14)
+
+
+class TestAddOnPattern:
+    def test_values_of_scipy_sum(self, square):
+        pencil = fem.build_pencil(square, np.linspace(0.5, 2.0, square.n_elems))
+        K, M = pencil.K, pencil.M
+        A = fem.add_on_pattern(K, M, -3.7)
+        assert np.array_equal(A.indptr, K.indptr) and np.array_equal(A.indices, K.indices)
+        assert np.array_equal(A.toarray(), (K - 3.7 * M).toarray())
+
+    def test_keeps_cancelled_entries(self, square):
+        # a scipy sum drops them, and with them the pattern an order was picked for
+        K = fem.build_pencil(square, np.ones(square.n_elems)).K
+        assert (K - K).nnz == 0
+        A = fem.add_on_pattern(K, K, -1.0)
+        assert A.nnz == K.nnz and not A.data.any()
+
+    def test_other_pattern_rejected(self, square):
+        K = fem.build_pencil(square, np.ones(square.n_elems)).K
+        with pytest.raises(ValueError, match="pattern"):
+            fem.add_on_pattern(K, sparse.identity(K.shape[0], format="csr"), 1.0)
