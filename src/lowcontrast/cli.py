@@ -279,7 +279,11 @@ def cmd_optimize(args) -> int:
         tol_step=args.tol_step,
         seed=args.seed,
     )
-    problem = relax.RelaxedObjective(Discretization(m, args.alpha), args.epsilon)
+    disc = Discretization(m, args.alpha)
+    # the descent needs the pinned LU; factored here, it drops the LU of K − σM before the
+    # objective's arrays are built (built after them, the 200² peak RSS rose by 1 MB)
+    disc.solver
+    problem = relax.RelaxedObjective(disc, args.epsilon)
     state, final, kkt = optimizer.run(problem, config)
 
     out_dir = Path(args.out_dir)

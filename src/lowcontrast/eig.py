@@ -10,21 +10,24 @@ Faber–Krahn bound on λ₀, and λ₂ from a random start on the deflated
 singular solve.  A remainder report's λ_ε starts from a Ritz pair
 on the cascade's modes (:func:`_ritz_basis`), refined only if it misses its
 contract, so refining factors nothing.  Only the report's direct fallback
-runs shift-invert Lanczos (ARPACK; dense on tiny pencils).  A singular solve
-pins one node where u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes
-its result against u₀, so the constraint u₀ᵀMv = 0 is enforced exactly.
+runs shift-invert Lanczos (ARPACK; dense on tiny pencils).  The pinned
+singular solve pins one node where u₀ ≠ 0, which leaves an SPD system, and
+M-orthogonalizes its result against u₀, so the constraint u₀ᵀMv = 0 is
+enforced exactly; the deflated PCG keeps every iterate on that constraint.
 
 Every sparse factorization goes through :func:`factor`, which keeps its
 pivots on the diagonal of one symmetric fill-reducing order per
 discretization.  The discretization factors K − σM once, built on K's
 stored pattern, and SuperLU picks the order then, as a multiple-minimum-degree
 order of that pattern, so it is K's order; that LU serves the ground
-refinement and is then dropped.  Later matrices with K's pattern (the pinned
-singular system, with its pinned node left out of the order, and the
+refinement and, until the pinned system is factored, the singular solves, by
+a deflated PCG (:func:`_deflated_cg`).  Later matrices with K's pattern (the
+pinned singular system, with its pinned node left out of the order, and the
 finite-contrast stiffness of the direct fallback) are permuted symmetrically
-by it and factored in natural order.  A discretization thus factors twice:
-K − σM for the ground pair, and the pinned system, which runs the cascade and
-preconditions λ₂ and every λ_ε that needs refining.
+by it and factored in natural order.  A single singular solve (an ``eval``)
+thus needs one factorization; the pinned system, factored by the consumers
+that loop over loads, runs the cascade and the descent and preconditions λ₂
+and every λ_ε that needs refining.
 """
 from __future__ import annotations
 
@@ -231,27 +234,92 @@ def _checked_pair(pencil, lam, u, res) -> EigenPair:
     return EigenPair(lam=lam, u=pencil.extend(u), residual=res)
 
 
+def _compatible_load(f, u0f, Mu0, lambda0):
+    """``(g, ‖f‖)`` for a singular-solve load f on free nodes, g = f − (u₀ᵀf)·Mu₀.
+
+    The Fredholm condition |u₀ᵀf| ≤ FREDHOLM_TOL·|f|, plus a floor for the
+    rounding of u₀ᵀf, is enforced; a violation signals an inconsistent load
+    upstream.  Loads and u₀ᵀf scale with α and 1/|Ω| as λ₀ does; when the
+    terms of u₀ᵀf cancel, the rounding left in it is not a violation however
+    small |f| is, so the floor is 1e3·ε_mach·|λ₀|.  A zero load gives g = f.
+    """
+    f = np.asarray(f, dtype=float)
+    if f.shape != u0f.shape:
+        raise ValueError("load vector must live on free nodes")
+    fnorm = float(np.linalg.norm(f))
+    if fnorm == 0.0:
+        return f, fnorm
+    mu = float(u0f @ f)
+    floor = 1e3 * np.finfo(float).eps * abs(lambda0)
+    bound = FREDHOLM_TOL * fnorm + floor
+    if abs(mu) > bound:
+        raise SolverError(
+            f"compatibility violation: |u0.f| = {abs(mu):.3e} "
+            f"> {FREDHOLM_TOL:.1e}*|f| + {floor:.1e} = {bound:.3e}"
+        )
+    return f - mu * Mu0, fnorm
+
+
+def _deflated_cg(pencil, lambda0, u0f, Mu0, precond, g, fnorm):
+    """``(v, steps)``: the singular solve of a compatible load g by deflated PCG.
+
+    Conjugate gradients on (K − λ₀M)v = g over the complement of u₀, where
+    K − λ₀M is SPD.  The preconditioned residual is z = P·precond(r), with
+    ``precond`` the solve of K − σM for the ground shift σ < λ₀ and P the
+    M-orthogonal projector off u₀, so every iterate keeps u₀ᵀMv = 0; on that
+    complement the preconditioned operator has eigenvalues
+    1 − (λ₀ − σ)/(λ_j − σ), in [0.95, 1) on the squares and [0.999, 1) on the
+    disks.  Each step deflates the residual, r ← r − (u₀ᵀr)·Mu₀: without it a
+    rounding-only load (constant θ on a disk) stalled at 9e-7 of its norm.
+    The iteration stops at |r| ≤ 1e-14·|f| or after _COLD_STEPS steps; v
+    must then meet the pinned solve's own contract, |(K − λ₀M)v − g| ≤ 1e-8·|f|.
+    """
+    K, M = pencil.K, pencil.M
+    x = np.zeros_like(g)
+    r = g.copy()
+    p = rz_old = None
+    steps = 0
+    while steps < _COLD_STEPS and np.linalg.norm(r) > 1e-14 * fnorm:
+        z = precond(r)
+        z -= float(Mu0 @ z) * u0f
+        rz = float(r @ z)
+        p = z if p is None else z + (rz / rz_old) * p
+        Ap = K @ p - lambda0 * (M @ p)
+        pAp = float(p @ Ap)
+        if not (np.isfinite(pAp) and pAp > 0):  # a breakdown: the check below reports it
+            break
+        step = rz / pAp
+        x += step * p
+        r -= step * Ap
+        r -= float(u0f @ r) * Mu0
+        rz_old = rz
+        steps += 1
+    resid = np.linalg.norm(K @ x - lambda0 * (M @ x) - g) / fnorm
+    if not np.isfinite(resid) or resid > 1e-8:
+        raise SolverError(f"singular solve breakdown: residual {resid:.3e} after {steps} CG steps")
+    return x, steps
+
+
 class ShiftedSolver:
     """Factorized singular operator A = K − λ₀M, pinned at one node.
 
     A is positive semi-definite with kernel span(u₀), so without the row and
     column of node k = argmax|u₀| it is SPD.  That matrix is factored in
-    K's order ``perm`` (a discretization's) less node k, with diagonal
-    pivots: its fill is part of K's and does not depend on α.  A solve maps
-    a load f to v with A v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, reusing the
-    factorization (one per cascade order / objective evaluation).  ``fill``:
-    see :func:`factor`.
+    the discretization's order ``perm`` less node k, with diagonal pivots:
+    its fill is part of K's and does not depend on α.  A solve maps a load f
+    to v with A v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, reusing the factorization
+    (one per cascade order / objective evaluation).  λ₀, and u₀ and Mu₀ on
+    free nodes, are the discretization's.  ``fill``: see :func:`factor`.
     """
 
-    def __init__(self, pencil, lambda0: float, u0: np.ndarray, perm: np.ndarray):
-        self.pencil = pencil
-        self.lambda0 = float(lambda0)
-        self.u0f = pencil.restrict(u0)
-        self.Mu0 = pencil.M @ self.u0f
+    def __init__(self, disc):
+        self.pencil = pencil = disc.pencil
+        self.lambda0 = float(disc.ground.lam)
+        self.u0f, self.Mu0 = disc.u0f, disc.Mu0
         A = fem.add_on_pattern(pencil.K, pencil.M, -self.lambda0)
         k = int(np.argmax(np.abs(self.u0f)))
         try:
-            self._solve, self.fill, _ = factor(A, perm[perm != k])
+            self._solve, self.fill, _ = factor(A, disc.perm[disc.perm != k])
         except RuntimeError as exc:
             raise SolverError(f"pinned factorization failed: {exc}") from exc
         self._A, self._k, self._Ak = A, k, A[k]
@@ -259,32 +327,16 @@ class ShiftedSolver:
         # it grows with the mesh; a multiple of z = pinned⁻¹Mu₀ moves it onto Mu₀
         self._z = self._solve(self.Mu0)
         self._zk = (self._Ak @ self._z)[0] - self.Mu0[k]
-        # loads and u₀ᵀf scale with α and 1/|Ω| as λ₀ does; when the terms of
-        # u₀ᵀf cancel, the rounding left in it is not a violation however small |f| is
-        self._compat_floor = 1e3 * np.finfo(float).eps * abs(self.lambda0)
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """Solve for v given a free-node load f.
 
-        The Fredholm condition |u₀ᵀf| ≤ FREDHOLM_TOL·|f|, plus a floor for the
-        rounding of u₀ᵀf, is enforced; a violation signals an inconsistent
-        load upstream.  g = f − (u₀ᵀf)·Mu₀ is then solved pinned, and the
-        result M-orthogonalized against u₀.
+        The load passes :func:`_compatible_load`; g = f − (u₀ᵀf)·Mu₀ is then
+        solved pinned, and the result M-orthogonalized against u₀.
         """
-        f = np.asarray(f, dtype=float)
-        if f.shape != (self.pencil.n_free,):
-            raise ValueError("load vector must live on free nodes")
-        fnorm = np.linalg.norm(f)
+        g, fnorm = _compatible_load(f, self.u0f, self.Mu0, self.lambda0)
         if fnorm == 0.0:
-            return np.zeros_like(f)
-        mu_expected = float(self.u0f @ f)
-        bound = FREDHOLM_TOL * fnorm + self._compat_floor
-        if abs(mu_expected) > bound:
-            raise SolverError(
-                f"compatibility violation: |u0.f| = {abs(mu_expected):.3e} "
-                f"> {FREDHOLM_TOL:.1e}*|f| + {self._compat_floor:.1e} = {bound:.3e}"
-            )
-        g = f - mu_expected * self.Mu0
+            return np.zeros_like(g)
         w = self._solve(g)
         w -= ((self._Ak @ w)[0] - g[self._k]) / self._zk * self._z
         v = w - float(self.Mu0 @ w) * self.u0f
@@ -308,18 +360,23 @@ class Discretization:
 
     Holds the α-pencil (K, M) on free nodes, the fill-reducing order
     ``perm`` that every factorization on the mesh follows, its ground pair
-    (λ₀, u₀), a lazy second eigenvalue λ₂ and the pinned solver for the
-    singular operator K − λ₀M.  A domain whose free nodes fall into
-    several connected parts is rejected: its ground eigenvalue can be
-    repeated, and the cascade assumes it is simple.
+    (λ₀, u₀) with u₀ and Mu₀ on free nodes (``u0f``, ``Mu0``), a lazy second
+    eigenvalue λ₂ and the singular solves of K − λ₀M.  A domain whose free
+    nodes fall into several connected parts is rejected: its ground
+    eigenvalue can be repeated, and the cascade assumes it is simple.
     The cascade, the remainder certificate (which reads λ₂ only past a
-    closed-form bound) and the relaxed objective reuse it.  It factors twice:
-    K − σM here, which picks ``perm`` and serves the ground pair, and the
-    pinned system on the first singular solve.  The shift σ is
-    _SHIFT_SHARE·``faber_krahn``, where ``faber_krahn`` = π·j₀₁²·α/|Ω| is the
-    Faber–Krahn lower bound on λ₀ (and twice it the Krahn–Szegő bound on λ₂).
-    K − σM is built on K's stored pattern, so ``perm`` and ``fill`` are those
-    of K's own factorization; its LU is dropped once the ground pair is found.
+    closed-form bound) and the relaxed objective reuse it.  It factors
+    K − σM here, which picks ``perm`` and serves the ground pair.  The shift
+    σ is _SHIFT_SHARE·``faber_krahn``, where ``faber_krahn`` = π·j₀₁²·α/|Ω| is
+    the Faber–Krahn lower bound on λ₀ (and twice it the Krahn–Szegő bound on
+    λ₂).  K − σM is built on K's stored pattern, so ``perm`` and ``fill`` are
+    those of K's own factorization.  Its LU is kept for :meth:`singular_solve`
+    until the pinned system (``solver``) is factored or Kθ is first assembled,
+    whichever comes first, so that the second factorization, or the assembly,
+    does not add to its memory.  A command that makes one singular solve
+    (``eval``) thus factors once; one that loops over loads (the cascade, λ₂,
+    the λ_ε refinement, the descent) factors the pinned system up front, twice
+    in all.
     """
 
     def __init__(self, mesh, alpha: float):
@@ -338,14 +395,34 @@ class Discretization:
         # conforming P1 λ₀ lies above λ₀(Ω) by min–max
         self.faber_krahn = float(np.pi * _J01**2 * alpha / mesh.total_area)
         try:
-            # the shifted matrix and its LU are dropped by the time the pinned LU is built
-            solve, self.fill, self.perm = factor(
+            # the shifted matrix is an argument only: it is gone once its LU exists
+            self._shifted_solve, self.fill, self.perm = factor(
                 fem.add_on_pattern(self.pencil.K, self.pencil.M, -_SHIFT_SHARE * self.faber_krahn)
             )
         except RuntimeError as exc:
             raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
-        self.ground = smallest_eigenpair(self.pencil, solve)
+        self.ground = smallest_eigenpair(self.pencil, self._shifted_solve)
+        self.u0f = self.pencil.restrict(self.ground.u)
+        self.Mu0 = self.pencil.M @ self.u0f
         self._last_theta_stiffness = None
+
+    def singular_solve(self, f: np.ndarray) -> np.ndarray:
+        """v with (K − λ₀M)v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, for a free-node load f.
+
+        The pinned direct solve (:meth:`ShiftedSolver.solve`) once the pinned
+        system is factored or the LU of K − σM is gone; until then a deflated
+        PCG on that LU (:func:`_deflated_cg`), 4 steps on the disks and 7 on the
+        squares, which saves the pinned factorization a single solve would
+        not repay.  Both check the load's Fredholm condition and meet the same
+        residual contract.
+        """
+        if self._shifted_solve is None:  # dropped by the pinned factorization or the first Kθ
+            return self.solver.solve(f)
+        lam0 = self.ground.lam
+        g, fnorm = _compatible_load(f, self.u0f, self.Mu0, lam0)
+        if fnorm == 0.0:
+            return np.zeros_like(g)
+        return _deflated_cg(self.pencil, lam0, self.u0f, self.Mu0, self._shifted_solve, g, fnorm)[0]
 
     @cached_property
     def lambda2(self) -> float:
@@ -378,18 +455,20 @@ class Discretization:
 
     @cached_property
     def solver(self) -> ShiftedSolver:
-        """Pinned solver for K − λ₀M, factorized on first access."""
-        return ShiftedSolver(self.pencil, self.ground.lam, self.ground.u, self.perm)
+        """Pinned solver for K − λ₀M, factorized on first access, after the LU of K − σM is dropped."""
+        self._shifted_solve = None
+        return ShiftedSolver(self)
 
     def theta_stiffness(self, theta) -> sparse.csr_matrix:
         """Free-node stiffness Kθ with coefficient α·(vertex average of θ).
 
         The last result is kept, so an ε-sweep and a cascade over one
-        density assemble it once.
+        density assemble it once.  The LU of K − σM is dropped first.
         """
         theta = np.asarray(theta, dtype=float)
         last = self._last_theta_stiffness
         if last is None or not np.array_equal(last[0], theta):
+            self._shifted_solve = None
             theta_e = fem.element_average(self.mesh, theta)
             Kt = fem.restrict_matrix(
                 fem.assemble_stiffness(self.mesh, self.alpha * theta_e), self.pencil.free

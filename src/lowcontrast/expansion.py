@@ -65,13 +65,13 @@ def compute_series(disc, theta, order: int) -> ExpansionSeries:
         raise ValueError("order must be >= 0")
 
     pencil = disc.pencil
-    lam0, u0f = disc.ground.lam, pencil.restrict(disc.ground.u)
+    lam0, u0f = disc.ground.lam, disc.u0f
     Kt = disc.theta_stiffness(theta)
     M = pencil.M
 
     lams = [lam0]
     modes = [u0f]
-    Mmodes = [M @ u0f]  # cache M @ u_k
+    Mmodes = [disc.Mu0]  # cache M @ u_k
     full_modes = np.zeros((order + 1, pencil.n_nodes))
     full_modes[0, pencil.free] = u0f
 
@@ -135,7 +135,7 @@ def _refined_eigenvalue(disc, Kt, epsilon: float, S, Z, A0, At) -> float | None:
     eigenvalue.  None: the step cap was reached, the arithmetic overflowed (huge ε)
     or a check failed.
     """
-    M, K0, u0 = disc.pencil.M, disc.pencil.K, disc.solver.u0f
+    M, K0, u0 = disc.pencil.M, disc.pencil.K, disc.u0f
     shrink = min(1.0, 1.0 + epsilon)
     with np.errstate(over="raise", invalid="raise"):
         try:

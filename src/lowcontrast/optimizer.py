@@ -200,6 +200,7 @@ def run(problem: RelaxedObjective, config: OptimizerConfig):
         theta0, _ = project_volume(lumped, rng.uniform(0.0, 1.0, n_nodes), m, tol_vol)
 
     rho0 = total / problem.ground.lam
+    problem.disc.solver  # the descent makes many singular solves: factor the pinned system for them
     ev0 = problem.evaluate(theta0)
     state = OptimizerState(theta=theta0, iter=0, rho=rho0, last_eval=ev0)
     state.F_history.append(ev0.F)

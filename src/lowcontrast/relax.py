@@ -41,9 +41,11 @@ class RelaxedObjective:
     The nodal/element maps are fixed by the mesh and u0, so they are built
     once as two CSR matrices, a row per triangle and its vertices as columns:
     the incidence S (θ_e = Sθ/3; ones, so it rounds as a vertex mean and Sᵀ
-    as a scatter) and the coupling C (Cv = ∇v·∇u0).  The shared pinned
-    factorization is built first: built at the first evaluation instead, it
-    raised the peak RSS of a 200² optimize run by about 4%.
+    as a scatter) and the coupling C (Cv = ∇v·∇u0).  The state v(θ) is the
+    discretization's :meth:`~lowcontrast.eig.Discretization.singular_solve`,
+    which factors nothing for a single evaluation; a caller that evaluates
+    many densities (:func:`lowcontrast.optimizer.run`) factors the pinned
+    system ``disc.solver`` first.
     """
 
     def __init__(self, disc, epsilon: float):
@@ -57,7 +59,6 @@ class RelaxedObjective:
         self.epsilon = epsilon
         self.pencil = disc.pencil
         self.ground = disc.ground
-        self.solver = disc.solver
         self.lumped = self.pencil.lumped
         self._area = mesh.elem_area
         m = mesh.n_elems
@@ -82,8 +83,8 @@ class RelaxedObjective:
         """
         w = self.alpha * self._area * theta_e
         lam1 = float(w @ self.gu0_sq)
-        f = lam1 * self.solver.Mu0 - (self._coupling.T @ w)[self.pencil.free]
-        v = self.pencil.extend(self.solver.solve(f))
+        f = lam1 * self.disc.Mu0 - (self._coupling.T @ w)[self.pencil.free]
+        v = self.pencil.extend(self.disc.singular_solve(f))
         return v, lam1, self._coupling @ v
 
     # -- objective / derivatives --------------------------------------------

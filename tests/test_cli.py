@@ -861,11 +861,47 @@ def test_ground_refinement_past_step_cap_exit_4(monkeypatch, capsys):
 
 
 def test_solver_error_exit_4(monkeypatch, capsys):
+    # eval's one singular solve is the deflated CG on the LU of K − σM
+    def fail(*args):
+        raise SolverError("singular solve breakdown: residual 1.000e+00 after 60 CG steps")
+
+    monkeypatch.setattr(eig, "_deflated_cg", fail)
+    code = run_cli(["eval", "--nx", 4, "--ny", 4, "--random-theta", "--epsilon", 0.1])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert captured.err == "solver error: singular solve breakdown: residual 1.000e+00 after 60 CG steps\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, factorizations",
+    [
+        # one singular solve: the deflated CG on the LU of K − σM
+        (["eval", "--nx", 16, "--ny", 16, "--random-theta", "--seed", 1, "--epsilon", 0.1], 1),
+        # many: the pinned system is factored for them
+        (["optimize", "--nx", 8, "--ny", 8, "--epsilon", 0.1, "--volume-fraction", 0.4], 2),
+        (["expand", "--nx", 16, "--ny", 16, "--random-theta", "--seed", 1, "--order", 2], 2),
+    ],
+)
+def test_factorizations_per_command(monkeypatch, tmp_path, argv, factorizations):
+    calls, pinned = [], []
+    factor, init = eig.factor, ShiftedSolver.__init__
+    monkeypatch.setattr(eig, "factor", lambda *a, **kw: calls.append(1) or factor(*a, **kw))
+    monkeypatch.setattr(ShiftedSolver, "__init__", lambda self, *a: pinned.append(1) or init(self, *a))
+    out = ["--out", tmp_path / "out.vtk"] if argv[0] == "eval" else ["--out-dir", tmp_path]
+    assert run_cli(argv + out) == 0
+    assert len(calls) == factorizations
+    assert len(pinned) == factorizations - 1
+
+
+def test_pinned_solver_error_exit_4_on_optimize(monkeypatch, capsys, tmp_path):
+    # the descent solves on the pinned factorization
     def fail(self, f):
         raise SolverError("pinned solve breakdown: residual 1.000e+00")
 
     monkeypatch.setattr(ShiftedSolver, "solve", fail)
-    code = run_cli(["eval", "--nx", 4, "--ny", 4, "--random-theta", "--epsilon", 0.1])
+    code = run_cli(["optimize", "--nx", 4, "--ny", 4, "--epsilon", 0.1, "--volume-fraction", 0.4,
+                    "--out-dir", tmp_path])
     assert code == 4
     captured = capsys.readouterr()
     assert captured.err == "solver error: pinned solve breakdown: residual 1.000e+00\n"

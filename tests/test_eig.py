@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -296,8 +297,7 @@ class TestSecondEigenvalue:
 
 @pytest.fixture(scope="module")
 def setup():
-    disc = unit_disc(6)
-    return disc.pencil, disc.ground, disc.perm
+    return unit_disc(6)
 
 
 def compatible(solver, f):
@@ -307,44 +307,44 @@ def compatible(solver, f):
 
 class TestShiftedSolver:
     def test_zero_load(self, setup):
-        pencil, ground, perm = setup
-        v = ShiftedSolver(pencil, ground.lam, ground.u, perm).solve(np.zeros(pencil.n_free))
+        pencil = setup.pencil
+        v = ShiftedSolver(setup).solve(np.zeros(pencil.n_free))
         assert np.abs(v).max() == 0.0
 
     def test_spectral_oracle(self, setup):
         # f = M w for the second eigenvector w  =>  v = w / (lam2 - lam0)
-        pencil, ground, perm = setup
+        pencil, ground = setup.pencil, setup.ground
         vals, vecs = eigh(pencil.K.toarray(), pencil.M.toarray())
         w = vecs[:, 1] / np.sqrt(vecs[:, 1] @ (pencil.M @ vecs[:, 1]))
         f = pencil.M @ w
-        v = ShiftedSolver(pencil, ground.lam, ground.u, perm).solve(f)
+        v = ShiftedSolver(setup).solve(f)
         expected = w / (vals[1] - ground.lam)
         np.testing.assert_allclose(v, expected, atol=1e-9 * np.abs(expected).max())
 
     def test_orthogonality_enforced(self, setup):
         # u0' M v = 0 for every compatible load
-        pencil, ground, perm = setup
+        pencil = setup.pencil
         rng = np.random.default_rng(11)
-        u0f = pencil.restrict(ground.u)
-        solver = ShiftedSolver(pencil, ground.lam, ground.u, perm)
+        u0f = pencil.restrict(setup.ground.u)
+        solver = ShiftedSolver(setup)
         for _ in range(3):
             v = solver.solve(compatible(solver, rng.standard_normal(pencil.n_free)))
             assert abs(float(u0f @ (pencil.M @ v))) <= 1e-11
 
     def test_bordered_exactness_general_load(self, setup):
         # (K - lam0 M) v = f for a random load projected onto u0-compatible loads
-        pencil, ground, perm = setup
+        pencil = setup.pencil
         rng = np.random.default_rng(12)
-        solver = ShiftedSolver(pencil, ground.lam, ground.u, perm)
+        solver = ShiftedSolver(setup)
         f = compatible(solver, rng.standard_normal(pencil.n_free))
         v = solver.solve(f)
-        A = pencil.K - ground.lam * pencil.M
+        A = pencil.K - setup.ground.lam * pencil.M
         assert np.linalg.norm(A @ v - f) <= 1e-10 * np.linalg.norm(f)
 
     def test_compatibility_violation_raises(self, setup):
-        pencil, ground, perm = setup
-        f = pencil.M @ pencil.restrict(ground.u)  # u0.f = 1: maximally incompatible
-        solver = ShiftedSolver(pencil, ground.lam, ground.u, perm)
+        pencil = setup.pencil
+        f = pencil.M @ pencil.restrict(setup.ground.u)  # u0.f = 1: maximally incompatible
+        solver = ShiftedSolver(setup)
         with pytest.raises(SolverError, match="compat"):
             solver.solve(f)
 
@@ -374,7 +374,8 @@ class TestShiftedSolver:
         # where leaving it in the pinned row gave 7.8e-9 (2.9e-8 at 64²)
         disc = unit_disc(16)
         pencil = disc.pencil
-        solver = ShiftedSolver(pencil, disc.ground.lam * (1 + 1e-8), disc.ground.u, disc.perm)
+        disc.ground = replace(disc.ground, lam=disc.ground.lam * (1 + 1e-8))
+        solver = ShiftedSolver(disc)
         x, y = disc.mesh.node_coords.T
         f = compatible(solver, pencil.restrict(np.sin(3.0 * x) * y))
         v = solver.solve(f)
@@ -382,8 +383,7 @@ class TestShiftedSolver:
         assert np.linalg.norm(A @ v - compatible(solver, f)) <= 1e-12 * np.linalg.norm(f)
 
     def test_wrong_shape(self, setup):
-        pencil, ground, perm = setup
-        solver = ShiftedSolver(pencil, ground.lam, ground.u, perm)
+        solver = ShiftedSolver(setup)
         with pytest.raises(ValueError):
             solver.solve(np.zeros(3))
 
@@ -437,6 +437,100 @@ class TestDiscretization:
     def test_accepts_alpha_range_ends(self, alpha):
         ref = unit_disc(8).ground.lam
         assert unit_disc(8, alpha).ground.lam == pytest.approx(alpha * ref, rel=1e-12)
+
+
+def state_load(disc, theta):
+    """The load f of the relaxed objective's state equation at θ (ε = 0.1), taken without solving it."""
+    loads = []
+    problem = RelaxedObjective(disc, 0.1)
+    disc.singular_solve = lambda f: loads.append(f) or np.zeros_like(f)
+    try:
+        problem.evaluate(theta)
+    finally:
+        del disc.singular_solve
+    return loads[0]
+
+
+def count_cg_steps(monkeypatch):
+    """Record the step count of every deflated CG solve from here on."""
+    steps = []
+    cg = eig._deflated_cg
+    monkeypatch.setattr(eig, "_deflated_cg", lambda *a: (out := cg(*a)) and steps.append(out[1]) or out)
+    return steps
+
+
+class TestSingularSolve:
+    CASES = {
+        # name: (mesh, α, θ kind, most CG steps)
+        "square16": (lambda: generate_unit_square(16, 16), 1.0, "random", 8),
+        "square128": (lambda: generate_unit_square(128, 128), 1.0, "random", 8),
+        "disk800": (lambda: sunflower_disk(800), 1.0, "random", 5),
+        "disk4200": (lambda: sunflower_disk(4200), 1.0, "random", 5),
+        "alpha1e-100": (lambda: generate_unit_square(16, 16), 1e-100, "random", 8),
+        "alpha1e100": (lambda: generate_unit_square(16, 16), 1e100, "random", 8),
+        # θ ≡ c makes the load rounding alone: Kθ = c·K and λ1 = c·λ₀
+        "constant_square": (lambda: generate_unit_square(16, 16), 1.0, "constant", 8),
+        "constant_disk": (lambda: sunflower_disk(800), 1.0, "constant", 5),
+        "square2": (lambda: generate_unit_square(2, 2), 1.0, "random", 8),  # one free node
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_agrees_with_pinned_solve(self, monkeypatch, case):
+        make_mesh, alpha, kind, most_steps = self.CASES[case]
+        mesh = make_mesh()
+        disc = Discretization(mesh, alpha)
+        rng = np.random.default_rng(5)
+        theta = rng.uniform(0.0, 1.0, mesh.n_nodes) if kind == "random" else np.full(mesh.n_nodes, 0.37)
+        f = state_load(disc, theta)
+        steps = count_cg_steps(monkeypatch)
+        v = disc.singular_solve(f)
+        assert "solver" not in vars(disc)
+        # a zero load (the one free node of the 2² square) returns before the CG
+        assert steps == [] if not f.any() else len(steps) == 1 and steps[0] <= most_steps
+        ref = disc.solver.solve(f)
+        assert np.linalg.norm(v - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert abs(float(disc.Mu0 @ v)) <= 1e-11 * max(np.sqrt(v @ (disc.pencil.M @ v)), np.finfo(float).tiny)
+
+    def test_zero_density_gives_zero_state(self, monkeypatch):
+        disc = unit_disc(16)
+        f = state_load(disc, np.zeros(disc.mesh.n_nodes))
+        steps = count_cg_steps(monkeypatch)
+        assert not f.any()
+        v = disc.singular_solve(f)
+        assert not v.any() and steps == []
+
+    def test_pinned_solve_once_factored(self, monkeypatch):
+        disc = unit_disc(16)
+        f = state_load(disc, np.random.default_rng(6).uniform(0.0, 1.0, disc.mesh.n_nodes))
+        solver = disc.solver
+        assert disc._shifted_solve is None
+        steps = count_cg_steps(monkeypatch)
+        assert np.array_equal(disc.singular_solve(f), solver.solve(f)) and steps == []
+
+    def test_shifted_lu_dropped_by_theta_stiffness(self):
+        disc = unit_disc(8)
+        assert disc._shifted_solve is not None
+        disc.theta_stiffness(np.ones(disc.mesh.n_nodes))
+        assert disc._shifted_solve is None and "solver" not in vars(disc)
+        f = state_load(disc, np.linspace(0.0, 1.0, disc.mesh.n_nodes))
+        disc.singular_solve(f)  # served by the pinned system, factored now
+        assert "solver" in vars(disc)
+
+    def test_zero_preconditioner_raises(self):
+        # a preconditioner that returns zeros leaves v = 0: the residual check refuses it
+        disc = unit_disc(16)
+        f = state_load(disc, np.random.default_rng(7).uniform(0.0, 1.0, disc.mesh.n_nodes))
+        disc._shifted_solve = np.zeros_like
+        with pytest.raises(SolverError, match="singular solve breakdown: residual 1.000e\\+00 after 0 CG steps"):
+            disc.singular_solve(f)
+
+    def test_compatibility_violation_raises(self):
+        disc = unit_disc(16)
+        with pytest.raises(SolverError, match="compat"):
+            disc.singular_solve(disc.ground.lam * disc.Mu0)
+        with pytest.raises(ValueError, match="free nodes"):
+            disc.singular_solve(np.zeros(3))
+        assert "solver" not in vars(disc)
 
 
 @pytest.fixture(scope="module")

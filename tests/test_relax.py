@@ -43,8 +43,8 @@ def reference_objective(prob):
         lam1 = alpha * float(np.sum(area * theta_e * gu0_sq))
         load = np.zeros(mesh.n_nodes)
         np.add.at(load, tris, ((-alpha * area * theta_e)[:, None] * coupling).ravel())
-        f = load[prob.pencil.free] + lam1 * prob.solver.Mu0
-        v = prob.pencil.extend(prob.solver.solve(f))
+        f = load[prob.pencil.free] + lam1 * prob.disc.Mu0
+        v = prob.pencil.extend(prob.disc.singular_solve(f))
         return v, lam1, np.einsum("td,td->t", fem.element_gradient(mesh, v), grad_u0)
 
     def evaluate(theta):
@@ -123,13 +123,13 @@ class TestStateEquation:
         # the matrix-free load of the state equation is −(Kθ u0) + λ1·Mu0 on free nodes
         alpha = 0.9
         problem = RelaxedObjective(Discretization(mesh, alpha), EPS)
-        loads, solve = [], problem.solver.solve
+        loads, solve = [], problem.disc.singular_solve
 
         def recording_solve(f):
             loads.append(f)
             return solve(f)
 
-        monkeypatch.setattr(problem.solver, "solve", recording_solve)
+        monkeypatch.setattr(problem.disc, "singular_solve", recording_solve)
         theta = np.random.default_rng(4).uniform(0.0, 1.0, mesh.n_nodes)
         ev = problem.evaluate(theta)
         K_theta = fem.assemble_stiffness(mesh, alpha * fem.element_average(mesh, theta))
