@@ -86,6 +86,20 @@ class EigenPair:
     residual: float
 
 
+def _norm(v) -> float:
+    """|v|₂ taken on v scaled by a power of two near its largest entry.
+
+    The scaling is exact, so the norm is bitwise that of ``np.linalg.norm(v)``
+    wherever v's squares neither under- nor overflow; at α = 1e-150 a
+    residual's squares all underflow, and its unscaled norm reads 0.
+    """
+    big = np.max(np.abs(v), initial=0.0)
+    if not 0.0 < big < np.inf:
+        return float(np.linalg.norm(v))
+    e = np.frexp(big)[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(v, -e)), e))
+
+
 def _refine(K, M, lam, u, precond, steps=_REFINE_STEPS, tol=RESIDUAL_TOL):
     """Refine the approximate eigenpair (λ, u) of (K, M) until its residual is at most ``tol``.
 
@@ -108,8 +122,8 @@ def _refine(K, M, lam, u, precond, steps=_REFINE_STEPS, tol=RESIDUAL_TOL):
         if step:
             lam = float(u @ Ku) / float(u @ Mu)
         r = Ku - lam * Mu
-        denom = (norm_K + abs(lam) * norm_M) * np.linalg.norm(u)
-        res = float(np.linalg.norm(r) / denom) if denom else np.inf
+        denom = (norm_K + abs(lam) * norm_M) * _norm(u)
+        res = float(_norm(r) / denom) if denom else np.inf
         if res <= tol or step == steps:
             return lam, u, res
         S, Z = _ritz_basis(np.column_stack([u, precond(r)] if p is None else [u, precond(r), p]), M)

@@ -11,7 +11,7 @@ from lowcontrast.vtkio import export_vtk, write_csv
 # values whose 17-digit text is easy to get wrong: signed zero, the least
 # subnormal, a huge and a non-terminating value, infinity
 SPECIAL_FLOATS = [-0.0, 5e-324, 1e300, 1 / 3, float("inf")]
-CHUNK_ROWS = [vtkio._CHUNK - 1, vtkio._CHUNK, vtkio._CHUNK + 1]
+CHUNK_ROWS = [vtkio._BLOCK_ROWS - 1, vtkio._BLOCK_ROWS, vtkio._BLOCK_ROWS + 1]
 
 
 def run_cli(args):

@@ -678,6 +678,19 @@ class TestRefine:
             else:
                 assert lam == pytest.approx(alpha * unit_disc(16).ground.lam, rel=1e-12)
 
+    def test_residual_does_not_underflow_at_tiny_alpha(self):
+        # below α ≈ 1e-150 every square of the residual underflows; its norm,
+        # taken at a power-of-two scale, must keep the value it has at 1e-100
+        mesh = generate_unit_square(16, 16)
+        res = {}
+        for alpha in (1e-100, 1e-150):
+            pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
+            sigma = eig._SHIFT_SHARE * np.pi * eig._J01**2 * alpha / mesh.total_area
+            solve = factor(fem.add_on_pattern(pencil.K, pencil.M, -sigma))[0]
+            res[alpha] = smallest_eigenpair(pencil, solve).residual
+        assert res[1e-150] > 0
+        assert res[1e-100] / 2 <= res[1e-150] <= 2 * res[1e-100]
+
     def test_dense_path(self):
         # 9 free nodes: the direct fallback solves such a pencil densely and
         # refines its pair with a dense solve of K
