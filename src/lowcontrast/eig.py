@@ -2,41 +2,29 @@
 solves (K − λ₀M)v = f that drive the perturbation cascade, and the
 per-mesh :class:`Discretization` that owns both.
 
-Any method meeting the stated residual contracts is acceptable; here every
-pair of the α-pencil comes from a cold Rayleigh–Ritz refinement
-(:func:`_refine`) preconditioned by a solve its caller already holds: the
-ground pair from (K − σM)⁻¹·1 on the LU of K − σM, with σ just under the
-Faber–Krahn bound on λ₀, and λ₂ from a random start on the deflated
-singular solve.  A remainder report's λ_ε starts from a Ritz pair
-on the cascade's modes (:func:`_ritz_basis`), refined only if it misses its
-contract, so refining factors nothing.  Only the report's direct fallback
-runs shift-invert Lanczos (ARPACK; dense on tiny pencils).  The pinned
-singular solve pins one node where u₀ ≠ 0, which leaves an SPD system, and
-M-orthogonalizes its result against u₀, so the constraint u₀ᵀMv = 0 is
-enforced exactly; the deflated PCG keeps every iterate on that constraint.
+Every eigenpair comes from one cold or warm Rayleigh–Ritz refinement
+(:func:`_refine`), preconditioned by a solve its caller holds: the ground
+pair from (K − σM)⁻¹·1 on the LU of K − σM, σ just under the Faber–Krahn
+bound on λ₀; λ₂ from a random start on the deflated singular solve; a
+remainder report's λ_ε from a Ritz pair on the cascade's modes
+(:func:`_ritz_basis`), so refining factors nothing; and the report's direct
+fallback from an LU of K_ε − τM, certified by the inertia of K_ε − (1 − δ)λM
+(:func:`certified_smallest_pair`).  The pinned singular solve pins one node
+where u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes its result
+against u₀; the deflated PCG keeps every iterate on u₀ᵀMv = 0.
 
-Every sparse factorization goes through :func:`factor`, which keeps its
-pivots on the diagonal of one symmetric fill-reducing order per
-discretization.  The discretization factors K − σM once, built on K's
-stored pattern, and SuperLU picks the order then, as a multiple-minimum-degree
-order of that pattern, so it is K's order; that LU serves the ground
-refinement and, until the pinned system is factored, the singular solves, by
-a deflated PCG (:func:`_deflated_cg`).  Later matrices with K's pattern (the
-pinned singular system, with its pinned node left out of the order, and the
-finite-contrast stiffness of the direct fallback) are permuted symmetrically
-by it and factored in natural order.  A single singular solve (an ``eval``)
-thus needs one factorization; the pinned system, factored by the consumers
-that loop over loads, runs the cascade and the descent and preconditions λ₂
-and every λ_ε that needs refining.
+Every sparse factorization (:func:`factor`, :func:`_slice`) keeps its pivots
+on the diagonal of one symmetric fill-reducing order per discretization:
+SuperLU's multiple-minimum-degree order of K's stored pattern, picked when
+K − σM is factored and followed by the pinned system and every K_ε − τM.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
 from scipy.sparse import linalg as spla
 from scipy.sparse.csgraph import connected_components
 
@@ -44,9 +32,7 @@ from . import fem
 
 
 RESIDUAL_TOL = 1e-12  # largest normwise backward error an eigenpair may carry
-MAX_OUTER_ITERS = 10_000
 FREDHOLM_TOL = 1e-9  # largest |u₀ᵀf|/|f| a singular-solve load may carry
-_DENSE_CUTOFF = 12  # the finite-contrast fallback solves pencils this small densely
 _REFINE_STEPS = 12  # Rayleigh–Ritz steps before a pair is declared to miss its contract
 # the same for a cold start (the ground pair from (K − σM)⁻¹·1, λ₂ from a random
 # vector): a near-double λ₂ slows it, and an 800-node Delaunay disk
@@ -164,17 +150,19 @@ def factor(A, perm=None):
     factored in natural order.  K's order serves every matrix of its stored
     pattern, which ``fem._scatter`` gives M and every Kθ too: it stores every
     vertex pair of every triangle, exact zeros included.  One column per
-    panel (``panel_size=1``) keeps SuperLU's panel workspace (panel_size·n
-    values and indices, 13 MB at 200² by default) out of the peak memory, and
-    is faster (0.14 s against 0.20 s at 200²).
-
-    ``fill`` is SuperLU's count of the nonzeros it stores for L and U
-    (``SuperLU.nnz``).  It is within a few percent of L.nnz + U.nnz, which
-    would copy both factors to count them.
+    panel (``panel_size=1``) keeps SuperLU's workspace out of the peak memory.
+    ``fill`` is ``SuperLU.nnz``, the nonzeros it stores for L and U; counting
+    L.nnz + U.nnz would copy both factors.
     """
     if perm is None:
         lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1, **_DIAGONAL_PIVOTS)
         return lu.solve, lu.nnz, np.argsort(lu.perm_c)
+    lu, solve = _ordered_lu(A, perm)
+    return solve, lu.nnz, perm
+
+
+def _ordered_lu(A, perm):
+    """``(lu, solve)``: SuperLU's factors of ``A[perm][:, perm]`` in natural order, and the solve of A."""
     lu = spla.splu(A.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL", panel_size=1, **_DIAGONAL_PIVOTS)
 
     def solve(rhs):
@@ -182,61 +170,83 @@ def factor(A, perm=None):
         x[perm] = lu.solve(rhs[perm])
         return x
 
-    return solve, lu.nnz, perm
+    return lu, solve
+
+
+def _slice(A, perm):
+    """``(solve, count)``: the LU of the symmetric A in the order ``perm``, and its count of pivots not > 0.
+
+    With its pivots on the diagonal and no row swapped it is LDLᵀ up to row
+    scaling, so by Sylvester's law of inertia the count is that of A's
+    eigenvalues ≤ 0.  Reading U copies it.
+    """
+    try:
+        lu, solve = _ordered_lu(A, perm)
+    except RuntimeError as exc:  # an exactly singular pivot
+        raise SolverError(f"spectrum slicing LU failed: {exc}") from exc
+    if not np.array_equal(lu.perm_r, np.arange(A.shape[0])):
+        raise SolverError("a row swap in the LU voids its pivot count")
+    return solve, int(np.count_nonzero(~(lu.U.diagonal() > 0)))
+
+
+def _rounding_share(K, M, lam, u) -> float:
+    """δ = 16·ε_mach·|u|ᵀ|K||u| / (|λ|·uᵀMu), the relative rounding of λ = R(u) (the 16: README.md).
+
+    An ε_mach rounding of K, of uᵀKu or of K − τM's pivots moves R(u) by up to ε_mach·|u|ᵀ|K||u|/uᵀMu.
+    """
+    a = np.abs(u)
+    with np.errstate(over="ignore", invalid="ignore"):  # δ = ∞ or NaN resolves nothing
+        return 16.0 * np.finfo(float).eps * float(a @ (abs(K) @ a)) / (abs(lam) * float(u @ (M @ u)))
 
 
 def smallest_eigenpair(pencil, solve) -> EigenPair:
     """Smallest eigenpair of the pencil, sign-fixed by positive lumped integral.
 
-    ``solve`` applies (K − σM)⁻¹ for a shift 0 ≤ σ < λ₀ (the solve of
-    :func:`factor` on K − σM; :class:`Discretization` takes σ just under the
-    Faber–Krahn bound).  The pair is a cold refinement on it from
-    u = (K − σM)⁻¹·1, which overlaps u₀ (both are positive when K − σM is an
-    M-matrix, as on a Delaunay mesh), so the lowest Ritz value heads for λ₀.
-    :func:`_refine` runs up to _COLD_STEPS Rayleigh–Ritz steps, each with one
-    solve, to _GROUND_TOL.  The closer σ lies to λ₀, the fewer solves: at the
-    Faber–Krahn shift 3 on a 45k-node disk and 4 on 800- and 4.2k-node disks
-    (σ/λ₀ ≈ 0.999), 6 on squares from 8² to 200² (σ/λ₀ ≈ 0.92) and 14 on a 4×1
-    rectangle (σ/λ₀ = 0.43); with σ = 0, 9–11 from 8² to the 45k disk.
+    ``solve`` applies (K − σM)⁻¹ for a shift 0 ≤ σ < λ₀ (:class:`Discretization`
+    takes σ just under the Faber–Krahn bound).  The pair is a cold refinement
+    on it (:func:`_cold_pair`) from u = (K − σM)⁻¹·1 to _GROUND_TOL, and u
+    overlaps u₀ (both are positive when K − σM is an M-matrix, as on a
+    Delaunay mesh), so the lowest Ritz value heads for λ₀; the closer σ lies
+    to λ₀, the fewer steps.
     """
-    K, M = pencil.K, pencil.M
-    u = solve(np.ones(pencil.n_free))
+    return _checked_pair(pencil, *_cold_pair(pencil.K, pencil.M, solve, np.ones(pencil.n_free), _GROUND_TOL))
+
+
+def _cold_pair(K, M, solve, b, tol=RESIDUAL_TOL):
+    """:func:`_refine` from u = solve(b) at unit M-norm, for up to _COLD_STEPS steps."""
+    u = solve(b)
+    u = np.ldexp(u, -np.frexp(np.max(np.abs(u)))[1])  # exact; M-normalizing then neither under- nor overflows
     u /= np.sqrt(u @ (M @ u))
-    return _checked_pair(
-        pencil, *_refine(K, M, float(u @ (K @ u)), u, solve, _COLD_STEPS, tol=_GROUND_TOL)
-    )
+    return _refine(K, M, float(u @ (K @ u)), u, solve, _COLD_STEPS, tol)
 
 
-def _lanczos_eigenpair(pencil, perm) -> EigenPair:
-    """:func:`smallest_eigenpair` by shift-invert Lanczos, for pencils far from the α-pencil.
+def certified_smallest_pair(pencil, perm, lower) -> EigenPair:
+    """:func:`smallest_eigenpair` on an LU of K − τM (τ = ``lower`` > 0 first), certified by inertia.
 
-    The direct fallback of the remainder report calls it at a finite contrast
-    whose pair the warm refinement could not certify.  ARPACK runs on the
-    LU of K in the order ``perm`` (a dense solve of K on tiny pencils), which
-    then refines its pair.
+    The residual contract does not pin the smallest of a cluster, so a pair
+    (λ, u) counts only if K − (1 − δ)λM (δ: :func:`_rounding_share`) has no
+    pivot ≤ 0: then no eigenvalue lies below (1 − δ)λ, nor any above λ = R(u).
+    Else the counts bound a slice [lo, hi] that holds the smallest, τ is
+    bisected in it, and each new LU refines the pair again.  A slice narrower
+    than δλ, δ ≥ 1 (nothing resolved) or _COLD_STEPS LUs raise :class:`SolverError`.
     """
-    n, K, M = pencil.n_free, pencil.K, pencil.M
-    if n <= _DENSE_CUTOFF:
-        Kd = K.toarray()
-        vals, vecs = eigh(Kd, M.toarray())
-        precond = partial(np.linalg.solve, Kd)
-    else:
-        v0 = np.ones(n) / np.sqrt(n)
-        try:
-            precond = factor(K, perm)[0]  # the shift-invert operator (K − 0·M)⁻¹
-            vals, vecs = spla.eigsh(
-                K, k=1, M=M, sigma=0.0, which="LM", v0=v0,
-                OPinv=spla.LinearOperator((n, n), matvec=precond, dtype=float),
-                maxiter=MAX_OUTER_ITERS,
-            )
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(f"eigensolver did not converge: {exc}") from exc
-        except spla.ArpackError as exc:
-            raise SolverError(f"eigensolver failed: {exc}") from exc
-        except RuntimeError as exc:
-            raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
-    u = vecs[:, 0] / np.sqrt(vecs[:, 0] @ (M @ vecs[:, 0]))
-    return _checked_pair(pencil, *_refine(K, M, float(vals[0]), u, precond))
+    K, M, b = pencil.K, pencil.M, np.ones(pencil.n_free)
+    lo, hi, tau, lam = 0.0, np.inf, lower, None
+    for _ in range(_COLD_STEPS):
+        solve, count = _slice(fem.add_on_pattern(K, M, -tau), perm)
+        if count:
+            hi = tau
+        else:
+            lo = tau
+            if lam is not None and res <= RESIDUAL_TOL and tau >= (1.0 - delta) * lam:
+                return _checked_pair(pencil, lam, u, res)
+        lam, u, res = _cold_pair(K, M, solve, b, _GROUND_TOL)  # no pair yet, or none certified
+        delta = _rounding_share(K, M, lam, u)
+        if not (lo <= (1.0 + delta) * lam and delta < 1.0) or hi - lo <= delta * lam:
+            break
+        probe = (1.0 - delta) * lam
+        tau = probe if probe + delta * lam < hi else 0.5 * (lo + hi)
+    raise SolverError(f"no eigenvalue certified in [{lo:.17g}, {hi:.17g}] (delta {delta:.1e})")
 
 
 def _checked_pair(pencil, lam, u, res) -> EigenPair:
@@ -375,22 +385,17 @@ class Discretization:
     Holds the α-pencil (K, M) on free nodes, the fill-reducing order
     ``perm`` that every factorization on the mesh follows, its ground pair
     (λ₀, u₀) with u₀ and Mu₀ on free nodes (``u0f``, ``Mu0``), a lazy second
-    eigenvalue λ₂ and the singular solves of K − λ₀M.  A domain whose free
+    eigenvalue λ₂ and the singular solves of K − λ₀M, for the cascade, the
+    remainder certificate and the relaxed objective.  A domain whose free
     nodes fall into several connected parts is rejected: its ground
-    eigenvalue can be repeated, and the cascade assumes it is simple.
-    The cascade, the remainder certificate (which reads λ₂ only past a
-    closed-form bound) and the relaxed objective reuse it.  It factors
-    K − σM here, which picks ``perm`` and serves the ground pair.  The shift
-    σ is _SHIFT_SHARE·``faber_krahn``, where ``faber_krahn`` = π·j₀₁²·α/|Ω| is
-    the Faber–Krahn lower bound on λ₀ (and twice it the Krahn–Szegő bound on
-    λ₂).  K − σM is built on K's stored pattern, so ``perm`` and ``fill`` are
-    those of K's own factorization.  Its LU is kept for :meth:`singular_solve`
-    until the pinned system (``solver``) is factored or Kθ is first assembled,
-    whichever comes first, so that the second factorization, or the assembly,
-    does not add to its memory.  A command that makes one singular solve
-    (``eval``) thus factors once; one that loops over loads (the cascade, λ₂,
-    the λ_ε refinement, the descent) factors the pinned system up front, twice
-    in all.
+    eigenvalue can be repeated, and the cascade assumes it is simple.  It
+    factors K − σM, built on K's stored pattern, which picks ``perm`` and
+    ``fill`` and serves the ground pair; σ = _SHIFT_SHARE·``faber_krahn``,
+    with ``faber_krahn`` = π·j₀₁²·α/|Ω| the Faber–Krahn lower bound on λ₀ (and
+    twice it the Krahn–Szegő bound on λ₂).  That LU serves
+    :meth:`singular_solve` until the pinned system (``solver``) is factored or
+    Kθ first assembled, so ``eval`` factors once, and a command that loops over
+    loads twice.
     """
 
     def __init__(self, mesh, alpha: float):
@@ -423,12 +428,10 @@ class Discretization:
     def singular_solve(self, f: np.ndarray) -> np.ndarray:
         """v with (K − λ₀M)v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, for a free-node load f.
 
-        The pinned direct solve (:meth:`ShiftedSolver.solve`) once the pinned
-        system is factored or the LU of K − σM is gone; until then a deflated
-        PCG on that LU (:func:`_deflated_cg`), 4 steps on the disks and 7 on the
-        squares, which saves the pinned factorization a single solve would
-        not repay.  Both check the load's Fredholm condition and meet the same
-        residual contract.
+        The pinned direct solve (:meth:`ShiftedSolver.solve`) once the LU of
+        K − σM is gone; until then a deflated PCG on that LU (:func:`_deflated_cg`),
+        which saves the pinned factorization a single solve would not repay.
+        Both check the load's Fredholm condition and meet the same contract.
         """
         if self._shifted_solve is None:  # dropped by the pinned factorization or the first Kθ
             return self.solver.solve(f)
@@ -442,13 +445,12 @@ class Discretization:
     def lambda2(self) -> float:
         """Second-smallest eigenvalue of the α-pencil, computed on first access.
 
-        A cold refinement on the deflated singular solve, which maps u₀ to 0
-        and every other eigenvector u_j to u_j/(λ_j − λ₀): the solve of a
-        fixed random vector starts it M-orthogonal to u₀, and the same solve
-        preconditions each Rayleigh–Ritz step, so the lowest Ritz value
-        heads for λ₂ and K is not factored again.  It runs up to
-        _COLD_STEPS steps to the residual contract; λ₂ must lie strictly
-        above λ₀, and a pencil with one free node has none.
+        A cold refinement (:func:`_cold_pair`) on the deflated singular solve,
+        which maps u₀ to 0 and every other eigenvector u_j to u_j/(λ_j − λ₀):
+        the solve of a fixed random vector starts it M-orthogonal to u₀, and
+        the same solve preconditions each step, so the lowest Ritz value heads
+        for λ₂ and K is not factored again.  λ₂ must lie strictly above λ₀,
+        and a pencil with one free node has none.
         """
         pencil, lam0 = self.pencil, self.ground.lam
         n, K, M = pencil.n_free, pencil.K, pencil.M
@@ -458,9 +460,7 @@ class Discretization:
         # a fixed random start: on the square the constant vector is
         # M-orthogonal to the second eigenspace, which the refinement would
         # then reach through rounding alone
-        u = solve(np.random.default_rng(0).standard_normal(n))
-        u /= np.sqrt(u @ (M @ u))
-        lam2, _, res = _refine(K, M, float(u @ (K @ u)), u, solve, _COLD_STEPS)
+        lam2, _, res = _cold_pair(K, M, solve, np.random.default_rng(0).standard_normal(n))
         if res > RESIDUAL_TOL:
             raise SolverError(f"eigenpair 1 residual {res:.3e} exceeds tol {RESIDUAL_TOL:.3e}")
         if lam2 <= lam0:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem
-from .eig import RESIDUAL_TOL, SolverError, _lanczos_eigenpair, _refine, _ritz_basis
+from .eig import _SHIFT_SHARE, RESIDUAL_TOL, SolverError, _refine, _ritz_basis, certified_smallest_pair
 
 _RITZ_ORDER = 6  # the cascade order whose modes are the ε-sweep's Rayleigh–Ritz basis
 
@@ -107,19 +107,19 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     """Smallest eigenpair of the two-phase pencil (K0 + ε·Kθ, M) at finite contrast.
 
     Kθ uses the per-element vertex average of θ, so the coefficient is
-    α·(1 + ε·avg θ); K0 and M are the discretization's α-pencil.  K0 + εKθ
-    has K0's pattern, so its factorization follows the discretization's
-    order ``perm``.  The pair comes from shift-invert Lanczos (ARPACK), which
-    needs no start near it.
+    α·(1 + ε·avg θ); K0 and M are the discretization's α-pencil.  The pair is
+    :func:`eig.certified_smallest_pair`, whose LUs of K0 + εKθ − τM follow the
+    order ``perm``, from τ = min(1, 1 + ε)·_SHIFT_SHARE·``disc.faber_krahn``:
+    K0 + εKθ ≥ min(1, 1 + ε)·K0 (Weyl) and Faber–Krahn keep it below λ_ε.
     """
     if not np.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     if epsilon <= -1:
         raise ValueError("epsilon must exceed -1 for a positive coefficient")
     theta = check_density(theta, disc.mesh.n_nodes)
-    pencil0 = disc.pencil
-    pencil = replace(pencil0, K=fem.add_on_pattern(pencil0.K, disc.theta_stiffness(theta), epsilon))
-    return _lanczos_eigenpair(pencil, disc.perm)
+    pencil = replace(disc.pencil, K=fem.add_on_pattern(disc.pencil.K, disc.theta_stiffness(theta), epsilon))
+    lower = min(1.0, 1.0 + epsilon) * _SHIFT_SHARE * disc.faber_krahn
+    return certified_smallest_pair(pencil, disc.perm, lower)
 
 
 def _refined_eigenvalue(disc, Kt, epsilon: float, S, Z, A0, At) -> float | None:
@@ -183,7 +183,7 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     order-``order`` prefix is the series reported.  K0, Kθ and M are projected
     once onto its modes, which span u_ε up to O(ε^{N+1}), for each λ_ε's Ritz
     start (:func:`_refined_eigenvalue`).  An ε whose certificate fails (large
-    ε, a small gap) falls back to :func:`direct_eigenvalue`.
+    ε, a small gap) falls back to :func:`direct_eigenvalue`, certified by inertia.
     """
     eps = np.sort(np.asarray(eps_values, dtype=float))[::-1]
     if eps.size == 0:

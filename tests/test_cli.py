@@ -834,18 +834,16 @@ def test_negative_seed_exit_2(tmp_path, capsys, args):
 
 
 def test_eigensolver_failure_exit_4(monkeypatch, capsys, tmp_path):
-    # an ARPACK error is the eigensolver's, not the factorization's
-    def fail(*args, **kwargs):
-        raise eig.spla.ArpackError(-9)
-
-    monkeypatch.setattr(eig.spla, "eigsh", fail)
-    # ARPACK serves only the remainder report's direct fallback: at ε = 5 the
-    # refinement from u₀ is not certified, so that ε is solved by Lanczos
+    # a pivot count that refutes every shift leaves no eigenvalue certified
+    slice_ = eig._slice
+    monkeypatch.setattr(eig, "_slice", lambda A, perm: (slice_(A, perm)[0], 1))
+    # the inertia check serves only the remainder report's direct fallback: at
+    # ε = 5 the refinement from u₀ is not certified, so that ε is solved directly
     code = run_cli(["expand", "--nx", 8, "--ny", 8, "--random-theta", "--seed", 1,
                     "--order", 1, "--eps", "5,0.01", "--out-dir", tmp_path])
     assert code == 4
     err = capsys.readouterr().err
-    assert err.startswith("solver error: eigensolver failed: ARPACK error -9")
+    assert err.startswith("solver error: no eigenvalue certified in [0, ")
     assert err.count("\n") == 1
 
 

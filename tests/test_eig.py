@@ -142,8 +142,9 @@ class TestSmallestEigenpair:
         assert lam == pytest.approx((1 + eps) * lam0, rel=1e-13)
 
     def test_no_lanczos(self, monkeypatch):
-        # ARPACK serves only the remainder report's direct fallback: the set-up,
-        # the singular solver, λ₂ and the objective never call it
+        # no path of the library runs ARPACK: the set-up, the singular solver,
+        # λ₂ and the objective are checked here, the direct fallback in
+        # test_expansion.py::TestInertiaCertificate
         def no_eigsh(*args, **kwargs):
             raise AssertionError("eigsh called")
 
@@ -248,7 +249,8 @@ class TestSecondEigenvalue:
         assert disc.lambda2 == pytest.approx(vals[1], rel=1e-12)
 
     def test_no_lanczos(self, monkeypatch):
-        # λ₂ is refined from a random start, with no Lanczos run
+        # λ₂ is refined from a random start, with no Lanczos run; ARPACK stays
+        # in the tests as an oracle only
         disc = unit_disc(8)
 
         def no_eigsh(*args, **kwargs):
@@ -678,6 +680,15 @@ class TestRefine:
             else:
                 assert lam == pytest.approx(alpha * unit_disc(16).ground.lam, rel=1e-12)
 
+    def test_start_scaling_keeps_ground_bits(self):
+        # the start (K − σM)⁻¹·1 is scaled by a power of two before it is
+        # M-normalized; the scaling is exact, so λ₀ keeps the bits it had without it
+        mesh = generate_unit_square(16, 16)
+        bits = {1.0: "0x1.3e8a15df8d198p+4", 1e-100: "0x1.16b0b19c897f9p-328",
+                1e100: "0x1.6c1625c088356p+336"}
+        for alpha, lam in bits.items():
+            assert Discretization(mesh, alpha).ground.lam.hex() == lam
+
     def test_residual_does_not_underflow_at_tiny_alpha(self):
         # below α ≈ 1e-150 every square of the residual underflows; its norm,
         # taken at a power-of-two scale, must keep the value it has at 1e-100
@@ -692,10 +703,10 @@ class TestRefine:
         assert res[1e-100] / 2 <= res[1e-150] <= 2 * res[1e-100]
 
     def test_dense_path(self):
-        # 9 free nodes: the direct fallback solves such a pencil densely and
-        # refines its pair with a dense solve of K
+        # 9 free nodes: the direct fallback refines such a pencil on an LU like
+        # any other; the refinement takes a dense solve of K as well
         disc = unit_disc(4)
-        assert disc.pencil.n_free <= eig._DENSE_CUTOFF
+        assert disc.pencil.n_free == 9
         K, M = disc.pencil.K, disc.pencil.M
         u = perturbed(disc.pencil.restrict(disc.ground.u), M, 7)
         lam = float(u @ (K @ u))

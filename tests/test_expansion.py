@@ -1,6 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
+from scipy.sparse import linalg as spla
 
 from lowcontrast import eig, expansion, fem
 from lowcontrast.eig import Discretization
@@ -12,7 +17,7 @@ from lowcontrast.expansion import (
     remainder_report,
 )
 from lowcontrast.mesh import from_arrays, generate_unit_square
-from test_eig import sunflower_disk
+from test_eig import dense_ground, sunflower_disk
 
 J01 = 2.404825557695773  # first zero of the Bessel function J₀
 
@@ -270,10 +275,11 @@ def ritz_projection(disc, theta):
 class TestInfiniteContrastLimit:
     """λ_ε stays bounded as ε → ∞: the minimizer is driven to zero gradient on
     every element where θ > 0, so the Rayleigh quotient tends to a finite
-    constrained minimum.  Shift-invert Lanczos on K0 + εKθ finds it; a
-    refinement from u₀ preconditioned by the same LU meets the residual
-    contract at a wrong value there (8691.57 for 4895.73 on 32², ε = 1e14),
-    which is why the direct fallback keeps ARPACK.
+    constrained minimum.  The direct fallback finds it by a cold refinement on
+    an LU of K0 + εKθ − τM, certified by the inertia of K0 + εKθ − (1 − δ)λM;
+    a refinement from u₀ meets the residual contract at a wrong value there
+    (8691.57 for 4895.73 on 32², ε = 1e14), which only that count rejects
+    (:class:`TestInertiaCertificate`).
     """
 
     @pytest.mark.parametrize("eps", [1e14, 1e100, 1e300])
@@ -284,6 +290,129 @@ class TestInfiniteContrastLimit:
     def test_32x32(self, mesh32, disc32):
         lam = direct_eigenvalue(disc32, density("binary", mesh32.n_nodes), 1e14).lam
         assert lam == pytest.approx(4895.733176, rel=1e-9)
+
+
+def stiffness_at(disc, theta, eps):
+    """K0 + ε·Kθ on free nodes, as the direct fallback builds it."""
+    return fem.add_on_pattern(disc.pencil.K, disc.theta_stiffness(theta), eps)
+
+
+class TestInertiaCertificate:
+    """The direct fallback's pair counts only if K_ε − (1 − δ)λM has every pivot > 0."""
+
+    def test_rejects_pair_refined_from_u0(self, mesh32, disc32):
+        # from u₀ on the LU of K_ε the refinement meets the residual contract at
+        # 8691.57, above λ_min = 4895.73; the pivot count sees the eigenvalue below
+        K, M = stiffness_at(disc32, density("binary", mesh32.n_nodes), 1e14), disc32.pencil.M
+        u0 = disc32.u0f
+        lam, u, res = eig._refine(K, M, float(u0 @ (K @ u0)), u0, eig.factor(K, disc32.perm)[0])
+        assert res <= eig.RESIDUAL_TOL and lam == pytest.approx(8691.57, rel=1e-6)
+        delta = eig._rounding_share(K, M, lam, u)
+        assert 0 < delta < 1e-12
+        assert eig._slice(fem.add_on_pattern(K, M, -(1 - delta) * lam), disc32.perm)[1] >= 1
+
+    @pytest.mark.parametrize("eps", [5.0, 10.0, 1e6])
+    def test_matches_lanczos(self, mesh16, disc16, eps):
+        theta = density("binary", mesh16.n_nodes)
+        K, M = stiffness_at(disc16, theta, eps), disc16.pencil.M
+        ref = spla.eigsh(K, k=1, M=M, sigma=0.0, return_eigenvectors=False)[0]
+        assert direct_eigenvalue(disc16, theta, eps).lam == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e8, 1e14])
+    def test_smallest_of_a_cluster(self, mesh16, disc16, eps):
+        # 7 eigenvalues lie within 1e-6 of λ_ε at 1e8 and within 1e-9 at 1e14, and
+        # the 1e-9 test against 3072 would pass any of them: λ must be the smallest,
+        # up to the rounding δ of its Rayleigh quotient
+        theta = density("binary", mesh16.n_nodes)
+        K, M = stiffness_at(disc16, theta, eps), disc16.pencil.M
+        ref = spla.eigsh(K, k=1, M=M, sigma=0.0, return_eigenvectors=False)[0]
+        pair = direct_eigenvalue(disc16, theta, eps)
+        delta = eig._rounding_share(K, M, pair.lam, disc16.pencil.restrict(pair.u))
+        assert pair.lam <= ref * (1 + delta)
+        assert pair.residual <= eig.RESIDUAL_TOL
+
+    def test_bisection_certifies(self, monkeypatch, mesh32, disc32):
+        # at ε = 1e100 the first pairs on 32² are refuted one after the other;
+        # probes at their own (1 − δ)λ alone never certify, and bisecting the
+        # shift does within 7 LUs
+        slices, slice_ = [], eig._slice
+        monkeypatch.setattr(eig, "_slice", lambda A, perm: slices.append(1) or slice_(A, perm))
+        theta = density("binary", mesh32.n_nodes)
+        K, M = stiffness_at(disc32, theta, 1e100), disc32.pencil.M
+        pair = direct_eigenvalue(disc32, theta, 1e100)
+        ref = spla.eigsh(K, k=1, M=M, sigma=0.0, return_eigenvectors=False)[0]
+        assert pair.lam == pytest.approx(ref, rel=1e-13)
+        assert 3 < len(slices) <= 7
+
+    def test_fallback_runs_no_lanczos(self, monkeypatch, mesh16, disc16):
+        # past λ₂ both ε fall back, and no path of the library calls ARPACK
+        def no_eigsh(*args, **kwargs):
+            raise AssertionError("eigsh called")
+
+        monkeypatch.setattr(eig.spla, "eigsh", no_eigsh)
+        report = remainder_report(disc16, density("binary", mesh16.n_nodes), 2, [10.0, 1e6])
+        assert report.lambda_eps[0] == pytest.approx(3071.92, abs=0.01)  # ε = 1e6
+
+    def test_huge_contrast_on_uniform_density(self, mesh8, disc8):
+        # θ ≡ 1 gives λ_ε = (1 + ε)·λ₀; at ε = 1e200 the start (K_ε − τM)⁻¹·1 has
+        # entries near 1e-202, which its power-of-two scaling keeps from underflowing
+        lam = direct_eigenvalue(disc8, np.ones(mesh8.n_nodes), 1e200).lam
+        assert lam == pytest.approx(1e200 * disc8.ground.lam, rel=1e-12)
+
+    def test_unresolved_pair_raises(self, mesh16, disc16):
+        # an inclusion away from the boundary: at ε = 1e14 the Rayleigh quotient's
+        # rounding δ exceeds 1, so no pivot count can place λ (ARPACK printed 24.51
+        # here, where a dense solve gives 23.82)
+        x = mesh16.node_coords
+        theta = (np.hypot(x[:, 0] - 0.5, x[:, 1] - 0.5) <= 0.25).astype(float)
+        assert direct_eigenvalue(disc16, theta, 1e2).lam == pytest.approx(23.7383018965, rel=1e-10)
+        with pytest.raises(eig.SolverError, match=r"no eigenvalue certified in .*\(delta \d\.\de\+"):
+            direct_eigenvalue(disc16, theta, 1e14)
+
+    def test_no_certificate_raises(self, monkeypatch, mesh8, disc8):
+        # a count that refutes every shift narrows the slice to δλ, then gives up
+        slice_ = eig._slice
+        monkeypatch.setattr(eig, "_slice", lambda A, perm: (slice_(A, perm)[0], 1))
+        with pytest.raises(eig.SolverError, match=r"no eigenvalue certified in \[0, "):
+            direct_eigenvalue(disc8, density("binary", mesh8.n_nodes), 5.0)
+
+
+@pytest.fixture(scope="module")
+def squares():
+    return {n: Discretization(generate_unit_square(n, n), 1.0) for n in range(3, 9)}
+
+
+def random_density(disc, seed):
+    return np.random.default_rng(seed).uniform(0.0, 1.0, disc.mesh.n_nodes)
+
+
+class TestDirectEigenvalueProperties:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+           eps=st.floats(-0.9, 1e6, exclude_min=True))
+    def test_matches_dense_oracle(self, squares, n, seed, eps):
+        disc = squares[n]
+        theta = random_density(disc, seed)
+        K = stiffness_at(disc, theta, eps)
+        ref = dense_ground(replace(disc.pencil, K=K))
+        assert direct_eigenvalue(disc, theta, eps).lam == pytest.approx(ref, rel=1e-10)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1),
+           eps=st.floats(-1.0, 1e300, exclude_min=True))
+    def test_finite_above_weyl_bound_or_solver_error(self, squares, n, seed, eps):
+        # K_ε ≥ min(1, 1 + ε)·K0, so λ_min ≥ min(1, 1 + ε)·λ₀ (Weyl), up to the
+        # rounding δ of the Rayleigh quotient: where λ_ε = λ₀ in exact arithmetic
+        # (ε → 0), the two computed values differ in the last bits
+        disc = squares[n]
+        theta = random_density(disc, seed)
+        try:
+            pair = direct_eigenvalue(disc, theta, eps)
+        except eig.SolverError:
+            return
+        delta = eig._rounding_share(stiffness_at(disc, theta, eps), disc.pencil.M, pair.lam,
+                                    disc.pencil.restrict(pair.u))
+        assert np.isfinite(pair.lam) and pair.lam >= (1 - delta) * min(1.0, 1.0 + eps) * disc.ground.lam
 
 
 @pytest.mark.filterwarnings("ignore:.*solver floor:UserWarning")
@@ -354,7 +483,7 @@ class TestCertifiedSweep:
         bases = []
         ritz_basis = expansion._ritz_basis
         monkeypatch.setattr(expansion, "_ritz_basis", lambda S, M: bases.append(ritz_basis(S, M)) or bases[-1])
-        monkeypatch.setattr(expansion, "direct_eigenvalue", lambda *a: pytest.fail("fell back to ARPACK"))
+        monkeypatch.setattr(expansion, "direct_eigenvalue", lambda *a: pytest.fail("took the direct fallback"))
         disc = Discretization(mesh16, 1.0)
         report = remainder_report(disc, np.full(mesh16.n_nodes, value), 2, self.EPS)
         assert bases[0][1].shape[1] == (1 if value == 0.0 else 2)
@@ -382,14 +511,15 @@ class TestCertifiedSweep:
         assert len(calls) == 2
 
     def test_every_factorization_keeps_diagonal_pivots(self, monkeypatch, mesh16):
-        # the ground solve, the sweep and the ε = 1e6 fallback factor
-        # K, the pinned system and K0 + 1e6·Kθ, each with diagonal pivots
+        # the ground solve, the sweep and the ε = 1e6 fallback factor K − σM,
+        # the pinned system and K0 + 1e6·Kθ − τM at the two shifts of the
+        # fallback's inertia certificate, each with diagonal pivots
         calls = []
         splu = eig.spla.splu
         monkeypatch.setattr(eig.spla, "splu", lambda *a, **kw: calls.append(kw) or splu(*a, **kw))
         theta = density("binary", mesh16.n_nodes)
         remainder_report(Discretization(mesh16, 1.0), theta, 2, [1e6, 0.1])
-        assert len(calls) == 3
+        assert len(calls) == 4
         assert all(kw["diag_pivot_thresh"] == 0 for kw in calls)
 
 
