@@ -5,18 +5,19 @@ per-mesh :class:`Discretization` that owns both.
 Every eigenpair comes from one cold or warm Rayleigh–Ritz refinement
 (:func:`_refine`), preconditioned by a solve its caller holds: the ground
 pair from (K − σM)⁻¹·1 on the LU of K − σM, σ just under the Faber–Krahn
-bound on λ₀; λ₂ from a random start on the deflated singular solve; a
-remainder report's λ_ε from a Ritz pair on the cascade's modes
-(:func:`_ritz_basis`), so refining factors nothing; and the report's direct
-fallback from an LU of K_ε − τM, certified by the inertia of K_ε − (1 − δ)λM
-(:func:`certified_smallest_pair`).  The pinned singular solve pins one node
-where u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes its result
-against u₀; the deflated PCG keeps every iterate on u₀ᵀMv = 0.
+bound on λ₀; a remainder report's λ_ε from a Ritz pair on the cascade's
+modes (:func:`_ritz_basis`) on the deflated singular solve; and the report's
+direct fallback from an LU of K_ε − τM.  That a pair is the smallest is
+shown by Sylvester's law of inertia (:func:`_slice`): of K_ε − (1 − δ)λM for
+the fallback (:func:`certified_smallest_pair`), of K − λ(1 + δ)M under λ₂
+for a λ_ε past the Krahn–Szegő bound.  The pinned singular solve pins one
+node where u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes its
+result against u₀; the deflated PCG keeps every iterate on u₀ᵀMv = 0.
 
 Every sparse factorization (:func:`factor`, :func:`_slice`) keeps its pivots
 on the diagonal of one symmetric fill-reducing order per discretization:
 SuperLU's multiple-minimum-degree order of K's stored pattern, picked when
-K − σM is factored and followed by the pinned system and every K_ε − τM.
+K − σM is factored and followed by the pinned system and every sliced matrix.
 """
 from __future__ import annotations
 
@@ -34,9 +35,8 @@ from . import fem
 RESIDUAL_TOL = 1e-12  # largest normwise backward error an eigenpair may carry
 FREDHOLM_TOL = 1e-9  # largest |u₀ᵀf|/|f| a singular-solve load may carry
 _REFINE_STEPS = 12  # Rayleigh–Ritz steps before a pair is declared to miss its contract
-# the same for a cold start (the ground pair from (K − σM)⁻¹·1, λ₂ from a random
-# vector): a near-double λ₂ slows it, and an 800-node Delaunay disk
-# (λ₃/λ₂ − 1 = 2e-5) took 38 steps, the most seen
+# the same for a cold start from (K − τM)⁻¹·1 (the ground pair, the direct
+# fallback), and the step cap of the deflated PCG
 _COLD_STEPS = 60
 # the residual the ground refinement aims for, far below RESIDUAL_TOL: every
 # singular solve is built on (λ₀, u₀), and a pair stopped at 1e-12 left the
@@ -96,10 +96,6 @@ def _refine(K, M, lam, u, precond, steps=_REFINE_STEPS, tol=RESIDUAL_TOL):
     the residual r, p the previous step's direction, and u the lowest Ritz
     vector, whose Rayleigh quotient is the next λ.  After ``steps`` steps
     the last pair is returned with its residual, for the caller to reject.
-    The Ritz vector is the lowest of the span, so above the smallest
-    eigenvalue both u and w must be free of the lower eigenvectors:
-    for λ₂, a start in the range of the deflated singular solve is
-    M-orthogonal to u₀, and that solve as ``precond`` keeps w so.
     """
     norm_K, norm_M = spla.norm(K, 1), spla.norm(M, 1)
     p = None
@@ -209,15 +205,15 @@ def smallest_eigenpair(pencil, solve) -> EigenPair:
     Delaunay mesh), so the lowest Ritz value heads for λ₀; the closer σ lies
     to λ₀, the fewer steps.
     """
-    return _checked_pair(pencil, *_cold_pair(pencil.K, pencil.M, solve, np.ones(pencil.n_free), _GROUND_TOL))
+    return _checked_pair(pencil, *_cold_pair(pencil.K, pencil.M, solve))
 
 
-def _cold_pair(K, M, solve, b, tol=RESIDUAL_TOL):
-    """:func:`_refine` from u = solve(b) at unit M-norm, for up to _COLD_STEPS steps."""
-    u = solve(b)
+def _cold_pair(K, M, solve):
+    """:func:`_refine` from u = solve(1) at unit M-norm to _GROUND_TOL, for up to _COLD_STEPS steps."""
+    u = solve(np.ones(K.shape[0]))
     u = np.ldexp(u, -np.frexp(np.max(np.abs(u)))[1])  # exact; M-normalizing then neither under- nor overflows
     u /= np.sqrt(u @ (M @ u))
-    return _refine(K, M, float(u @ (K @ u)), u, solve, _COLD_STEPS, tol)
+    return _refine(K, M, float(u @ (K @ u)), u, solve, _COLD_STEPS, _GROUND_TOL)
 
 
 def certified_smallest_pair(pencil, perm, lower) -> EigenPair:
@@ -230,7 +226,7 @@ def certified_smallest_pair(pencil, perm, lower) -> EigenPair:
     bisected in it, and each new LU refines the pair again.  A slice narrower
     than δλ, δ ≥ 1 (nothing resolved) or _COLD_STEPS LUs raise :class:`SolverError`.
     """
-    K, M, b = pencil.K, pencil.M, np.ones(pencil.n_free)
+    K, M = pencil.K, pencil.M
     lo, hi, tau, lam = 0.0, np.inf, lower, None
     for _ in range(_COLD_STEPS):
         solve, count = _slice(fem.add_on_pattern(K, M, -tau), perm)
@@ -240,7 +236,7 @@ def certified_smallest_pair(pencil, perm, lower) -> EigenPair:
             lo = tau
             if lam is not None and res <= RESIDUAL_TOL and tau >= (1.0 - delta) * lam:
                 return _checked_pair(pencil, lam, u, res)
-        lam, u, res = _cold_pair(K, M, solve, b, _GROUND_TOL)  # no pair yet, or none certified
+        lam, u, res = _cold_pair(K, M, solve)  # no pair yet, or none certified
         delta = _rounding_share(K, M, lam, u)
         if not (lo <= (1.0 + delta) * lam and delta < 1.0) or hi - lo <= delta * lam:
             break
@@ -373,8 +369,8 @@ class ShiftedSolver:
         """:meth:`solve` for the compatible part b − (u₀ᵀb)·Mu₀ of any free-node load b.
 
         It maps Mu_j to u_j/(λ_j − λ₀) for every eigenvector u_j but u₀, which
-        it maps to 0: the preconditioner that refines every eigenpair other
-        than the ground pair, and the start of λ₂'s refinement.
+        it maps to 0: the preconditioner that refines a remainder report's λ_ε
+        from its Ritz start.
         """
         return self.solve(b - float(self.u0f @ b) * self.Mu0)
 
@@ -384,15 +380,15 @@ class Discretization:
 
     Holds the α-pencil (K, M) on free nodes, the fill-reducing order
     ``perm`` that every factorization on the mesh follows, its ground pair
-    (λ₀, u₀) with u₀ and Mu₀ on free nodes (``u0f``, ``Mu0``), a lazy second
-    eigenvalue λ₂ and the singular solves of K − λ₀M, for the cascade, the
-    remainder certificate and the relaxed objective.  A domain whose free
-    nodes fall into several connected parts is rejected: its ground
-    eigenvalue can be repeated, and the cascade assumes it is simple.  It
-    factors K − σM, built on K's stored pattern, which picks ``perm`` and
-    ``fill`` and serves the ground pair; σ = _SHIFT_SHARE·``faber_krahn``,
-    with ``faber_krahn`` = π·j₀₁²·α/|Ω| the Faber–Krahn lower bound on λ₀ (and
-    twice it the Krahn–Szegő bound on λ₂).  That LU serves
+    (λ₀, u₀) with u₀ and Mu₀ on free nodes (``u0f``, ``Mu0``) and the
+    singular solves of K − λ₀M, for the cascade, the remainder certificate
+    and the relaxed objective.  A domain whose free nodes fall into several
+    connected parts is rejected: its ground eigenvalue can be repeated, and
+    the cascade assumes it is simple.  It factors K − σM, built on K's
+    stored pattern, which picks ``perm`` and ``fill`` and serves the ground
+    pair; σ = _SHIFT_SHARE·``faber_krahn``, with ``faber_krahn`` =
+    π·j₀₁²·α/|Ω| the Faber–Krahn lower bound on λ₀ (and twice it the
+    Krahn–Szegő bound on λ₂, a remainder report's first floor).  That LU serves
     :meth:`singular_solve` until the pinned system (``solver``) is factored or
     Kθ first assembled, so ``eval`` factors once, and a command that loops over
     loads twice.
@@ -440,32 +436,6 @@ class Discretization:
         if fnorm == 0.0:
             return np.zeros_like(g)
         return _deflated_cg(self.pencil, lam0, self.u0f, self.Mu0, self._shifted_solve, g, fnorm)[0]
-
-    @cached_property
-    def lambda2(self) -> float:
-        """Second-smallest eigenvalue of the α-pencil, computed on first access.
-
-        A cold refinement (:func:`_cold_pair`) on the deflated singular solve,
-        which maps u₀ to 0 and every other eigenvector u_j to u_j/(λ_j − λ₀):
-        the solve of a fixed random vector starts it M-orthogonal to u₀, and
-        the same solve preconditions each step, so the lowest Ritz value heads
-        for λ₂ and K is not factored again.  λ₂ must lie strictly above λ₀,
-        and a pencil with one free node has none.
-        """
-        pencil, lam0 = self.pencil, self.ground.lam
-        n, K, M = pencil.n_free, pencil.K, pencil.M
-        if n < 2:
-            raise SolverError(f"pencil has only {n} free node(s), cannot extract 2 eigenpairs")
-        solve = self.solver.deflated_solve
-        # a fixed random start: on the square the constant vector is
-        # M-orthogonal to the second eigenspace, which the refinement would
-        # then reach through rounding alone
-        lam2, _, res = _cold_pair(K, M, solve, np.random.default_rng(0).standard_normal(n))
-        if res > RESIDUAL_TOL:
-            raise SolverError(f"eigenpair 1 residual {res:.3e} exceeds tol {RESIDUAL_TOL:.3e}")
-        if lam2 <= lam0:
-            raise SolverError(f"second eigenvalue {lam2} does not exceed ground {lam0}")
-        return lam2
 
     @cached_property
     def solver(self) -> ShiftedSolver:

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import fem
-from .eig import _SHIFT_SHARE, RESIDUAL_TOL, SolverError, _refine, _ritz_basis, certified_smallest_pair
+from .eig import _SHIFT_SHARE, RESIDUAL_TOL, SolverError, certified_smallest_pair
+from .eig import _refine, _ritz_basis, _rounding_share, _slice
 
 _RITZ_ORDER = 6  # the cascade order whose modes are the ε-sweep's Rayleigh–Ritz basis
 
@@ -111,44 +112,52 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     :func:`eig.certified_smallest_pair`, whose LUs of K0 + εKθ − τM follow the
     order ``perm``, from τ = min(1, 1 + ε)·_SHIFT_SHARE·``disc.faber_krahn``:
     K0 + εKθ ≥ min(1, 1 + ε)·K0 (Weyl) and Faber–Krahn keep it below λ_ε.
+    A K0 + εKθ that overflows raises ValueError.
     """
     if not np.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
     if epsilon <= -1:
         raise ValueError("epsilon must exceed -1 for a positive coefficient")
     theta = check_density(theta, disc.mesh.n_nodes)
-    pencil = replace(disc.pencil, K=fem.add_on_pattern(disc.pencil.K, disc.theta_stiffness(theta), epsilon))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        K = fem.add_on_pattern(disc.pencil.K, disc.theta_stiffness(theta), epsilon)
+    if not np.isfinite(K.data).all():
+        raise ValueError(f"epsilon = {epsilon:g} overflows the stiffness at alpha = {disc.alpha:g}")
     lower = min(1.0, 1.0 + epsilon) * _SHIFT_SHARE * disc.faber_krahn
-    return certified_smallest_pair(pencil, disc.perm, lower)
+    return certified_smallest_pair(replace(disc.pencil, K=K), disc.perm, lower)
 
 
-def _refined_eigenvalue(disc, Kt, epsilon: float, S, Z, A0, At) -> float | None:
-    """Certified smallest eigenvalue of (K0 + ε·Kθ, M) from a Ritz start, or None.
+def _refined_eigenvalue(disc, Kt, epsilon: float, floor: float, S, Z, A0, At):
+    """``(λ, floor)``: the smallest eigenvalue of K0 + ε·Kθ from a Ritz start (or None), and a floor under λ₂.
 
     The lowest Ritz pair of A0 + ε·At on the basis S·Z (:func:`eig._ritz_basis`,
     A0 = SᵀK0S, At = SᵀKθS), its value clamped to the bounds it meets in exact
-    arithmetic, goes to :func:`eig._refine` on the deflated singular solve, which
-    keeps a pair that meets the residual contract.  λ is accepted only when it meets
-    that contract, min(1, 1+ε)·λ₀ ≤ λ ≤ R_ε(u₀) and λ < min(1, 1+ε)·λ₂, with λ₂ read
-    first as the Krahn–Szegő bound 2π·j₀₁²·α/|Ω| (twice ``disc.faber_krahn``) under
-    the P1 λ₂.  K0 + εKθ ≥ min(1, 1+ε)·K0, so Weyl's inequality makes λ the smallest
-    eigenvalue.  None: the step cap was reached, the arithmetic overflowed (huge ε)
-    or a check failed.
+    arithmetic, goes to :func:`eig._refine` on the deflated singular solve.  λ is
+    kept when it meets the residual contract, λ₀ ≤ λ ≤ R_ε(u₀) and λ(1 + δ) < λ₂(K0)
+    (δ: :func:`eig._rounding_share`): either λ(1 + δ) < ``floor``, or K0 − λ(1 + δ)M
+    has at most one pivot ≤ 0 (:func:`eig._slice`) and λ(1 + δ) is the floor returned.
+    K0 + εKθ ≥ K0 for ε > 0, so by Weyl λ₂ of the ε-pencil lies above λ₂(K0), and λ
+    is the smallest eigenvalue.  None: the step cap was reached, the arithmetic
+    overflowed (huge ε) or a check failed.
     """
-    M, K0, u0 = disc.pencil.M, disc.pencil.K, disc.u0f
-    shrink = min(1.0, 1.0 + epsilon)
+    M, K0, u0, lam0 = disc.pencil.M, disc.pencil.K, disc.u0f, disc.ground.lam
     with np.errstate(over="raise", invalid="raise"):
         try:
             K = fem.add_on_pattern(K0, Kt, epsilon)
             upper = float(u0 @ (K @ u0)) / float(u0 @ (M @ u0))  # R_ε(u₀) = λ₀ + ε·u₀ᵀKθu₀
             vals, Y = np.linalg.eigh(Z.T @ (A0 + epsilon * At) @ Z)
-            lam = min(max(float(vals[0]), shrink * disc.ground.lam), upper)
-            lam, _, res = _refine(K, M, lam, S @ (Z @ Y[:, 0]), disc.solver.deflated_solve)
+            lam = min(max(float(vals[0]), lam0), upper)
+            lam, u, res = _refine(K, M, lam, S @ (Z @ Y[:, 0]), disc.solver.deflated_solve)
         except FloatingPointError:
-            return None
-    certified = res <= RESIDUAL_TOL and shrink * disc.ground.lam <= lam <= upper
-    bound = shrink * 2.0 * disc.faber_krahn
-    return lam if certified and (lam < bound or lam < shrink * disc.lambda2) else None
+            return None, floor
+    if not (res <= RESIDUAL_TOL and lam0 <= lam <= upper):
+        return None, floor
+    top = lam * (1.0 + _rounding_share(K, M, lam, u))
+    if top < floor:
+        return lam, floor
+    if top < np.inf and _slice(fem.add_on_pattern(K0, M, -top), disc.perm)[1] <= 1:
+        return lam, top
+    return None, floor
 
 
 @dataclass(frozen=True)
@@ -182,8 +191,10 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     Kθ comes first, then the cascade to N = max(order, _RITZ_ORDER); its
     order-``order`` prefix is the series reported.  K0, Kθ and M are projected
     once onto its modes, which span u_ε up to O(ε^{N+1}), for each λ_ε's Ritz
-    start (:func:`_refined_eigenvalue`).  An ε whose certificate fails (large
-    ε, a small gap) falls back to :func:`direct_eigenvalue`, certified by inertia.
+    start (:func:`_refined_eigenvalue`), certified under a floor below λ₂: the
+    Krahn–Szegő bound, raised by a pivot count, which from the largest ε down
+    usually serves the whole grid.  An ε whose certificate fails (large ε, a
+    small gap) falls back to :func:`direct_eigenvalue`, certified by inertia.
     """
     eps = np.sort(np.asarray(eps_values, dtype=float))[::-1]
     if eps.size == 0:
@@ -205,10 +216,10 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     del series
     S, Z = _ritz_basis(S, disc.pencil.M)
     ritz = (S, Z, S.T @ (disc.pencil.K @ S), S.T @ (Kt @ S))
+    floor = 2.0 * disc.faber_krahn  # Krahn–Szegő: λ₂(Ω) ≥ 2π·j₀₁²·α/|Ω|, and the P1 λ₂ lies above it
     lam_eps = []
     for e in eps:
-        # a single free node has no λ₂ to certify against: each ε is then solved directly
-        lam = _refined_eigenvalue(disc, Kt, e, *ritz) if disc.pencil.n_free > 1 else None
+        lam, floor = _refined_eigenvalue(disc, Kt, e, floor, *ritz)
         lam_eps.append(direct_eigenvalue(disc, theta, e).lam if lam is None else lam)
     lam_eps = np.array(lam_eps)
     finite = np.isfinite(lam_eps) & np.isfinite(trunc)

@@ -262,6 +262,16 @@ class TestExpandCommand:
         assert "eps = 1e+300" in captured.err
         assert "nan" not in captured.out
 
+    def test_overflowing_stiffness_exit_2(self, tmp_path, capsys):
+        # α·ε overflows K0 + εKθ: one error line naming both, and no overflow
+        # warning (the suite makes a RuntimeWarning an error)
+        code = run_cli(["expand", "--nx", 8, "--ny", 8, "--random-theta", "--seed", 1, "--alpha", "1e100",
+                        "--order", 1, "--eps", "1e250", "--out-dir", tmp_path])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: epsilon = 1e+250 overflows the stiffness at alpha = 1e+100\n"
+        assert captured.out == ""
+
 
 class TestOptimizeCommand:
     def test_outputs_and_determinism(self, tmp_path, capsys):

@@ -56,6 +56,14 @@ def dense_ground(pencil):
     return 1.0 / eigh(pencil.M.toarray(), pencil.K.toarray(), eigvals_only=True)[-1]
 
 
+def second_eigenvalue(pencil):
+    """λ₂ of the pencil: dense up to the 49 free nodes of the 8² square, shift-invert Lanczos above."""
+    K, M = pencil.K, pencil.M
+    if pencil.n_free <= 49:
+        return eigh(K.toarray(), M.toarray(), eigvals_only=True)[1]
+    return np.sort(spla.eigsh(K, k=2, M=M, sigma=0.0, return_eigenvectors=False))[1]
+
+
 def count_ground_solves(monkeypatch):
     """Count the solves made with the LU of K − σM, the factorization that picks the order."""
     counts = []
@@ -142,15 +150,15 @@ class TestSmallestEigenpair:
         assert lam == pytest.approx((1 + eps) * lam0, rel=1e-13)
 
     def test_no_lanczos(self, monkeypatch):
-        # no path of the library runs ARPACK: the set-up, the singular solver,
-        # λ₂ and the objective are checked here, the direct fallback in
+        # no path of the library runs ARPACK: the set-up, the singular solver
+        # and the objective are checked here, the direct fallback in
         # test_expansion.py::TestInertiaCertificate
         def no_eigsh(*args, **kwargs):
             raise AssertionError("eigsh called")
 
         monkeypatch.setattr(eig.spla, "eigsh", no_eigsh)
         disc = unit_disc(8)
-        assert disc.lambda2 > disc.ground.lam and disc.solver.lambda0 == disc.ground.lam
+        assert disc.solver.lambda0 == disc.ground.lam
         RelaxedObjective(disc, 0.1).evaluate(np.full(disc.mesh.n_nodes, 0.4))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -217,63 +225,11 @@ class TestSmallestEigenpair:
 
 
 class TestSecondEigenvalue:
-    def test_value_on_square(self):
-        lam2 = unit_disc(32).lambda2
-        assert abs(lam2 - 5 * PI2) / (5 * PI2) <= 0.02
-
-    def test_strictly_above_ground(self):
-        disc = unit_disc(10)
-        assert disc.lambda2 > disc.ground.lam
-
-    def test_uniform_scaling(self):
-        eps = 0.2
-        assert unit_disc(8, 1 + eps).lambda2 == pytest.approx(
-            (1 + eps) * unit_disc(8).lambda2, rel=1e-12
-        )
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_dense_oracle_tiny_pencils(self, n):
-        # 4 and 9 free nodes: both smallest pencil eigenvalues vs a full dense spectrum
-        disc = unit_disc(n)
-        pencil = disc.pencil
-        vals = eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
-        assert disc.ground.lam == pytest.approx(vals[0], rel=1e-9)
-        assert disc.lambda2 == pytest.approx(vals[1], rel=1e-9)
-
-    def test_sparse_path_matches_dense_oracle(self):
-        # 49 free nodes; λ₂ comes from the cold refinement on the singular
-        # solve at every size
-        disc = unit_disc(8)
-        pencil = disc.pencil
-        vals = eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
-        assert disc.lambda2 == pytest.approx(vals[1], rel=1e-12)
-
-    def test_no_lanczos(self, monkeypatch):
-        # λ₂ is refined from a random start, with no Lanczos run; ARPACK stays
-        # in the tests as an oracle only
-        disc = unit_disc(8)
-
-        def no_eigsh(*args, **kwargs):
-            raise AssertionError("eigsh called for λ₂")
-
-        monkeypatch.setattr(eig.spla, "eigsh", no_eigsh)
-        pencil = disc.pencil
-        vals = eigh(pencil.K.toarray(), pencil.M.toarray(), eigvals_only=True)
-        assert disc.lambda2 == pytest.approx(vals[1], rel=1e-12)
-
-    @pytest.mark.parametrize("n_nodes", [800, 4200])
-    def test_cold_start_within_step_cap_on_disk(self, n_nodes):
-        # Delaunay disks have a near-double λ₂, which slows the cold start:
-        # these take 38 and 26 steps, where a warm refinement stops at 12
-        disc = Discretization(sunflower_disk(n_nodes), 1.0)
-        K, M = disc.pencil.K, disc.pencil.M
-        vals = np.sort(spla.eigsh(K, k=2, M=M, sigma=0.0, return_eigenvectors=False))
-        assert disc.lambda2 == pytest.approx(vals[1], rel=1e-12)
-
     @pytest.mark.parametrize("alpha", [1.0, 1e-6])
     @pytest.mark.parametrize("kind", ["3", "4", "8", "32", "rect4x1", "disk800"])
     def test_krahn_szego_bound_below(self, kind, alpha):
-        # λ₂(Ω) ≥ 2π·j₀₁²/|Ω|, and the conforming P1 λ₂ lies above λ₂(Ω) by min–max
+        # λ₂(Ω) ≥ 2π·j₀₁²/|Ω|, and the conforming P1 λ₂ lies above λ₂(Ω) by min–max:
+        # the remainder report's first floor under λ₂
         if kind == "rect4x1":
             mesh = rectangle4x1()
         elif kind == "disk800":
@@ -282,19 +238,7 @@ class TestSecondEigenvalue:
             mesh = generate_unit_square(int(kind), int(kind))
         disc = Discretization(mesh, alpha)
         bound = 2.0 * np.pi * J01**2 * alpha / mesh.total_area
-        assert 0.5 < bound / disc.lambda2 < 0.8
-
-    def test_reuses_bordered_factorization(self, monkeypatch):
-        disc = unit_disc(32)
-        disc.solver
-        calls = count_splu(monkeypatch)
-        assert disc.lambda2 > disc.ground.lam
-        assert calls == []
-
-    def test_pencil_too_small(self):
-        disc = unit_disc(2)  # a single free node has no second eigenvalue
-        with pytest.raises(SolverError, match="free node"):
-            disc.lambda2
+        assert 0.5 < bound / second_eigenvalue(disc.pencil) < 0.8
 
 
 @pytest.fixture(scope="module")
@@ -645,12 +589,12 @@ class TestRefine:
 
     @pytest.mark.parametrize("n", [16, 64])
     def test_second_pair_on_deflated_solve(self, monkeypatch, n):
-        # the λ₂ pair is refined by the pinned factorization the singular
-        # solves already use; nothing else is factored
+        # a pair above the ground pair is refined by the pinned factorization
+        # the singular solves already use; nothing else is factored
         disc = unit_disc(n)
         pencil, solver = disc.pencil, disc.solver
         K, M = pencil.K, pencil.M
-        _, vecs = spla.eigsh(K, k=2, M=M, sigma=0.0)
+        vals, vecs = spla.eigsh(K, k=2, M=M, sigma=0.0)
         # noise M-orthogonal to u₀, as the range of the deflated solve is;
         # with a u₀ component the lowest Ritz value would head for λ₀
         u = perturbed(vecs[:, 1], M, 6)
@@ -663,7 +607,7 @@ class TestRefine:
         assert calls == []
         assert res <= RESIDUAL_TOL
         assert res == pytest.approx(backward_error(K, M, lam, u))
-        assert lam == pytest.approx(disc.lambda2, rel=1e-12)
+        assert lam == pytest.approx(vals[1], rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [1e-160, 1e-155, 1e165, 1e170])
     def test_no_finite_direction_left(self, alpha):

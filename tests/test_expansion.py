@@ -17,7 +17,7 @@ from lowcontrast.expansion import (
     remainder_report,
 )
 from lowcontrast.mesh import from_arrays, generate_unit_square
-from test_eig import dense_ground, sunflower_disk
+from test_eig import count_splu, dense_ground, second_eigenvalue, sunflower_disk
 
 J01 = 2.404825557695773  # first zero of the Bessel function J₀
 
@@ -431,49 +431,72 @@ class TestCertifiedSweep:
         theta = density("binary", mesh16.n_nodes)
         Kt, ritz = disc16.theta_stiffness(theta), ritz_projection(disc16, theta)
         for e in (10.0, 1e6):
-            assert _refined_eigenvalue(disc16, Kt, e, *ritz) is None
+            assert _refined_eigenvalue(disc16, Kt, e, 2.0 * disc16.faber_krahn, *ritz)[0] is None
         report = remainder_report(disc16, theta, 2, [10.0, 1e6])
         direct = [direct_eigenvalue(disc16, theta, e).lam for e in report.eps_values]
         assert list(report.lambda_eps) == direct
         assert report.lambda_eps[0] == pytest.approx(3071.92, abs=0.01)
-        assert report.lambda_eps[0] > disc16.lambda2
+        assert report.lambda_eps[0] > second_eigenvalue(disc16.pencil)
 
     @pytest.mark.parametrize("kind", ["square128", "disk4200"])
     def test_default_grid_needs_no_lambda2(self, monkeypatch, kind):
         # the cascade's N singular solves are all there is: each Ritz start
-        # meets the residual contract and lies below the Krahn–Szegő bound
+        # meets the residual contract and lies below the Krahn–Szegő bound,
+        # so nothing is factored but the pinned system
         mesh = generate_unit_square(128, 128) if kind == "square128" else sunflower_disk(4200)
         disc = Discretization(mesh, 1.0)
         calls = []
         solve = eig.ShiftedSolver.solve
         monkeypatch.setattr(eig.ShiftedSolver, "solve", lambda self, f: calls.append(1) or solve(self, f))
+        lus = count_splu(monkeypatch)
         remainder_report(disc, density("binary", mesh.n_nodes), 4, self.EPS)
         assert len(calls) <= expansion._RITZ_ORDER + 1
-        assert "lambda2" not in disc.__dict__
+        assert len(lus) == 1
 
-    def test_lambda2_only_past_the_bound(self, mesh16):
+    def test_lambda2_only_past_the_bound(self, monkeypatch, mesh16):
         # θ ≡ 1 gives λ_ε = (1 + ε)·λ₀: at ε = 1 that is 39.8, above the bound
-        # 2π·j₀₁² = 36.3 and below λ₂ = 50.3, so λ₂ is computed there only
+        # 2π·j₀₁² = 36.3 and below λ₂ = 50.3, so K0 − λ(1 + δ)M is sliced there only
         theta = np.ones(mesh16.n_nodes)
+        lus = count_splu(monkeypatch)
         for e in (0.5, 0.1):
             disc = Discretization(mesh16, 1.0)
+            lus.clear()
             remainder_report(disc, theta, 1, [e])
-            assert "lambda2" not in disc.__dict__
+            assert len(lus) == 1  # the pinned system
         disc = Discretization(mesh16, 1.0)
+        lus.clear()
         lam = remainder_report(disc, theta, 1, [1.0]).lambda_eps[0]
-        assert 2.0 * np.pi * J01**2 < lam < disc.__dict__["lambda2"]
+        assert len(lus) == 2
+        assert 2.0 * np.pi * J01**2 < lam < second_eigenvalue(disc.pencil)
         assert lam == pytest.approx(direct_eigenvalue(disc, theta, 1.0).lam, rel=1e-12)
 
-    def test_elongated_domain_computes_lambda2(self):
-        # on a 4×1 rectangle the bound lies below λ₀, so it never certifies
+    def test_elongated_domain_slices_once(self, monkeypatch):
+        # on a 4×1 rectangle the bound lies below λ₀, so it never certifies; the
+        # largest ε's pivot count raises the floor past every smaller ε
         square = generate_unit_square(32, 8)
         mesh = from_arrays(square.node_coords * [4.0, 1.0], square.triangles)
         disc = Discretization(mesh, 1.0)
         assert 2.0 * np.pi * J01**2 / mesh.total_area < disc.ground.lam
         theta = density("binary", mesh.n_nodes)
-        report = remainder_report(disc, theta, 2, [1e-2])
-        assert "lambda2" in disc.__dict__
-        assert report.lambda_eps[0] == pytest.approx(direct_eigenvalue(disc, theta, 1e-2).lam, rel=1e-12)
+        lus = count_splu(monkeypatch)
+        report = remainder_report(disc, theta, 2, self.EPS)
+        assert len(lus) == 2  # the pinned system and one slice
+        direct = [direct_eigenvalue(disc, theta, e).lam for e in report.eps_values]
+        np.testing.assert_allclose(report.lambda_eps, direct, rtol=1e-12, atol=0)
+
+    def test_floor_refutes_pair(self, monkeypatch, mesh8):
+        # θ ≡ 1 at ε = 2: λ_ε = 3λ₀ = 61.26 meets the residual contract but lies
+        # above λ₂ = 53.09, so K0 − λ(1 + δ)M has three pivots ≤ 0 and ε falls back
+        counts, slice_ = [], expansion._slice
+        monkeypatch.setattr(expansion, "_slice", lambda A, perm: counts.append((out := slice_(A, perm))[1]) or out)
+        direct, direct_ = [], expansion.direct_eigenvalue
+        monkeypatch.setattr(expansion, "direct_eigenvalue", lambda *a: direct.append(a[2]) or direct_(*a))
+        disc = Discretization(mesh8, 1.0)
+        with pytest.warns(UserWarning, match="floor"):
+            report = remainder_report(disc, np.ones(mesh8.n_nodes), 1, [2.0])
+        assert len(counts) == 1 and counts[0] >= 2
+        assert direct == [2.0]
+        assert report.lambda_eps[0] == pytest.approx(3.0 * disc.ground.lam, rel=1e-12)
 
     @pytest.mark.parametrize("value", [0.0, 0.5, 1.0])
     def test_constant_density(self, monkeypatch, mesh16, value):
@@ -485,24 +508,42 @@ class TestCertifiedSweep:
         monkeypatch.setattr(expansion, "_ritz_basis", lambda S, M: bases.append(ritz_basis(S, M)) or bases[-1])
         monkeypatch.setattr(expansion, "direct_eigenvalue", lambda *a: pytest.fail("took the direct fallback"))
         disc = Discretization(mesh16, 1.0)
+        lus = count_splu(monkeypatch)
         report = remainder_report(disc, np.full(mesh16.n_nodes, value), 2, self.EPS)
+        assert len(lus) == 1  # the pinned system
         assert bases[0][1].shape[1] == (1 if value == 0.0 else 2)
         exact = (1.0 + value * report.eps_values) * disc.ground.lam
         np.testing.assert_allclose(report.lambda_eps, exact, rtol=1e-14, atol=0)
-        assert "lambda2" not in disc.__dict__
 
-    def test_single_free_node_solves_directly(self):
-        # one free node has no λ₂ to certify against
+    def test_single_free_node_gives_exact_quotient(self):
+        # one free node: any shift leaves at most one pivot ≤ 0, and λ_ε is the 1×1 quotient
         mesh = generate_unit_square(2, 2)
         disc = Discretization(mesh, 1.0)
         theta = density("uniform", mesh.n_nodes)
         with pytest.warns(UserWarning, match="floor"):  # order 1 is exact on a 1x1 pencil
             report = remainder_report(disc, theta, 1, [0.1, 0.01])
-        direct = [direct_eigenvalue(disc, theta, e).lam for e in report.eps_values]
-        assert list(report.lambda_eps) == direct
+        M = disc.pencil.M[0, 0]
+        exact = [stiffness_at(disc, theta, e)[0, 0] / M for e in report.eps_values]
+        np.testing.assert_allclose(report.lambda_eps, exact, rtol=4 * np.finfo(float).eps, atol=0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(n=st.integers(3, 8), seed=st.integers(0, 2**32 - 1), binary=st.booleans(),
+           eps=st.lists(st.floats(0.0, 30.0, exclude_min=True), min_size=1, max_size=3, unique=True))
+    def test_smallest_eigenvalue_or_solver_error(self, squares, n, seed, binary, eps):
+        # every λ_ε is the smallest eigenvalue of its pencil, whichever path certified it
+        disc = squares[n]
+        rng = np.random.default_rng(seed)
+        theta = (rng.random(disc.mesh.n_nodes) < 0.5) * 1.0 if binary else rng.uniform(0.0, 1.0, disc.mesh.n_nodes)
+        try:
+            report = remainder_report(disc, theta, 1, eps)
+        except eig.SolverError:
+            return
+        for e, lam in zip(report.eps_values, report.lambda_eps):
+            ref = dense_ground(replace(disc.pencil, K=stiffness_at(disc, theta, e)))
+            assert lam == pytest.approx(ref, rel=1e-10)
 
     def test_factors_twice(self, monkeypatch, mesh32):
-        # the ground K and the pinned system; the ε-sweep and λ₂ factor nothing
+        # the ground K and the pinned system; the ε-sweep factors nothing
         calls = []
         splu = eig.spla.splu
         monkeypatch.setattr(eig.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
