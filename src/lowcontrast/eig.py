@@ -330,6 +330,10 @@ class ShiftedSolver:
     to v with A v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, reusing the factorization
     (one per cascade order / objective evaluation).  λ₀, and u₀ and Mu₀ on
     free nodes, are the discretization's.  ``fill``: see :func:`factor`.
+    Of A itself only row k is kept, for the correction of a solve's row-k
+    residual; the contract |A v − g| ≤ 1e-8·|f| is checked as
+    K v − λ₀·(M v) − g on the pencil, so no third value array on K's
+    pattern stays resident next to K's and M's.
     """
 
     def __init__(self, disc):
@@ -342,7 +346,7 @@ class ShiftedSolver:
             self._solve, self.fill, _ = factor(A, disc.perm[disc.perm != k])
         except RuntimeError as exc:
             raise SolverError(f"pinned factorization failed: {exc}") from exc
-        self._A, self._k, self._Ak = A, k, A[k]
+        self._k, self._Ak = k, A[k]
         # a pinned solve leaves its load's rounding-level inconsistency in row k, where
         # it grows with the mesh; a multiple of z = pinned⁻¹Mu₀ moves it onto Mu₀
         self._z = self._solve(self.Mu0)
@@ -360,7 +364,8 @@ class ShiftedSolver:
         w = self._solve(g)
         w -= ((self._Ak @ w)[0] - g[self._k]) / self._zk * self._z
         v = w - float(self.Mu0 @ w) * self.u0f
-        resid = np.linalg.norm(self._A @ v - g) / fnorm
+        K, M = self.pencil.K, self.pencil.M
+        resid = np.linalg.norm(K @ v - self.lambda0 * (M @ v) - g) / fnorm
         if not np.isfinite(resid) or resid > 1e-8:
             raise SolverError(f"pinned solve breakdown: residual {resid:.3e}")
         return v

@@ -41,7 +41,8 @@ class RelaxedObjective:
     The nodal/element maps are fixed by the mesh and u0, so they are built
     once as two CSR matrices, a row per triangle and its vertices as columns:
     the incidence S (θ_e = Sθ/3; ones, so it rounds as a vertex mean and Sᵀ
-    as a scatter) and the coupling C (Cv = ∇v·∇u0).  The state v(θ) is the
+    as a scatter) and the coupling C (Cv = ∇v·∇u0), which holds only its
+    values and shares S's index arrays.  The state v(θ) is the
     discretization's :meth:`~lowcontrast.eig.Discretization.singular_solve`,
     which factors nothing for a single evaluation; a caller that evaluates
     many densities (:func:`lowcontrast.optimizer.run`) factors the pinned
@@ -66,7 +67,9 @@ class RelaxedObjective:
         self._incidence = sparse.csr_matrix((np.ones(3 * m), *pattern), shape=(m, mesh.n_nodes))
         grad_u0 = fem.element_gradient(mesh, self.ground.u)
         coupling = np.einsum("tid,td->ti", mesh.elem_basis_grad, grad_u0)  # ∇φ_i·∇u0
-        self._coupling = sparse.csr_matrix((coupling.ravel(), *pattern), shape=(m, mesh.n_nodes))
+        # on S's own index arrays, which neither matrix ever sorts in place
+        S = self._incidence
+        self._coupling = sparse.csr_matrix((coupling.ravel(), S.indices, S.indptr), shape=S.shape)
         self.gu0_sq = np.einsum("td,td->t", grad_u0, grad_u0)
         self.p_nodal = self._project(self.gu0_sq)
 
@@ -90,19 +93,48 @@ class RelaxedObjective:
     # -- objective / derivatives --------------------------------------------
 
     def evaluate(self, theta) -> RelaxedEval:
+        """F, λ1, the state v and the gradient density at θ.
+
+        The element fields are computed in three element-sized buffers,
+        overwritten in place; each product, sum and reduction takes the
+        operands of the formulas in the module docstring in the same order,
+        so the results are those of the out-of-place expressions bit for bit.
+        """
         theta = check_density(theta, self.mesh.n_nodes)
-        eps, alpha = self.epsilon, self.alpha
-        theta_e = self._incidence @ theta / 3.0
-        theta_sq_e = self._incidence @ theta**2 / 3.0
+        eps, alpha, area, gu0_sq = self.epsilon, self.alpha, self._area, self.gu0_sq
+        theta_e = self._incidence @ theta
+        theta_e /= 3.0
         v, lam1, gv_dot = self._state(theta_e)
+        work = self._incidence @ theta**2  # θ²_e, then scratch
+        work /= 3.0
 
         with np.errstate(over="ignore", invalid="ignore"):  # reported below
-            first = alpha * float(np.sum(self._area * theta_e * (self.gu0_sq + eps * gv_dot)))
-            mixing = eps * alpha * float(np.sum(self._area * (theta_e - theta_sq_e) * self.gu0_sq))
+            # mixing: εα Σ area·(θ_e − θ²_e)·|∇u0|²
+            np.subtract(theta_e, work, out=work)
+            work *= area
+            work *= gu0_sq
+            mixing = eps * alpha * float(np.sum(work))
+            # first: α Σ area·θ_e·(|∇u0|² + ε ∇v·∇u0)
+            np.multiply(eps, gv_dot, out=work)
+            work += gu0_sq
+            theta_e *= area
+            theta_e *= work
+            first = alpha * float(np.sum(theta_e))
             F = first - mixing
 
-            e_lin = alpha * (2.0 * eps * gv_dot + (1.0 - eps) * self.gu0_sq)
-            grad = self._project(e_lin) + (2.0 * eps * alpha) * theta * self.p_nodal
+            # e_lin = α(2ε ∇v·∇u0 + (1 − ε)|∇u0|²), projected as in _project
+            e_lin = gv_dot
+            e_lin *= 2.0 * eps
+            np.multiply(1.0 - eps, gu0_sq, out=work)
+            e_lin += work
+            e_lin *= alpha
+            np.divide(area, 3.0, out=work)
+            e_lin *= work
+            grad = self._incidence.T @ e_lin
+            grad /= self.lumped
+            mixing_grad = (2.0 * eps * alpha) * theta
+            mixing_grad *= self.p_nodal
+            grad += mixing_grad
         if not (np.isfinite(F) and np.isfinite(grad).all()):
             raise ValueError(f"epsilon = {eps:g} overflows the objective or its gradient")
         return RelaxedEval(F=F, lambda1=lam1, v_inf=v, grad_density=grad)

@@ -4,8 +4,10 @@ whole-block number parser the MSH and field CSV readers share.
 
 Floats are written with 17 significant digits, so identical inputs produce
 byte-identical files.  Every row of a table follows one template of literal
-text and ``%.17g``/``%d`` conversions, and :func:`_write_rows` renders it in
-numpy passes, never through a Python string per value.  A block of at most
+text and ``%.17g``/``%d`` conversions.  A table of fewer than 64 rows is
+written by the ``%`` operator itself, whose fixed cost is lower; the row
+kernel (:func:`_kernel_rows`) renders a longer one in numpy passes, never
+through a Python string per value.  A block of at most
 2048 rows becomes one (rows, width) byte matrix with a fixed unit of slots
 per conversion; a slot left 0 holds no byte, so the zeros are dropped and
 the rest is written.  The bytes are exactly those of the ``%`` operator:
@@ -39,6 +41,11 @@ _NUMBER = b"0123456789+-.eE"
 _CONVERSION = re.compile(r"(%\.17g|%d)")
 _BLOCK_ROWS = 2048  # rows per block, fewer where rows are wide, so that
 _BLOCK_BYTES = 120_000  # each block's temporaries stay under glibc's 128 KiB mmap threshold
+# tables of fewer rows are written through `%`.  The kernel's fixed work is about
+# 0.1 ms a call, and `%` overtakes it at 40-80 rows of four to six "%.17g" columns
+# (160-320 rows of one or two); a command that writes only such tables never
+# builds the kernel's lookup tables nor faults in the numpy loops it runs
+_PERCENT_ROWS = 64
 _EXACT_MIN, _EXACT_MAX = 1e-280, 1e280  # Dekker's splits neither overflow nor lose bits here
 _TIE = 1e-9  # fraction of |x|·10^(16−k) this near ½: left to the fallback
 _K0 = 282  # tables indexed by the exponent k run over k + _K0 for |k| ≤ _K0
@@ -226,26 +233,43 @@ def _put_d(out, v, signed: bool) -> None:
         started = q > 0 if not g else started | (q > 0)
 
 
+def _column(spec: str, c) -> np.ndarray:
+    """Column c as the row kernel reads it for the conversion ``spec``: int64 or uint64, or float."""
+    if spec == "%d":
+        c = np.asarray(c)
+        return c if c.dtype == np.uint64 else c.astype(np.int64, copy=False)
+    return np.asarray(c, dtype=float)
+
+
 def _write_rows(fh, row: str, columns) -> None:
-    """Write ``row % (c[i] for c in columns)`` for every row i, as bytes, a block at a time.
+    """Write ``row % (c[i] for c in columns)`` for every row i, as bytes.
 
     ``row`` is literal text and one ``%.17g`` or ``%d`` conversion per column;
-    ``%d`` columns hold integers.  Each conversion owns a unit of slots that
-    ends in the literal text after it.  Neighbouring conversions of one kind
-    whose units have one width form a run, formatted by one kernel call on a
-    (rows, m) stack of their columns.
+    ``%d`` columns hold integers.  A table of fewer than _PERCENT_ROWS rows is
+    formatted by the ``%`` operator itself, on the columns as the kernel reads
+    them (:func:`_column`), so its bytes are the kernel's; a longer one by the
+    row kernel (:func:`_kernel_rows`).
+    """
+    if len(columns) and len(columns[0]) >= _PERCENT_ROWS:
+        _kernel_rows(fh, row, columns)
+        return
+    columns = [_column(spec, c).tolist() for spec, c in zip(_CONVERSION.findall(row), columns)]
+    fh.write("".join(row % values for values in zip(*columns)).encode())
+
+
+def _kernel_rows(fh, row: str, columns) -> None:
+    """:func:`_write_rows` in numpy passes, a block at a time: the row kernel.
+
+    Each conversion owns a unit of slots that ends in the literal text after
+    it.  Neighbouring conversions of one kind whose units have one width form
+    a run, formatted by one kernel call on a (rows, m) stack of their columns.
     """
     pieces = _CONVERSION.split(row)
     runs, width = [], len(pieces[0])
     for spec, c, text in zip(pieces[1::2], columns, pieces[2::2]):
         text = text.encode()
-        if spec == "%d":
-            c = np.asarray(c)
-            c = c if c.dtype == np.uint64 else c.astype(np.int64, copy=False)
-            key = (spec, len(text), c.dtype)
-        else:
-            c = np.asarray(c, dtype=float)
-            key = (spec, max(len(text), 3), None)
+        c = _column(spec, c)
+        key = (spec, len(text), c.dtype) if spec == "%d" else (spec, max(len(text), 3), None)
         if runs and runs[-1][0] == key:
             runs[-1][1].append(c)
             runs[-1][2].append(text)

@@ -287,6 +287,22 @@ class TestShiftedSolver:
         A = pencil.K - setup.ground.lam * pencil.M
         assert np.linalg.norm(A @ v - f) <= 1e-10 * np.linalg.norm(f)
 
+    def test_keeps_one_row_of_the_operator(self, setup):
+        # K − λ0·M lives on K's pattern; of it the solver keeps only row k
+        solver = ShiftedSolver(setup)
+        kept = [a for a in vars(solver).values() if sparse.issparse(a)]
+        assert kept and all(a.shape[0] <= 1 for a in kept)
+
+    def test_corrupted_solve_raises_breakdown(self, setup):
+        # the contract is checked as K v − λ0·(M v) − g, on the pencil itself
+        solver = ShiftedSolver(setup)
+        exact = solver._solve
+        f = compatible(solver, np.random.default_rng(14).standard_normal(setup.pencil.n_free))
+        solver.solve(f)
+        solver._solve = lambda g: 2.0 * exact(g)
+        with pytest.raises(SolverError, match="pinned solve breakdown"):
+            solver.solve(f)
+
     def test_compatibility_violation_raises(self, setup):
         pencil = setup.pencil
         f = pencil.M @ pencil.restrict(setup.ground.u)  # u0.f = 1: maximally incompatible
@@ -368,8 +384,9 @@ class TestDiscretization:
         disc = Discretization(mesh, 1.0)
         rng = np.random.default_rng(3)
         theta = np.zeros(mesh.n_nodes) if kind == "zero" else (rng.random(mesh.n_nodes) < 0.5) * 1.0
-        K = disc.pencil.K
-        for A in (disc.theta_stiffness(theta), disc.pencil.M, disc.solver._A):
+        K, M = disc.pencil.K, disc.pencil.M
+        pinned = fem.add_on_pattern(K, M, -disc.ground.lam)  # the matrix the pinned LU factors
+        for A in (disc.theta_stiffness(theta), M, pinned):
             assert np.array_equal(A.indptr, K.indptr) and np.array_equal(A.indices, K.indices)
 
     @pytest.mark.parametrize(

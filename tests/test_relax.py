@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import sparse
 
 from lowcontrast import fem
 from lowcontrast.eig import Discretization
 from lowcontrast.expansion import compute_series
 from lowcontrast.mesh import from_arrays, generate_unit_square
 from lowcontrast.relax import RelaxedObjective
+from test_eig import sunflower_disk
 
 EPS = 0.08
 
@@ -96,6 +100,112 @@ def test_matches_element_loop_reference(mesh, shuffle):
         assert_close(ev.v_inf, v)
         assert_close(ev.grad_density, grad)
         assert_close(problem.hessian_form(phi), hessian_form(phi))
+
+
+def out_of_place_objective(disc, epsilon):
+    """``evaluate`` and ``hessian_form`` as out-of-place expressions, one
+    temporary per operation, on element maps rebuilt from the mesh: the
+    operands and order that the in-place evaluation must reproduce bit for bit."""
+    mesh, alpha, pencil, eps = disc.mesh, disc.alpha, disc.pencil, epsilon
+    m, area, lumped = mesh.n_elems, mesh.elem_area, pencil.lumped
+    pattern = (mesh.triangles.ravel(), np.arange(0, 3 * m + 1, 3))
+    S = sparse.csr_matrix((np.ones(3 * m), *pattern), shape=(m, mesh.n_nodes))
+    grad_u0 = fem.element_gradient(mesh, disc.ground.u)
+    coupling = np.einsum("tid,td->ti", mesh.elem_basis_grad, grad_u0)
+    C = sparse.csr_matrix((coupling.ravel(), *pattern), shape=(m, mesh.n_nodes))
+    gu0_sq = np.einsum("td,td->t", grad_u0, grad_u0)
+
+    def project(e):
+        return S.T @ (area / 3.0 * e) / lumped
+
+    p_nodal = project(gu0_sq)
+
+    def state(theta_e):
+        w = alpha * area * theta_e
+        lam1 = float(w @ gu0_sq)
+        f = lam1 * disc.Mu0 - (C.T @ w)[pencil.free]
+        v = pencil.extend(disc.singular_solve(f))
+        return v, lam1, C @ v
+
+    def evaluate(theta):
+        theta_e = S @ theta / 3.0
+        theta_sq_e = S @ theta**2 / 3.0
+        v, lam1, gv_dot = state(theta_e)
+        first = alpha * float(np.sum(area * theta_e * (gu0_sq + eps * gv_dot)))
+        mixing = eps * alpha * float(np.sum(area * (theta_e - theta_sq_e) * gu0_sq))
+        e_lin = alpha * (2.0 * eps * gv_dot + (1.0 - eps) * gu0_sq)
+        grad = project(e_lin) + (2.0 * eps * alpha) * theta * p_nodal
+        return first - mixing, lam1, v, grad
+
+    def hessian_form(phi):
+        phi_e = S @ phi / 3.0
+        _, _, gv_dot = state(phi_e)
+        bilinear = float(np.sum(area * phi_e * gv_dot))
+        diag = float(np.sum(lumped * phi**2 * p_nodal))
+        return 2.0 * eps * alpha * (bilinear + diag)
+
+    return evaluate, hessian_form
+
+
+def bits(x):
+    """The bit patterns of a float or array: equal bits, signed zeros and all."""
+    return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.int64)
+
+
+@pytest.fixture(scope="module", params=["square16", "shuffled16", "disk800"])
+def pinned_disc(request):
+    if request.param == "disk800":
+        mesh = sunflower_disk(800)
+    else:
+        mesh = generate_unit_square(16, 16)
+        if request.param == "shuffled16":
+            mesh = shuffled(mesh, np.random.default_rng(53))
+    disc = Discretization(mesh, 1.0)
+    disc.solver  # the pinned solve, as the descent uses it
+    return disc
+
+
+@pytest.mark.parametrize("kind", ["random", "binary", "constant"])
+@pytest.mark.parametrize("epsilon", [1e-6, 0.1, 0.3, 10.0])
+def test_in_place_evaluation_keeps_the_bits(pinned_disc, epsilon, kind):
+    n = pinned_disc.mesh.n_nodes
+    rng = np.random.default_rng(54)
+    theta = {
+        "random": rng.uniform(0.0, 1.0, n),
+        "binary": (rng.random(n) < 0.5) * 1.0,
+        "constant": np.full(n, 0.4),
+    }[kind]
+    problem = RelaxedObjective(pinned_disc, epsilon)
+    evaluate, hessian_form = out_of_place_objective(pinned_disc, epsilon)
+    ev = problem.evaluate(theta)
+    for actual, expected in zip((ev.F, ev.lambda1, ev.v_inf, ev.grad_density), evaluate(theta)):
+        assert np.array_equal(bits(actual), bits(expected))
+    phi = theta - 0.5
+    assert np.array_equal(bits(problem.hessian_form(phi)), bits(hessian_form(phi)))
+
+
+def test_coupling_shares_the_incidence_index_map(prob):
+    S, C = prob._incidence, prob._coupling
+    assert np.shares_memory(C.indices, S.indices) and np.shares_memory(C.indptr, S.indptr)
+
+
+def test_evaluation_peak_memory():
+    # the traced peak of one evaluation, in element-sized float arrays, with the
+    # pinned system factored as the descent has it: 5.4 in place at 64²,
+    # inside the state solve; the out-of-place expressions peaked at 6.5
+    mesh = generate_unit_square(64, 64)
+    disc = Discretization(mesh, 1.0)
+    disc.solver
+    problem = RelaxedObjective(disc, 0.3)
+    theta = np.random.default_rng(55).uniform(0.0, 1.0, mesh.n_nodes)
+    problem.evaluate(theta)
+    tracemalloc.start()
+    try:
+        problem.evaluate(theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * mesh.n_elems) <= 6.0
 
 
 class TestStateEquation:

@@ -1,10 +1,12 @@
 """The array row writer against the ``%`` operator it replaces, byte for byte.
 
-``vtkio._write_rows`` renders ``%.17g`` and ``%d`` conversions in numpy
-passes; every value it cannot prove falls back to ``"%.17g" % x``.  These
-tests compare its bytes with ``row % values`` on random, adversarial and
-fixed inputs, and pin the bytes of three files the previous, ``%``-based
-writer produced.
+The row kernel ``vtkio._kernel_rows`` renders ``%.17g`` and ``%d``
+conversions in numpy passes; every value it cannot prove falls back to
+``"%.17g" % x``.  These tests compare its bytes with ``row % values`` on
+random, adversarial and fixed inputs, check that ``vtkio._write_rows``
+gives the same bytes on either side of the row count where it hands a
+table to the kernel, and pin the bytes of three files the previous,
+``%``-based writer produced.
 """
 import hashlib
 import io
@@ -41,9 +43,10 @@ EDGE_INTS = np.array(
 )
 
 
-def rendered(row, columns):
+def rendered(row, columns, write=vtkio._kernel_rows):
+    """The bytes of the row kernel, or of ``write``, for the table."""
     fh = io.BytesIO()
-    vtkio._write_rows(fh, row, columns)
+    write(fh, row, columns)
     return fh.getvalue()
 
 
@@ -114,6 +117,24 @@ def test_templates_across_block_edges(row, rows):
         "%d,%.17g\r\n": [np.arange(rows) - 3, floats],
     }[row]
     assert rendered(row, columns) == reference(row, columns)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 5, vtkio._PERCENT_ROWS - 1, vtkio._PERCENT_ROWS])
+@pytest.mark.parametrize("row", TEMPLATES)
+def test_percent_path_below_the_threshold(row, rows):
+    # _write_rows formats a table under _PERCENT_ROWS rows by `%`, a longer one by the kernel
+    rng = np.random.default_rng(rows)
+    floats = np.resize(np.concatenate([EDGE_FLOATS, rng.lognormal(0, 20, 100)]), rows)
+    ints = np.resize(EDGE_INTS, rows)
+    columns = {
+        "%.17g %.17g 0\n": [floats, floats[::-1]],
+        "3 %d %d %d\n": [ints, np.arange(rows, dtype=np.uint64), ints.astype(np.int32)],
+        "%d,%.17g\r\n": [np.arange(rows) - 3, floats.tolist()],
+    }[row]
+    vtkio._tables.cache_clear()
+    written = rendered(row, columns, vtkio._write_rows)
+    assert vtkio._tables.cache_info().currsize == (rows >= vtkio._PERCENT_ROWS), "tables built by the kernel only"
+    assert written == reference(row, columns) == rendered(row, columns)
 
 
 def sha256(path):
