@@ -64,18 +64,14 @@ class RelaxedObjective:
         self._area = mesh.elem_area
         m = mesh.n_elems
         pattern = (mesh.triangles.ravel(), np.arange(0, 3 * m + 1, 3))  # row t: its vertices
-        self._incidence = sparse.csr_matrix((np.ones(3 * m), *pattern), shape=(m, mesh.n_nodes))
+        self._incidence = S = sparse.csr_matrix((np.ones(3 * m), *pattern), shape=(m, mesh.n_nodes))
         grad_u0 = fem.element_gradient(mesh, self.ground.u)
         coupling = np.einsum("tid,td->ti", mesh.elem_basis_grad, grad_u0)  # ∇φ_i·∇u0
         # on S's own index arrays, which neither matrix ever sorts in place
-        S = self._incidence
         self._coupling = sparse.csr_matrix((coupling.ravel(), S.indices, S.indptr), shape=S.shape)
         self.gu0_sq = np.einsum("td,td->t", grad_u0, grad_u0)
-        self.p_nodal = self._project(self.gu0_sq)
-
-    def _project(self, e: np.ndarray) -> np.ndarray:
-        """Lumped-mass projection of an element field onto the nodes."""
-        return self._incidence.T @ (self._area / 3.0 * e) / self.lumped
+        # the lumped-mass projection of |∇u0|² onto the nodes, as evaluate projects e_lin
+        self.p_nodal = S.T @ (self._area / 3.0 * self.gu0_sq) / self.lumped
 
     # -- state equation ----------------------------------------------------
 
@@ -122,7 +118,7 @@ class RelaxedObjective:
             first = alpha * float(np.sum(theta_e))
             F = first - mixing
 
-            # e_lin = α(2ε ∇v·∇u0 + (1 − ε)|∇u0|²), projected as in _project
+            # e_lin = α(2ε ∇v·∇u0 + (1 − ε)|∇u0|²), projected by lumped mass as p_nodal
             e_lin = gv_dot
             e_lin *= 2.0 * eps
             np.multiply(1.0 - eps, gu0_sq, out=work)
