@@ -1,8 +1,8 @@
 """Command-line entry point: mesh generation/import, expansion-order
 certification, relaxed-objective evaluation and density optimization.
 
-Exit codes: 0 success, 2 usage / parameter errors, 3 input-data errors
-(missing or malformed files), 4 solver failures.
+Exit codes: 0 success, 2 usage / parameter errors and exhausted memory, 3
+input-data errors (missing or malformed files), 4 solver failures.
 """
 from __future__ import annotations
 
@@ -524,8 +524,8 @@ def main(argv=None) -> int:
     except (InputError, MshParseError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, MemoryError) as exc:  # numpy's MemoryError names the array it could not allocate
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_USAGE
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)

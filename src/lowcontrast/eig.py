@@ -14,14 +14,14 @@ for a λ_ε past the Krahn–Szegő bound.  The pinned singular solve pins one
 node where u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes its
 result against u₀; the deflated PCG keeps every iterate on u₀ᵀMv = 0.
 
-Every sparse factorization (:func:`factor`, :func:`_slice`) keeps its pivots
-on the diagonal of one symmetric fill-reducing order per discretization:
-SuperLU's multiple-minimum-degree order of K's stored pattern, picked when
-K − σM is factored and followed by the pinned system and every sliced matrix.
+Every sparse factorization keeps its pivots on the diagonal of one symmetric
+fill-reducing order per discretization, picked when K − σM is factored; the
+free nodes are then numbered in it, so every later LU (:func:`factor`: the
+pinned system, each sliced matrix) factors the pencil's own arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -124,7 +124,8 @@ def _ritz_basis(S, M):
     MS = M @ S
     norms = np.sqrt(np.einsum("ij,ij->j", S, MS))
     live = np.isfinite(norms) & (norms > 0)
-    S, MS = S[:, live], MS[:, live]  # column-major copies, scaled in place
+    MS = MS[:, live]  # column-major copies, scaled in place; MS's original goes before S is copied
+    S = S[:, live]
     S /= norms[live]
     MS /= norms[live]
     g, V = np.linalg.eigh(S.T @ MS)
@@ -132,57 +133,35 @@ def _ritz_basis(S, M):
     return S, V[:, keep] / np.sqrt(g[keep])
 
 
-def factor(A, perm=None):
-    """Factor the SPD matrix A with its pivots on the diagonal of a symmetric order.
+def factor(A):
+    """SuperLU's LU of the symmetric CSR matrix A in natural order, with diagonal pivots.
 
-    Returns ``(solve, fill, perm)``; ``solve`` maps vectors in the original
-    numbering.  Without ``perm``, SuperLU picks the order as a
-    multiple-minimum-degree order of A + Aᵀ (``MMD_AT_PLUS_A``) in symmetric
-    mode, and position i of the returned ``perm`` holds node ``perm[i]``.
-    Partial pivoting would keep that column order but swap rows away from
-    it; on a randomly numbered mesh the fill, and the time, then grow by
-    orders of magnitude.  With ``perm`` (an order, or one less a pinned node,
-    whose entry ``solve`` ignores and zeroes), ``A[perm][:, perm]`` is
-    factored in natural order.  K's order serves every matrix of its stored
-    pattern, which ``fem._scatter`` gives M and every Kθ too: it stores every
-    vertex pair of every triangle, exact zeros included.  One column per
-    panel (``panel_size=1``) keeps SuperLU's workspace out of the peak memory.
-    ``fill`` is ``SuperLU.nnz``, the nonzeros it stores for L and U; counting
-    L.nnz + U.nnz would copy both factors.
+    A's own arrays are read as its CSC, which they are for a bitwise-symmetric
+    A; SuperLU leaves canonical ones uncopied.  A discretization's numbering is
+    the fill-reducing order of its ground LU, and every matrix it factors
+    stores K's pattern.  Partial pivoting would swap rows away from that order:
+    on a randomly numbered mesh the fill, and the time, grew by orders of
+    magnitude.  One column per panel keeps SuperLU's workspace out of the peak
+    memory.  The fill is ``SuperLU.nnz``; L.nnz + U.nnz would copy both factors.
     """
-    if perm is None:
-        lu = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1, **_DIAGONAL_PIVOTS)
-        return lu.solve, lu.nnz, np.argsort(lu.perm_c)
-    lu, solve = _ordered_lu(A, perm)
-    return solve, lu.nnz, perm
+    At = sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
+    return spla.splu(At, permc_spec="NATURAL", panel_size=1, **_DIAGONAL_PIVOTS)
 
 
-def _ordered_lu(A, perm):
-    """``(lu, solve)``: SuperLU's factors of ``A[perm][:, perm]`` in natural order, and the solve of A."""
-    lu = spla.splu(A.tocsr()[perm][:, perm].tocsc(), permc_spec="NATURAL", panel_size=1, **_DIAGONAL_PIVOTS)
-
-    def solve(rhs):
-        x = np.zeros_like(rhs)
-        x[perm] = lu.solve(rhs[perm])
-        return x
-
-    return lu, solve
-
-
-def _slice(A, perm):
-    """``(solve, count)``: the LU of the symmetric A in the order ``perm``, and its count of pivots not > 0.
+def _slice(A):
+    """``(solve, count)``: the LU of the symmetric A (:func:`factor`), and its count of pivots not > 0.
 
     With its pivots on the diagonal and no row swapped it is LDLᵀ up to row
     scaling, so by Sylvester's law of inertia the count is that of A's
     eigenvalues ≤ 0.  Reading U copies it.
     """
     try:
-        lu, solve = _ordered_lu(A, perm)
+        lu = factor(A)
     except RuntimeError as exc:  # an exactly singular pivot
         raise SolverError(f"spectrum slicing LU failed: {exc}") from exc
     if not np.array_equal(lu.perm_r, np.arange(A.shape[0])):
         raise SolverError("a row swap in the LU voids its pivot count")
-    return solve, int(np.count_nonzero(~(lu.U.diagonal() > 0)))
+    return lu.solve, int(np.count_nonzero(~(lu.U.diagonal() > 0)))
 
 
 def _rounding_share(K, M, lam, u) -> float:
@@ -216,7 +195,7 @@ def _cold_pair(K, M, solve):
     return _refine(K, M, float(u @ (K @ u)), u, solve, _COLD_STEPS, _GROUND_TOL)
 
 
-def certified_smallest_pair(pencil, perm, lower) -> EigenPair:
+def certified_smallest_pair(pencil, lower) -> EigenPair:
     """:func:`smallest_eigenpair` on an LU of K − τM (τ = ``lower`` > 0 first), certified by inertia.
 
     The residual contract does not pin the smallest of a cluster, so a pair
@@ -229,7 +208,7 @@ def certified_smallest_pair(pencil, perm, lower) -> EigenPair:
     K, M = pencil.K, pencil.M
     lo, hi, tau, lam = 0.0, np.inf, lower, None
     for _ in range(_COLD_STEPS):
-        solve, count = _slice(fem.add_on_pattern(K, M, -tau), perm)
+        solve, count = _slice(fem.add_on_pattern(K, M, -tau))
         if count:
             hi = tau
         else:
@@ -323,17 +302,16 @@ def _deflated_cg(pencil, lambda0, u0f, Mu0, precond, g, fnorm):
 class ShiftedSolver:
     """Factorized singular operator A = K − λ₀M, pinned at one node.
 
-    A is positive semi-definite with kernel span(u₀), so without the row and
-    column of node k = argmax|u₀| it is SPD.  That matrix is factored in
-    the discretization's order ``perm`` less node k, with diagonal pivots:
-    its fill is part of K's and does not depend on α.  A solve maps a load f
-    to v with A v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, reusing the factorization
-    (one per cascade order / objective evaluation).  λ₀, and u₀ and Mu₀ on
-    free nodes, are the discretization's.  ``fill``: see :func:`factor`.
-    Of A itself only row k is kept, for the correction of a solve's row-k
-    residual; the contract |A v − g| ≤ 1e-8·|f| is checked as
-    K v − λ₀·(M v) − g on the pencil, so no third value array on K's
-    pattern stays resident next to K's and M's.
+    A is positive semi-definite with kernel span(u₀), so with the row and
+    column of node k = argmax|u₀| set to the identity's (in place, on K's
+    pattern; a solve zeroes v_k) it is SPD, and :func:`factor` keeps K's fill,
+    which does not depend on α.  A solve maps a load f to v with
+    A v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, reusing the factorization (one per
+    cascade order / objective evaluation).  λ₀, and u₀ and Mu₀ on free nodes,
+    are the discretization's.  Of A only row k is kept, for the correction of
+    a solve's row-k residual; the contract |A v − g| ≤ 1e-8·|f| is checked as
+    K v − λ₀·(M v) − g on the pencil, so no third value array on K's pattern
+    stays resident next to K's and M's.
     """
 
     def __init__(self, disc):
@@ -342,14 +320,19 @@ class ShiftedSolver:
         self.u0f, self.Mu0 = disc.u0f, disc.Mu0
         A = fem.add_on_pattern(pencil.K, pencil.M, -self.lambda0)
         k = int(np.argmax(np.abs(self.u0f)))
+        self._k, self._Ak = k, A[k]
+        A.data[A.indices == k] = 0.0
+        row = slice(A.indptr[k], A.indptr[k + 1])
+        A.data[row] = A.indices[row] == k
         try:
-            self._solve, self.fill, _ = factor(A, disc.perm[disc.perm != k])
+            lu = factor(A)
         except RuntimeError as exc:
             raise SolverError(f"pinned factorization failed: {exc}") from exc
-        self._k, self._Ak = k, A[k]
+        self._solve, self.fill = lu.solve, lu.nnz  # each solution's entry k is zeroed
         # a pinned solve leaves its load's rounding-level inconsistency in row k, where
         # it grows with the mesh; a multiple of z = pinned⁻¹Mu₀ moves it onto Mu₀
         self._z = self._solve(self.Mu0)
+        self._z[k] = 0.0
         self._zk = (self._Ak @ self._z)[0] - self.Mu0[k]
 
     def solve(self, f: np.ndarray) -> np.ndarray:
@@ -362,6 +345,7 @@ class ShiftedSolver:
         if fnorm == 0.0:
             return np.zeros_like(g)
         w = self._solve(g)
+        w[self._k] = 0.0
         w -= ((self._Ak @ w)[0] - g[self._k]) / self._zk * self._z
         v = w - float(self.Mu0 @ w) * self.u0f
         K, M = self.pencil.K, self.pencil.M
@@ -370,33 +354,23 @@ class ShiftedSolver:
             raise SolverError(f"pinned solve breakdown: residual {resid:.3e}")
         return v
 
-    def deflated_solve(self, b: np.ndarray) -> np.ndarray:
-        """:meth:`solve` for the compatible part b − (u₀ᵀb)·Mu₀ of any free-node load b.
-
-        It maps Mu_j to u_j/(λ_j − λ₀) for every eigenvector u_j but u₀, which
-        it maps to 0: the preconditioner that refines a remainder report's λ_ε
-        from its Ritz start.
-        """
-        return self.solve(b - float(self.u0f @ b) * self.Mu0)
-
 
 class Discretization:
     """One mesh at background conductivity α, set up once and shared.
 
-    Holds the α-pencil (K, M) on free nodes, the fill-reducing order
-    ``perm`` that every factorization on the mesh follows, its ground pair
-    (λ₀, u₀) with u₀ and Mu₀ on free nodes (``u0f``, ``Mu0``) and the
-    singular solves of K − λ₀M, for the cascade, the remainder certificate
-    and the relaxed objective.  A domain whose free nodes fall into several
-    connected parts is rejected: its ground eigenvalue can be repeated, and
-    the cascade assumes it is simple.  It factors K − σM, built on K's
-    stored pattern, which picks ``perm`` and ``fill`` and serves the ground
-    pair; σ = _SHIFT_SHARE·``faber_krahn``, with ``faber_krahn`` =
-    π·j₀₁²·α/|Ω| the Faber–Krahn lower bound on λ₀ (and twice it the
-    Krahn–Szegő bound on λ₂, a remainder report's first floor).  That LU serves
-    :meth:`singular_solve` until the pinned system (``solver``) is factored or
-    Kθ first assembled, so ``eval`` factors once, and a command that loops over
-    loads twice.
+    Holds the α-pencil (K, M) on free nodes, its ground pair (λ₀, u₀) with u₀
+    and Mu₀ on free nodes (``u0f``, ``Mu0``) and the singular solves of
+    K − λ₀M, for the cascade, the remainder certificate and the relaxed
+    objective.  A domain whose free nodes fall into several connected parts
+    is rejected: its ground eigenvalue can be repeated, and the cascade
+    assumes it is simple.  It factors K − σM in a minimum-degree order of K's
+    pattern (``fill``), refines the ground pair on it and then numbers the free
+    nodes in that order (``pencil.free``); σ = _SHIFT_SHARE·``faber_krahn``, with
+    ``faber_krahn`` = π·j₀₁²·α/|Ω| the Faber–Krahn lower bound on λ₀ (and twice
+    it the Krahn–Szegő bound on λ₂, a remainder report's first floor).  That LU
+    serves :meth:`singular_solve` until the pinned system (``solver``) is
+    factored or Kθ first assembled, so ``eval`` factors once, and a command
+    that loops over loads twice.
     """
 
     def __init__(self, mesh, alpha: float):
@@ -405,8 +379,8 @@ class Discretization:
             raise ValueError(f"alpha must lie in [1e-100, 1e+100], got {alpha:g}")
         self.mesh = mesh
         self.alpha = alpha
-        self.pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
-        parts, _ = connected_components(self.pencil.K, directed=False)
+        pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
+        parts, _ = connected_components(pencil.K, directed=False)
         if parts > 1:
             raise ValueError(
                 f"domain has {parts} disconnected parts; its ground state need not be simple"
@@ -416,14 +390,28 @@ class Discretization:
         self.faber_krahn = float(np.pi * _J01**2 * alpha / mesh.total_area)
         try:
             # the shifted matrix is an argument only: it is gone once its LU exists
-            self._shifted_solve, self.fill, self.perm = factor(
-                fem.add_on_pattern(self.pencil.K, self.pencil.M, -_SHIFT_SHARE * self.faber_krahn)
-            )
+            lu = spla.splu(fem.add_on_pattern(pencil.K, pencil.M, -_SHIFT_SHARE * self.faber_krahn).tocsc(),
+                           permc_spec="MMD_AT_PLUS_A", panel_size=1, **_DIAGONAL_PIVOTS)
         except RuntimeError as exc:
             raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
-        self.ground = smallest_eigenpair(self.pencil, self._shifted_solve)
-        self.u0f = self.pencil.restrict(self.ground.u)
-        self.Mu0 = self.pencil.M @ self.u0f
+        self.fill = lu.nnz
+        ground = smallest_eigenpair(pencil, lu.solve)
+        # position i holds free node perm[i]; the old K goes first, and M takes K's index arrays
+        perm = np.argsort(lu.perm_c)
+        pencil = replace(pencil, K=fem.restrict_matrix(pencil.K, perm))
+        K, M = pencil.K, fem.share_pattern(pencil.K, fem.restrict_matrix(pencil.M, perm))
+        self.pencil = pencil = replace(pencil, M=M, free=pencil.free[perm])
+        self.u0f = pencil.restrict(ground.u)
+        # λ₀ and u₀ keep their bits; the residual is the renumbered pencil's rounding of it
+        self.ground = replace(ground, residual=_refine(K, M, ground.lam, self.u0f, None, 0)[2])
+        self.Mu0 = M @ self.u0f
+
+        def shifted_solve(r):
+            x = np.empty_like(r)
+            x[perm] = r
+            return lu.solve(x)[perm]
+
+        self._shifted_solve = shifted_solve
         self._last_theta_stiffness = None
 
     def singular_solve(self, f: np.ndarray) -> np.ndarray:
@@ -449,7 +437,7 @@ class Discretization:
         return ShiftedSolver(self)
 
     def theta_stiffness(self, theta) -> sparse.csr_matrix:
-        """Free-node stiffness Kθ with coefficient α·(vertex average of θ).
+        """Free-node stiffness Kθ with coefficient α·(vertex average of θ), on K's index arrays.
 
         The last result is kept, so an ε-sweep and a cascade over one
         density assemble it once.  The LU of K − σM is dropped first.
@@ -459,8 +447,7 @@ class Discretization:
         if last is None or not np.array_equal(last[0], theta):
             self._shifted_solve = None
             theta_e = fem.element_average(self.mesh, theta)
-            Kt = fem.restrict_matrix(
-                fem.assemble_stiffness(self.mesh, self.alpha * theta_e), self.pencil.free
-            )
+            Kt = fem.assemble_stiffness(self.mesh, self.alpha * theta_e)
+            Kt = fem.share_pattern(self.pencil.K, fem.restrict_matrix(Kt, self.pencil.free))
             last = self._last_theta_stiffness = (theta.copy(), Kt)
         return last[1]

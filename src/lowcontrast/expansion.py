@@ -10,6 +10,7 @@ the fitted log-log slopes are free of discretization error.
 """
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -60,10 +61,14 @@ def compute_series(disc, theta, order: int) -> ExpansionSeries:
     further order costs one singular solve; the Fredholm compatibility of
     every load is checked and the normalization identities
     u0ᵀMu_i = −½ Σ_{k=1}^{i−1} u_kᵀMu_{i−k} are enforced by shifting along u0.
+    An order whose modes exceed physical memory raises ValueError before they are allocated.
     """
     theta = check_density(theta, disc.mesh.n_nodes)
     if order < 0:
         raise ValueError("order must be >= 0")
+    need = 8.0 * (order + 1) * disc.mesh.n_nodes  # bytes of the full-node modes
+    if hasattr(os, "sysconf") and need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValueError(f"order {order} needs {need / 2**30:.3g} GiB of modes, more than physical memory")
 
     pencil = disc.pencil
     lam0, u0f = disc.ground.lam, disc.u0f
@@ -109,9 +114,9 @@ def direct_eigenvalue(disc, theta, epsilon: float):
 
     Kθ uses the per-element vertex average of θ, so the coefficient is
     α·(1 + ε·avg θ); K0 and M are the discretization's α-pencil.  The pair is
-    :func:`eig.certified_smallest_pair`, whose LUs of K0 + εKθ − τM follow the
-    order ``perm``, from τ = min(1, 1 + ε)·_SHIFT_SHARE·``disc.faber_krahn``:
-    K0 + εKθ ≥ min(1, 1 + ε)·K0 (Weyl) and Faber–Krahn keep it below λ_ε.
+    :func:`eig.certified_smallest_pair`, on LUs of K0 + εKθ − τM from
+    τ = min(1, 1 + ε)·_SHIFT_SHARE·``disc.faber_krahn``: K0 + εKθ ≥
+    min(1, 1 + ε)·K0 (Weyl) and Faber–Krahn keep it below λ_ε.
     A K0 + εKθ that overflows raises ValueError.
     """
     if not np.isfinite(epsilon):
@@ -124,7 +129,7 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     if not np.isfinite(K.data).all():
         raise ValueError(f"epsilon = {epsilon:g} overflows the stiffness at alpha = {disc.alpha:g}")
     lower = min(1.0, 1.0 + epsilon) * _SHIFT_SHARE * disc.faber_krahn
-    return certified_smallest_pair(replace(disc.pencil, K=K), disc.perm, lower)
+    return certified_smallest_pair(replace(disc.pencil, K=K), lower)
 
 
 def _refined_eigenvalue(disc, Kt, epsilon: float, floor: float, S, Z, A0, At):
@@ -132,7 +137,8 @@ def _refined_eigenvalue(disc, Kt, epsilon: float, floor: float, S, Z, A0, At):
 
     The lowest Ritz pair of A0 + ε·At on the basis S·Z (:func:`eig._ritz_basis`,
     A0 = SᵀK0S, At = SᵀKθS), its value clamped to the bounds it meets in exact
-    arithmetic, goes to :func:`eig._refine` on the deflated singular solve.  λ is
+    arithmetic, goes to :func:`eig._refine` on the deflated singular solve
+    b ↦ solve(b − (u₀ᵀb)·Mu₀) (Mu_j ↦ u_j/(λ_j − λ₀), Mu₀ ↦ 0).  λ is
     kept when it meets the residual contract, λ₀ ≤ λ ≤ R_ε(u₀) and λ(1 + δ) < λ₂(K0)
     (δ: :func:`eig._rounding_share`): either λ(1 + δ) < ``floor``, or K0 − λ(1 + δ)M
     has at most one pivot ≤ 0 (:func:`eig._slice`) and λ(1 + δ) is the floor returned.
@@ -140,14 +146,15 @@ def _refined_eigenvalue(disc, Kt, epsilon: float, floor: float, S, Z, A0, At):
     is the smallest eigenvalue.  None: the step cap was reached, the arithmetic
     overflowed (huge ε) or a check failed.
     """
-    M, K0, u0, lam0 = disc.pencil.M, disc.pencil.K, disc.u0f, disc.ground.lam
+    M, K0, u0, Mu0, lam0 = disc.pencil.M, disc.pencil.K, disc.u0f, disc.Mu0, disc.ground.lam
+    solve = disc.solver.solve
     with np.errstate(over="raise", invalid="raise"):
         try:
             K = fem.add_on_pattern(K0, Kt, epsilon)
             upper = float(u0 @ (K @ u0)) / float(u0 @ (M @ u0))  # R_ε(u₀) = λ₀ + ε·u₀ᵀKθu₀
             vals, Y = np.linalg.eigh(Z.T @ (A0 + epsilon * At) @ Z)
             lam = min(max(float(vals[0]), lam0), upper)
-            lam, u, res = _refine(K, M, lam, S @ (Z @ Y[:, 0]), disc.solver.deflated_solve)
+            lam, u, res = _refine(K, M, lam, S @ (Z @ Y[:, 0]), lambda b: solve(b - float(u0 @ b) * Mu0))
         except FloatingPointError:
             return None, floor
     if not (res <= RESIDUAL_TOL and lam0 <= lam <= upper):
@@ -155,7 +162,7 @@ def _refined_eigenvalue(disc, Kt, epsilon: float, floor: float, S, Z, A0, At):
     top = lam * (1.0 + _rounding_share(K, M, lam, u))
     if top < floor:
         return lam, floor
-    if top < np.inf and _slice(fem.add_on_pattern(K0, M, -top), disc.perm)[1] <= 1:
+    if top < np.inf and _slice(fem.add_on_pattern(K0, M, -top))[1] <= 1:
         return lam, top
     return None, floor
 

@@ -87,7 +87,7 @@ class SparsePencil:
     Attributes:
         K: free-restricted stiffness, SPD for strictly positive coefficient.
         M: free-restricted mass, SPD.
-        free: free node indices into the full node numbering.
+        free: free node indices into the full node numbering, in the ground factorization's order.
         n_nodes: size of the full numbering (for extension by zero).
         lumped: lumped mass over all nodes (discrete integration weights).
     """
@@ -124,22 +124,27 @@ def build_pencil(mesh, coeff) -> SparsePencil:
 
 
 def restrict_matrix(A: sparse.spmatrix, free: np.ndarray) -> sparse.csr_matrix:
-    """Free-node restriction of a full assembled matrix."""
-    return A.tocsr()[free][:, free].tocsr()
+    """Rows and columns ``free`` of A, in that order, as canonical CSR (sorted indices)."""
+    A = A.tocsr()[free][:, free]
+    A.sort_indices()
+    return A
 
 
 def add_on_pattern(A: sparse.csr_matrix, B: sparse.csr_matrix, c: float) -> sparse.csr_matrix:
-    """A + c·B on A's stored pattern, which B must share.
+    """A + c·B on A's stored pattern and index arrays, which B must share (:func:`share_pattern`)."""
+    return sparse.csr_matrix((A.data + c * share_pattern(A, B).data, A.indices, A.indptr), shape=A.shape)
+
+
+def share_pattern(A: sparse.csr_matrix, B: sparse.csr_matrix) -> sparse.csr_matrix:
+    """B's values on A's own ``indptr`` and ``indices``, which must equal B's.
 
     Every matrix :func:`_scatter` assembles on a mesh, restricted by
-    :func:`restrict_matrix`, stores every vertex pair of every triangle,
-    exact zeros included, so all of them share one ``indptr`` and
-    ``indices``, and the sum is one pass over their values.  A scipy sum
-    would drop any entry that cancels to 0, and with it the pattern that the
-    discretization's fill-reducing order was picked for.
+    :func:`restrict_matrix`, stores every vertex pair of every triangle, exact
+    zeros included, so a sum of two is one pass over their values.  A scipy sum
+    would drop any entry that cancels to 0, and with it the fill-reducing order's pattern.
     """
     if A.shape != B.shape or not (
         np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
     ):
         raise ValueError("matrices do not share a stored pattern")
-    return sparse.csr_matrix((A.data + c * B.data, A.indices, A.indptr), shape=A.shape)
+    return sparse.csr_matrix((B.data, A.indices, A.indptr), shape=A.shape)

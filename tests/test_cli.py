@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -846,7 +847,7 @@ def test_negative_seed_exit_2(tmp_path, capsys, args):
 def test_eigensolver_failure_exit_4(monkeypatch, capsys, tmp_path):
     # a pivot count that refutes every shift leaves no eigenvalue certified
     slice_ = eig._slice
-    monkeypatch.setattr(eig, "_slice", lambda A, perm: (slice_(A, perm)[0], 1))
+    monkeypatch.setattr(eig, "_slice", lambda A: (slice_(A)[0], 1))
     # the inertia check serves only the remainder report's direct fallback: at
     # ε = 5 the refinement from u₀ is not certified, so that ε is solved directly
     code = run_cli(["expand", "--nx", 8, "--ny", 8, "--random-theta", "--seed", 1,
@@ -866,6 +867,33 @@ def test_ground_refinement_past_step_cap_exit_4(monkeypatch, capsys):
     assert captured.err.startswith("solver error: eigenpair 0 residual ")
     assert captured.err.endswith(" exceeds tol 1.000e-12\n") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_unholdable_order_exit_2(capsys, tmp_path):
+    # (N + 1)·n_nodes doubles of modes: 186 GiB here, refused before the cascade allocates them
+    tracemalloc.start()
+    try:
+        code = run_cli(["expand", "--nx", 4, "--ny", 4, "--random-theta", "--seed", 1,
+                        "--order", 1000000000, "--out-dir", tmp_path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: order 1000000000 needs 186 GiB of modes, more than physical memory\n"
+    assert peak < 2**20
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_error_exit_2(monkeypatch, capsys):
+    def exhausted(nx, ny):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (10000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "generate_unit_square", exhausted)
+    assert run_cli(["eval", "--nx", 100000, "--ny", 100000, "--random-theta", "--epsilon", 0.1]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Unable to allocate 74.5 GiB") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_solver_error_exit_4(monkeypatch, capsys):
@@ -893,8 +921,8 @@ def test_solver_error_exit_4(monkeypatch, capsys):
 )
 def test_factorizations_per_command(monkeypatch, tmp_path, argv, factorizations):
     calls, pinned = [], []
-    factor, init = eig.factor, ShiftedSolver.__init__
-    monkeypatch.setattr(eig, "factor", lambda *a, **kw: calls.append(1) or factor(*a, **kw))
+    splu, init = eig.spla.splu, ShiftedSolver.__init__
+    monkeypatch.setattr(eig.spla, "splu", lambda *a, **kw: calls.append(1) or splu(*a, **kw))
     monkeypatch.setattr(ShiftedSolver, "__init__", lambda self, *a: pinned.append(1) or init(self, *a))
     out = ["--out", tmp_path / "out.vtk"] if argv[0] == "eval" else ["--out-dir", tmp_path]
     assert run_cli(argv + out) == 0

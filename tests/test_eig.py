@@ -46,6 +46,11 @@ def count_splu(monkeypatch):
     return calls
 
 
+def ground_lu(A):
+    """The LU of K − σM as a discretization factors it: a minimum-degree order of the mesh's numbering."""
+    return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A", panel_size=1, **eig._DIAGONAL_PIVOTS)
+
+
 def dense_ground(pencil):
     """λ₀ from the dense inverted pencil M x = μ K x, as 1/max μ.
 
@@ -65,22 +70,29 @@ def second_eigenvalue(pencil):
 
 
 def count_ground_solves(monkeypatch):
-    """Count the solves made with the LU of K − σM, the factorization that picks the order."""
+    """Count the solves made with the LU of K − σM, the one LU in a fill-reducing order."""
     counts = []
+    splu = eig.spla.splu
 
-    def counted(A, perm=None):
-        solve, fill, perm_out = factor(A, perm)
-        if perm is not None or counts:
-            return solve, fill, perm_out
-        counts.append(0)
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
 
-        def counted_solve(rhs):
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, rhs):
             counts[0] += 1
-            return solve(rhs)
+            return self.lu.solve(rhs)
 
-        return counted_solve, fill, perm_out
+    def counted(A, **kw):
+        lu = splu(A, **kw)
+        if kw["permc_spec"] == "NATURAL" or counts:
+            return lu
+        counts.append(0)
+        return Counted(lu)
 
-    monkeypatch.setattr(eig, "factor", counted)
+    monkeypatch.setattr(eig.spla, "splu", counted)
     return counts
 
 
@@ -355,9 +367,12 @@ class TestDiscretization:
         mesh = generate_unit_square(6, 6)
         pencil = fem.build_pencil(mesh, np.ones(mesh.n_elems))
         disc = Discretization(mesh, 1.0)
-        assert (disc.pencil.K != pencil.K).nnz == 0
+        order = np.searchsorted(pencil.free, disc.pencil.free)
+        assert (disc.pencil.K != fem.restrict_matrix(pencil.K, order)).nnz == 0
         shifted = fem.add_on_pattern(pencil.K, pencil.M, -eig._SHIFT_SHARE * disc.faber_krahn)
-        assert disc.ground.lam == smallest_eigenpair(pencil, factor(shifted)[0]).lam
+        pair = smallest_eigenpair(pencil, ground_lu(shifted).solve)
+        # λ₀ and u₀ keep the bits of the mesh's numbering
+        assert disc.ground.lam == pair.lam and np.array_equal(disc.ground.u, pair.u)
 
     def test_solver_built_on_first_use(self):
         disc = Discretization(generate_unit_square(6, 6), 1.0)
@@ -504,6 +519,13 @@ def square150():
     return mesh, q, from_arrays(mesh.node_coords[q], np.argsort(q)[mesh.triangles])
 
 
+def ordering_mesh(request, kind):
+    """The 16² square, the 4.2k-node sunflower disk or the randomly numbered 150² square."""
+    if kind == "shuffled150":
+        return request.getfixturevalue("square150")[2]
+    return generate_unit_square(16, 16) if kind == "square16" else sunflower_disk(4200)
+
+
 class TestOrdering:
     def test_random_numbering_keeps_diagonal_pivots(self, square150):
         # a minimum-degree order with partial pivoting took 14 s here; the
@@ -556,9 +578,34 @@ class TestOrdering:
         else:
             shape = generate_unit_square(64, 64) if mesh == "square64" else sunflower_disk(4200)
         disc = Discretization(shape, 1.0)
-        _, fill, perm = factor(disc.pencil.K)
-        assert np.array_equal(disc.perm, perm)
-        assert disc.fill == fill
+        assert factor(disc.pencil.K).nnz == disc.fill
+
+    @pytest.mark.parametrize("mesh", ["square16", "disk4200", "shuffled150"])
+    def test_factored_matrices_canonical_and_symmetric(self, request, mesh):
+        # factor reads a CSR matrix's arrays as its CSC: that is the matrix itself only when
+        # it is bitwise symmetric, and SuperLU would sort non-canonical indices in place
+        shape = ordering_mesh(request, mesh)
+        disc = Discretization(shape, 1.0)
+        K, M = disc.pencil.K, disc.pencil.M
+        theta = (np.random.default_rng(4).random(shape.n_nodes) < 0.5) * 1.0
+        for A in (K, M, disc.theta_stiffness(theta), fem.add_on_pattern(K, M, -disc.ground.lam)):
+            assert A.has_canonical_format
+            assert (A != A.T).nnz == 0
+
+    @pytest.mark.parametrize("mesh", ["square16", "disk4200", "shuffled150"])
+    def test_matrices_share_the_pencil_indices(self, request, mesh, monkeypatch):
+        # M, Kθ, the pinned LU's input and a slice's are value arrays on K's own index
+        # arrays: no LU factors a permuted copy
+        shape = ordering_mesh(request, mesh)
+        disc = Discretization(shape, 1.0)
+        K, M = disc.pencil.K, disc.pencil.M
+        inputs, splu = [], eig.spla.splu
+        monkeypatch.setattr(eig.spla, "splu", lambda A, **kw: inputs.append(A) or splu(A, **kw))
+        disc.solver
+        eig._slice(fem.add_on_pattern(K, M, -2.0 * disc.faber_krahn))
+        assert len(inputs) == 2
+        for A in [M, disc.theta_stiffness(np.linspace(0.0, 1.0, shape.n_nodes))] + inputs:
+            assert np.shares_memory(A.indices, K.indices) and np.shares_memory(A.indptr, K.indptr)
 
     def test_singular_fill_within_k_fill_on_disk(self):
         # a 4.2k-node Delaunay disk, built as the benchmark's imported disk is;
@@ -591,7 +638,7 @@ class TestRefine:
         lam = float(u @ (K @ u))
         assert backward_error(K, M, lam, u) > RESIDUAL_TOL
 
-        lam, u, res = _refine(K, M, lam, u, factor(K, disc.perm)[0])
+        lam, u, res = _refine(K, M, lam, u, factor(K).solve)
         assert res <= RESIDUAL_TOL
         assert res == pytest.approx(backward_error(K, M, lam, u))
         assert lam == pytest.approx(disc.ground.lam, rel=1e-12)
@@ -620,7 +667,7 @@ class TestRefine:
         assert backward_error(K, M, lam, u) > RESIDUAL_TOL
 
         calls = count_splu(monkeypatch)
-        lam, u, res = _refine(K, M, lam, u, solver.deflated_solve)
+        lam, u, res = _refine(K, M, lam, u, lambda b: solver.solve(b - float(solver.u0f @ b) * solver.Mu0))
         assert calls == []
         assert res <= RESIDUAL_TOL
         assert res == pytest.approx(backward_error(K, M, lam, u))
@@ -635,7 +682,7 @@ class TestRefine:
         pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
         with np.errstate(all="ignore"):
             try:
-                lam = smallest_eigenpair(pencil, factor(pencil.K)[0]).lam
+                lam = smallest_eigenpair(pencil, factor(pencil.K).solve).lam
             except SolverError as exc:
                 assert "residual inf exceeds tol" in str(exc)
             else:
@@ -658,7 +705,7 @@ class TestRefine:
         for alpha in (1e-100, 1e-150):
             pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
             sigma = eig._SHIFT_SHARE * np.pi * eig._J01**2 * alpha / mesh.total_area
-            solve = factor(fem.add_on_pattern(pencil.K, pencil.M, -sigma))[0]
+            solve = factor(fem.add_on_pattern(pencil.K, pencil.M, -sigma)).solve
             res[alpha] = smallest_eigenpair(pencil, solve).residual
         assert res[1e-150] > 0
         assert res[1e-100] / 2 <= res[1e-150] <= 2 * res[1e-100]

@@ -305,11 +305,11 @@ class TestInertiaCertificate:
         # 8691.57, above λ_min = 4895.73; the pivot count sees the eigenvalue below
         K, M = stiffness_at(disc32, density("binary", mesh32.n_nodes), 1e14), disc32.pencil.M
         u0 = disc32.u0f
-        lam, u, res = eig._refine(K, M, float(u0 @ (K @ u0)), u0, eig.factor(K, disc32.perm)[0])
+        lam, u, res = eig._refine(K, M, float(u0 @ (K @ u0)), u0, eig.factor(K).solve)
         assert res <= eig.RESIDUAL_TOL and lam == pytest.approx(8691.57, rel=1e-6)
         delta = eig._rounding_share(K, M, lam, u)
         assert 0 < delta < 1e-12
-        assert eig._slice(fem.add_on_pattern(K, M, -(1 - delta) * lam), disc32.perm)[1] >= 1
+        assert eig._slice(fem.add_on_pattern(K, M, -(1 - delta) * lam))[1] >= 1
 
     @pytest.mark.parametrize("eps", [5.0, 10.0, 1e6])
     def test_matches_lanczos(self, mesh16, disc16, eps):
@@ -336,7 +336,7 @@ class TestInertiaCertificate:
         # probes at their own (1 − δ)λ alone never certify, and bisecting the
         # shift does within 7 LUs
         slices, slice_ = [], eig._slice
-        monkeypatch.setattr(eig, "_slice", lambda A, perm: slices.append(1) or slice_(A, perm))
+        monkeypatch.setattr(eig, "_slice", lambda A: slices.append(1) or slice_(A))
         theta = density("binary", mesh32.n_nodes)
         K, M = stiffness_at(disc32, theta, 1e100), disc32.pencil.M
         pair = direct_eigenvalue(disc32, theta, 1e100)
@@ -372,7 +372,7 @@ class TestInertiaCertificate:
     def test_no_certificate_raises(self, monkeypatch, mesh8, disc8):
         # a count that refutes every shift narrows the slice to δλ, then gives up
         slice_ = eig._slice
-        monkeypatch.setattr(eig, "_slice", lambda A, perm: (slice_(A, perm)[0], 1))
+        monkeypatch.setattr(eig, "_slice", lambda A: (slice_(A)[0], 1))
         with pytest.raises(eig.SolverError, match=r"no eigenvalue certified in \[0, "):
             direct_eigenvalue(disc8, density("binary", mesh8.n_nodes), 5.0)
 
@@ -488,7 +488,7 @@ class TestCertifiedSweep:
         # θ ≡ 1 at ε = 2: λ_ε = 3λ₀ = 61.26 meets the residual contract but lies
         # above λ₂ = 53.09, so K0 − λ(1 + δ)M has three pivots ≤ 0 and ε falls back
         counts, slice_ = [], expansion._slice
-        monkeypatch.setattr(expansion, "_slice", lambda A, perm: counts.append((out := slice_(A, perm))[1]) or out)
+        monkeypatch.setattr(expansion, "_slice", lambda A: counts.append((out := slice_(A))[1]) or out)
         direct, direct_ = [], expansion.direct_eigenvalue
         monkeypatch.setattr(expansion, "direct_eigenvalue", lambda *a: direct.append(a[2]) or direct_(*a))
         disc = Discretization(mesh8, 1.0)
