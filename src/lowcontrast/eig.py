@@ -136,7 +136,7 @@ def _ritz_basis(S, M):
 def factor(A):
     """SuperLU's LU of the symmetric CSR matrix A in natural order, with diagonal pivots.
 
-    A's own arrays are read as its CSC, which they are for a bitwise-symmetric
+    A's own arrays are read as its CSC (``A.T``), which they are for a bitwise-symmetric
     A; SuperLU leaves canonical ones uncopied.  A discretization's numbering is
     the fill-reducing order of its ground LU, and every matrix it factors
     stores K's pattern.  Partial pivoting would swap rows away from that order:
@@ -144,8 +144,7 @@ def factor(A):
     magnitude.  One column per panel keeps SuperLU's workspace out of the peak
     memory.  The fill is ``SuperLU.nnz``; L.nnz + U.nnz would copy both factors.
     """
-    At = sparse.csc_matrix((A.data, A.indices, A.indptr), shape=A.shape)
-    return spla.splu(At, permc_spec="NATURAL", panel_size=1, **_DIAGONAL_PIVOTS)
+    return spla.splu(A.T, permc_spec="NATURAL", panel_size=1, **_DIAGONAL_PIVOTS)
 
 
 def _slice(A):
@@ -208,6 +207,7 @@ def certified_smallest_pair(pencil, lower) -> EigenPair:
     K, M = pencil.K, pencil.M
     lo, hi, tau, lam = 0.0, np.inf, lower, None
     for _ in range(_COLD_STEPS):
+        solve = None  # the last slice's LU goes before the next is factored
         solve, count = _slice(fem.add_on_pattern(K, M, -tau))
         if count:
             hi = tau
@@ -364,13 +364,13 @@ class Discretization:
     objective.  A domain whose free nodes fall into several connected parts
     is rejected: its ground eigenvalue can be repeated, and the cascade
     assumes it is simple.  It factors K − σM in a minimum-degree order of K's
-    pattern (``fill``), refines the ground pair on it and then numbers the free
-    nodes in that order (``pencil.free``); σ = _SHIFT_SHARE·``faber_krahn``, with
-    ``faber_krahn`` = π·j₀₁²·α/|Ω| the Faber–Krahn lower bound on λ₀ (and twice
-    it the Krahn–Szegő bound on λ₂, a remainder report's first floor).  That LU
-    serves :meth:`singular_solve` until the pinned system (``solver``) is
-    factored or Kθ first assembled, so ``eval`` factors once, and a command
-    that loops over loads twice.
+    pattern (``fill``), σ = _SHIFT_SHARE·``faber_krahn`` (π·j₀₁²·α/|Ω|, the
+    Faber–Krahn bound on λ₀; twice it, the Krahn–Szegő bound on λ₂, is a
+    remainder report's first floor), refines the ground pair on that LU and
+    renumbers the pencil in its order (``pencil.renumbered``; each Kθ is
+    gathered through its ``pick``).  The LU serves :meth:`singular_solve` until
+    the pinned system (``solver``) is factored or Kθ first assembled, so
+    ``eval`` factors once, and a command that loops over loads twice.
     """
 
     def __init__(self, mesh, alpha: float):
@@ -389,29 +389,20 @@ class Discretization:
         # conforming P1 λ₀ lies above λ₀(Ω) by min–max
         self.faber_krahn = float(np.pi * _J01**2 * alpha / mesh.total_area)
         try:
-            # the shifted matrix is an argument only: it is gone once its LU exists
-            lu = spla.splu(fem.add_on_pattern(pencil.K, pencil.M, -_SHIFT_SHARE * self.faber_krahn).tocsc(),
+            # the shifted matrix's arrays read as its CSC, as in factor; it is gone once its LU exists
+            lu = spla.splu(fem.add_on_pattern(pencil.K, pencil.M, -_SHIFT_SHARE * self.faber_krahn).T,
                            permc_spec="MMD_AT_PLUS_A", panel_size=1, **_DIAGONAL_PIVOTS)
         except RuntimeError as exc:
             raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
         self.fill = lu.nnz
         ground = smallest_eigenpair(pencil, lu.solve)
-        # position i holds free node perm[i]; the old K goes first, and M takes K's index arrays
         perm = np.argsort(lu.perm_c)
-        pencil = replace(pencil, K=fem.restrict_matrix(pencil.K, perm))
-        K, M = pencil.K, fem.share_pattern(pencil.K, fem.restrict_matrix(pencil.M, perm))
-        self.pencil = pencil = replace(pencil, M=M, free=pencil.free[perm])
+        self.pencil = pencil = pencil.renumbered(perm)
         self.u0f = pencil.restrict(ground.u)
         # λ₀ and u₀ keep their bits; the residual is the renumbered pencil's rounding of it
-        self.ground = replace(ground, residual=_refine(K, M, ground.lam, self.u0f, None, 0)[2])
-        self.Mu0 = M @ self.u0f
-
-        def shifted_solve(r):
-            x = np.empty_like(r)
-            x[perm] = r
-            return lu.solve(x)[perm]
-
-        self._shifted_solve = shifted_solve
+        self.ground = replace(ground, residual=_refine(pencil.K, pencil.M, ground.lam, self.u0f, None, 0)[2])
+        self.Mu0 = pencil.M @ self.u0f
+        self._shifted_solve = lambda r: lu.solve(r[lu.perm_c])[perm]  # in and out of the LU's own numbering
         self._last_theta_stiffness = None
 
     def singular_solve(self, f: np.ndarray) -> np.ndarray:
@@ -437,7 +428,7 @@ class Discretization:
         return ShiftedSolver(self)
 
     def theta_stiffness(self, theta) -> sparse.csr_matrix:
-        """Free-node stiffness Kθ with coefficient α·(vertex average of θ), on K's index arrays.
+        """Free-node stiffness Kθ with coefficient α·(vertex average of θ), gathered on K's index arrays.
 
         The last result is kept, so an ε-sweep and a cascade over one
         density assemble it once.  The LU of K − σM is dropped first.
@@ -447,7 +438,6 @@ class Discretization:
         if last is None or not np.array_equal(last[0], theta):
             self._shifted_solve = None
             theta_e = fem.element_average(self.mesh, theta)
-            Kt = fem.assemble_stiffness(self.mesh, self.alpha * theta_e)
-            Kt = fem.share_pattern(self.pencil.K, fem.restrict_matrix(Kt, self.pencil.free))
+            Kt = self.pencil.gather(fem.assemble_stiffness(self.mesh, self.alpha * theta_e))
             last = self._last_theta_stiffness = (theta.copy(), Kt)
         return last[1]

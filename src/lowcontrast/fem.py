@@ -2,13 +2,13 @@
 gradients.
 
 Nodal fields are plain float arrays of length ``mesh.n_nodes``; element
-fields have length ``mesh.n_elems``.  Assembly returns full matrices
-(all nodes); Dirichlet conditions are applied by restriction to free
-nodes when building a :class:`SparsePencil`.
+fields have length ``mesh.n_elems``.  Assembly returns full matrices (all
+nodes, one stored pattern per mesh, exact zeros included); a
+:class:`SparsePencil` gathers their values onto its free nodes (``pick``).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import sparse
@@ -86,10 +86,11 @@ class SparsePencil:
 
     Attributes:
         K: free-restricted stiffness, SPD for strictly positive coefficient.
-        M: free-restricted mass, SPD.
-        free: free node indices into the full node numbering, in the ground factorization's order.
+        M: free-restricted mass, SPD, on K's own index arrays.
+        free: free node indices into the full node numbering; on ``disc.pencil`` in the ground LU's order.
         n_nodes: size of the full numbering (for extension by zero).
         lumped: lumped mass over all nodes (discrete integration weights).
+        pick: int32, the position of each stored entry of K in a full assembly's values.
     """
 
     K: sparse.csr_matrix
@@ -97,6 +98,7 @@ class SparsePencil:
     free: np.ndarray
     n_nodes: int
     lumped: np.ndarray
+    pick: np.ndarray
 
     @property
     def n_free(self) -> int:
@@ -110,17 +112,37 @@ class SparsePencil:
         out[self.free] = vec
         return out
 
+    def gather(self, full: sparse.csr_matrix) -> sparse.csr_matrix:
+        """The full-node assembly ``full`` on free nodes: its values at ``pick`` on K's index arrays."""
+        return _on_pattern(self.K, full.data[self.pick])
+
+    def renumbered(self, perm: np.ndarray) -> SparsePencil:
+        """The pencil with position i holding free node ``free[perm[i]]``; every value keeps its bits."""
+        q, K = _restricted(self.K, perm)
+        return replace(self, K=K, M=_on_pattern(K, self.M.data[q]), free=self.free[perm], pick=self.pick[q])
+
 
 def build_pencil(mesh, coeff) -> SparsePencil:
     """Assemble and restrict the (stiffness, mass) pencil for ``coeff``."""
-    K_full = assemble_stiffness(mesh, coeff)
-    M_full, lumped = assemble_mass(mesh)
     free = mesh.free_nodes
     if free.size == 0:
         raise ValueError("mesh has no free (interior) nodes")
-    K = restrict_matrix(K_full, free)
-    M = restrict_matrix(M_full, free)
-    return SparsePencil(K=K, M=M, free=free, n_nodes=mesh.n_nodes, lumped=lumped)
+    K_full = assemble_stiffness(mesh, coeff)
+    M_full, lumped = assemble_mass(mesh)
+    pick, K = _restricted(K_full, free)
+    del K_full
+    return SparsePencil(K, _on_pattern(K, M_full.data[pick]), free, mesh.n_nodes, lumped, pick)
+
+
+def _restricted(A: sparse.csr_matrix, rows: np.ndarray) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """``(q, B)``: B = restrict_matrix(A, rows), found on the positions of A's entries; B.data is A.data[q]."""
+    q = restrict_matrix(_on_pattern(A, np.arange(A.nnz, dtype=np.int32)), rows)
+    return q.data, _on_pattern(q, A.data[q.data])
+
+
+def _on_pattern(A: sparse.csr_matrix, values: np.ndarray) -> sparse.csr_matrix:
+    """``values`` on A's own ``indices`` and ``indptr``."""
+    return sparse.csr_matrix((values, A.indices, A.indptr), shape=A.shape)
 
 
 def restrict_matrix(A: sparse.spmatrix, free: np.ndarray) -> sparse.csr_matrix:
@@ -131,20 +153,7 @@ def restrict_matrix(A: sparse.spmatrix, free: np.ndarray) -> sparse.csr_matrix:
 
 
 def add_on_pattern(A: sparse.csr_matrix, B: sparse.csr_matrix, c: float) -> sparse.csr_matrix:
-    """A + c·B on A's stored pattern and index arrays, which B must share (:func:`share_pattern`)."""
-    return sparse.csr_matrix((A.data + c * share_pattern(A, B).data, A.indices, A.indptr), shape=A.shape)
-
-
-def share_pattern(A: sparse.csr_matrix, B: sparse.csr_matrix) -> sparse.csr_matrix:
-    """B's values on A's own ``indptr`` and ``indices``, which must equal B's.
-
-    Every matrix :func:`_scatter` assembles on a mesh, restricted by
-    :func:`restrict_matrix`, stores every vertex pair of every triangle, exact
-    zeros included, so a sum of two is one pass over their values.  A scipy sum
-    would drop any entry that cancels to 0, and with it the fill-reducing order's pattern.
-    """
-    if A.shape != B.shape or not (
-        np.array_equal(A.indptr, B.indptr) and np.array_equal(A.indices, B.indices)
-    ):
+    """A + c·B on the index arrays A and B both hold (an O(1) check); entries that cancel to 0 stay stored."""
+    if A.shape != B.shape or not (np.shares_memory(A.indptr, B.indptr) and np.shares_memory(A.indices, B.indices)):
         raise ValueError("matrices do not share a stored pattern")
-    return sparse.csr_matrix((B.data, A.indices, A.indptr), shape=A.shape)
+    return _on_pattern(A, A.data + c * B.data)

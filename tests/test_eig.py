@@ -595,17 +595,37 @@ class TestOrdering:
     @pytest.mark.parametrize("mesh", ["square16", "disk4200", "shuffled150"])
     def test_matrices_share_the_pencil_indices(self, request, mesh, monkeypatch):
         # M, Kθ, the pinned LU's input and a slice's are value arrays on K's own index
-        # arrays: no LU factors a permuted copy
+        # arrays: no LU factors a permuted copy.  The ground LU, in the mesh's numbering,
+        # reads K − σM's arrays, which are those of the pencil build_pencil returns
         shape = ordering_mesh(request, mesh)
-        disc = Discretization(shape, 1.0)
-        K, M = disc.pencil.K, disc.pencil.M
         inputs, splu = [], eig.spla.splu
         monkeypatch.setattr(eig.spla, "splu", lambda A, **kw: inputs.append(A) or splu(A, **kw))
+        built, build = [], fem.build_pencil
+        monkeypatch.setattr(fem, "build_pencil", lambda *a: built.append(build(*a)) or built[-1])
+        disc = Discretization(shape, 1.0)
+        K, M = disc.pencil.K, disc.pencil.M
         disc.solver
         eig._slice(fem.add_on_pattern(K, M, -2.0 * disc.faber_krahn))
+        (ground, *inputs), (mesh_pencil,) = inputs, built
+        assert np.shares_memory(ground.indices, mesh_pencil.K.indices)
+        assert np.shares_memory(ground.indptr, mesh_pencil.K.indptr)
         assert len(inputs) == 2
         for A in [M, disc.theta_stiffness(np.linspace(0.0, 1.0, shape.n_nodes))] + inputs:
             assert np.shares_memory(A.indices, K.indices) and np.shares_memory(A.indptr, K.indptr)
+
+    @pytest.mark.parametrize("mesh", ["square16", "disk4200", "shuffled150"])
+    def test_gathered_matrices_are_restrictions(self, request, mesh):
+        # K, M and Kθ are gathered from full assemblies through one position map
+        # (pencil.pick): each is its full matrix restricted to pencil.free, bit for bit
+        shape = ordering_mesh(request, mesh)
+        disc = Discretization(shape, 1.0)
+        theta = (np.random.default_rng(5).random(shape.n_nodes) < 0.5) * 1.0
+        fulls = (fem.assemble_stiffness(shape, np.ones(shape.n_elems)), fem.assemble_mass(shape)[0],
+                 fem.assemble_stiffness(shape, fem.element_average(shape, theta)))
+        for A, full in zip((disc.pencil.K, disc.pencil.M, disc.theta_stiffness(theta)), fulls):
+            ref = fem.restrict_matrix(full, disc.pencil.free)
+            assert np.array_equal(A.indptr, ref.indptr) and np.array_equal(A.indices, ref.indices)
+            assert np.array_equal(A.data.view(np.int64), ref.data.view(np.int64))
 
     def test_singular_fill_within_k_fill_on_disk(self):
         # a 4.2k-node Delaunay disk, built as the benchmark's imported disk is;

@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -343,6 +344,32 @@ class TestInertiaCertificate:
         ref = spla.eigsh(K, k=1, M=M, sigma=0.0, return_eigenvectors=False)[0]
         assert pair.lam == pytest.approx(ref, rel=1e-13)
         assert 3 < len(slices) <= 7
+
+    def test_one_slice_lu_alive_at_a_time(self, monkeypatch, mesh32, disc32):
+        # the bisection of test_bisection_certifies factors several LUs; each must be
+        # released before the next is factored, so the fallback holds one at a time
+        factor, live, alive_at_factor = eig.factor, [], []
+
+        class Tracked:
+            def __init__(self, A):
+                self.lu = factor(A)
+
+            def __getattr__(self, name):
+                return getattr(self.lu, name)
+
+            def solve(self, b):  # a bound method keeps the proxy, and its LU, alive
+                return self.lu.solve(b)
+
+        def tracked(A):
+            alive_at_factor.append(sum(ref() is not None for ref in live))
+            lu = Tracked(A)
+            live.append(weakref.ref(lu))
+            return lu
+
+        monkeypatch.setattr(eig, "factor", tracked)
+        direct_eigenvalue(disc32, density("binary", mesh32.n_nodes), 1e100)
+        assert len(alive_at_factor) > 3
+        assert max(alive_at_factor) == 0
 
     def test_fallback_runs_no_lanczos(self, monkeypatch, mesh16, disc16):
         # past λ₂ both ε fall back, and no path of the library calls ARPACK
