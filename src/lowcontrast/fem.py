@@ -40,13 +40,26 @@ def assemble_stiffness(mesh, coeff) -> sparse.csr_matrix:
     ``coeff`` is an element field, required nonnegative.  Row sums of the
     returned matrix vanish (constants lie in the kernel) until Dirichlet
     restriction is applied.
+
+    Each local matrix is built from its 6 symmetric entries
+    area·coeff·(gᵢ·gⱼ), each dot product summed from +0.0 as
+    ``einsum("tid,tjd->tij")`` sums it, so every value, signed zeros
+    included, is that of the 3×3 ``einsum`` formula.
     """
     coeff = _check_elem(mesh, coeff)
     if (coeff < 0).any():
         raise ValueError("stiffness coefficient must be nonnegative")
-    g = mesh.elem_basis_grad  # (m, 3, 2)
-    scale = (mesh.elem_area * coeff)[:, None, None]
-    local = scale * np.einsum("tid,tjd->tij", g, g)  # (m, 3, 3)
+    g = mesh.basis_gradients()  # (m, 3, 2)
+    scale = mesh.elem_area * coeff
+    local = np.empty((mesh.n_elems, 3, 3))
+    for i in range(3):
+        for j in range(i, 3):
+            entry = np.zeros(mesh.n_elems)  # +0.0 + (-0.0) is +0.0, as in einsum
+            entry += g[:, i, 0] * g[:, j, 0]
+            entry += g[:, i, 1] * g[:, j, 1]
+            entry *= scale
+            local[:, i, j] = local[:, j, i] = entry
+    del g, entry  # freed before _scatter's index arrays
     return _scatter(mesh, local)
 
 
@@ -74,10 +87,15 @@ def _scatter(mesh, local) -> sparse.csr_matrix:
     return A.tocsr()
 
 
-def element_gradient(mesh, f) -> np.ndarray:
-    """Gradient of the P1 interpolant of ``f``: one 2-vector per triangle."""
+def element_gradient(mesh, f, grads=None) -> np.ndarray:
+    """Gradient of the P1 interpolant of ``f``: one 2-vector per triangle.
+
+    ``grads`` is ``mesh.basis_gradients()``, formed here if not given.
+    """
     f = _check_nodal(mesh, f)
-    return np.einsum("ti,tid->td", f[mesh.triangles], mesh.elem_basis_grad)
+    if grads is None:
+        grads = mesh.basis_gradients()
+    return np.einsum("ti,tid->td", f[mesh.triangles], grads)
 
 
 @dataclass(frozen=True)

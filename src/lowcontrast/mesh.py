@@ -1,9 +1,10 @@
-"""Conforming 2D triangular meshes with precomputed element geometry.
+"""Conforming 2D triangular meshes with their element areas.
 
 Provides structured unit-square generation (crossed-diagonal pattern),
-a Gmsh MSH 2.2 ASCII importer, and per-element geometry (areas and
-P1 basis gradients).  Boundary nodes are detected topologically from
-single-owner edges, so imported curved domains work without tags.
+a Gmsh MSH 2.2 ASCII importer, and per-element geometry: areas, kept,
+and P1 basis gradients, formed on each call.  Boundary nodes are detected
+topologically from single-owner edges, so imported curved domains work
+without tags.
 The importer reads its file once and walks its sections once; each body
 goes through one array pass or, if that pass refuses it, a line loop.
 """
@@ -29,22 +30,22 @@ class MshParseError(Exception):
 
 @dataclass(frozen=True)
 class Mesh:
-    """Immutable triangulation with element geometry.
+    """Immutable triangulation with its element areas.
 
     Attributes:
         node_coords: (n_nodes, 2) float array of node positions.
-        triangles: (n_elems, 3) int array of node indices, positively oriented.
+        triangles: (n_elems, 3) int32 array of node indices, positively oriented.
         boundary_nodes: sorted int array of nodes on single-owner edges.
         elem_area: (n_elems,) positive triangle areas.
-        elem_basis_grad: (n_elems, 3, 2) gradients of the three P1 basis
-            functions, constant on each triangle.
+
+    The P1 basis gradients are not kept (48 bytes a triangle); the few
+    callers that need them form them with :meth:`basis_gradients`.
     """
 
     node_coords: np.ndarray
     triangles: np.ndarray
     boundary_nodes: np.ndarray
     elem_area: np.ndarray
-    elem_basis_grad: np.ndarray
 
     @property
     def n_nodes(self) -> int:
@@ -65,32 +66,66 @@ class Mesh:
     def total_area(self) -> float:
         return float(self.elem_area.sum())
 
+    def basis_gradients(self) -> np.ndarray:
+        """(n_elems, 3, 2) gradients of the three P1 basis functions, constant on each triangle.
+
+        Formed on each call: the inward normal of the edge opposite each
+        vertex over the signed double area, on the oriented triangles, so
+        the values are the same on every call and for flipped input triangles.
+        """
+        x, y = self.node_coords.T
+        t0, t1, t2 = self.triangles.T
+        x0, x1, x2, y0, y1, y2 = x[t0], x[t1], x[t2], y[t0], y[t1], y[t2]
+        signed2 = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
+        # grad of barycentric basis i is the inward normal of the opposite edge / 2A
+        grads = np.empty((self.n_elems, 3, 2))
+        grads[:, 0, 0] = y1 - y2
+        grads[:, 0, 1] = x2 - x1
+        grads[:, 1, 0] = y2 - y0
+        grads[:, 1, 1] = x0 - x2
+        grads[:, 2, 0] = y0 - y1
+        grads[:, 2, 1] = x1 - x0
+        grads /= signed2[:, None, None]
+        return grads
+
 
 def _boundary_nodes(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     """Nodes lying on edges owned by exactly one triangle."""
-    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    # key each edge (a < b) as one integer, far cheaper to unique than rows
-    keys, counts = np.unique(edges[:, 0] * n_nodes + edges[:, 1], return_counts=True)
+    m = triangles.shape[0]
+    # key each edge as one int64, min·n + max, far cheaper to unique than rows
+    keys = np.empty(3 * m, dtype=np.int64)
+    for k in range(3):
+        a, b, key = triangles[:, k], triangles[:, (k + 1) % 3], keys[k * m : (k + 1) * m]
+        np.minimum(a, b, out=key)
+        key *= n_nodes
+        key += np.maximum(a, b)
+    keys, counts = np.unique(keys, return_counts=True)
     single = keys[counts == 1]
     return np.unique(np.concatenate([single // n_nodes, single % n_nodes]))
 
 
+_MAX_NODES = 2**31  # node indices are int32
+
+
 def from_arrays(node_coords, triangles) -> Mesh:
-    """Build a finished mesh (geometry + boundary detection) from raw arrays.
+    """Build a finished mesh (areas + boundary detection) from raw arrays.
 
     Triangle orientation is normalized to positive signed area (node order
-    flipped where needed).  A zero-area triangle or a non-finite node
-    coordinate raises ValueError naming the offending element or node.
+    flipped where needed), and the triangles are stored as int32.  A zero-area
+    triangle or a non-finite node coordinate raises ValueError naming the
+    offending element or node; so does a mesh of more than 2³¹ nodes.
     """
     coords = np.asarray(node_coords, dtype=float).reshape(-1, 2)
+    if coords.shape[0] > _MAX_NODES:
+        raise ValueError(f"{coords.shape[0]} nodes: a mesh holds at most 2**31 (int32 indices)")
     bad = np.flatnonzero(~np.isfinite(coords).all(axis=1))
     if bad.size:
         x, y = coords[bad[0]].tolist()
         raise ValueError(f"node {bad[0]} has non-finite coordinates ({x}, {y})")
-    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3).copy()
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
     if tris.size and (tris.min() < 0 or tris.max() >= coords.shape[0]):
         raise ValueError("triangle references node index out of range")
+    tris = tris.astype(np.int32)
 
     p0 = coords[tris[:, 0]]
     p1 = coords[tris[:, 1]]
@@ -98,32 +133,20 @@ def from_arrays(node_coords, triangles) -> Mesh:
     signed2 = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p1[:, 1] - p0[:, 1]) * (
         p2[:, 0] - p0[:, 0]
     )
+    del p0, p1, p2
     flip = signed2 < 0
     if flip.any():
         tris[flip] = tris[flip][:, [0, 2, 1]]
-        p1, p2 = coords[tris[:, 1]], coords[tris[:, 2]]
         signed2 = np.abs(signed2)
     degenerate = np.flatnonzero(signed2 == 0.0)
     if degenerate.size:
         raise ValueError(f"degenerate (zero-area) triangle at element {degenerate[0]}")
-    area = 0.5 * signed2
-
-    # grad of barycentric basis i is the inward normal of the opposite edge / 2A
-    grads = np.empty((tris.shape[0], 3, 2))
-    grads[:, 0, 0] = p1[:, 1] - p2[:, 1]
-    grads[:, 0, 1] = p2[:, 0] - p1[:, 0]
-    grads[:, 1, 0] = p2[:, 1] - p0[:, 1]
-    grads[:, 1, 1] = p0[:, 0] - p2[:, 0]
-    grads[:, 2, 0] = p0[:, 1] - p1[:, 1]
-    grads[:, 2, 1] = p1[:, 0] - p0[:, 0]
-    grads /= signed2[:, None, None]
 
     return Mesh(
         node_coords=coords,
         triangles=tris,
         boundary_nodes=_boundary_nodes(tris, coords.shape[0]),
-        elem_area=area,
-        elem_basis_grad=grads,
+        elem_area=0.5 * signed2,
     )
 
 

@@ -42,7 +42,9 @@ class RelaxedObjective:
     once as two CSR matrices, a row per triangle and its vertices as columns:
     the incidence S (θ_e = Sθ/3; ones, so it rounds as a vertex mean and Sᵀ
     as a scatter) and the coupling C (Cv = ∇v·∇u0), which holds only its
-    values and shares S's index arrays.  The state v(θ) is the
+    values and shares S's index arrays.  S's column indices are the mesh's
+    own int32 triangle buffer, not a copy.  The basis gradients are formed
+    once here, for ∇u0 and C, and not kept.  The state v(θ) is the
     discretization's :meth:`~lowcontrast.eig.Discretization.singular_solve`,
     which factors nothing for a single evaluation; a caller that evaluates
     many densities (:func:`lowcontrast.optimizer.run`) factors the pinned
@@ -63,11 +65,16 @@ class RelaxedObjective:
         self.lumped = self.pencil.lumped
         self._area = mesh.elem_area
         m = mesh.n_elems
-        pattern = (mesh.triangles.ravel(), np.arange(0, 3 * m + 1, 3))  # row t: its vertices
-        self._incidence = S = sparse.csr_matrix((np.ones(3 * m), *pattern), shape=(m, mesh.n_nodes))
-        grad_u0 = fem.element_gradient(mesh, self.ground.u)
-        coupling = np.einsum("tid,td->ti", mesh.elem_basis_grad, grad_u0)  # ∇φ_i·∇u0
-        # on S's own index arrays, which neither matrix ever sorts in place
+        # row t: its vertices, on the triangles' own int32 buffer
+        row_starts = np.arange(0, 3 * m + 1, 3, dtype=mesh.triangles.dtype)
+        self._incidence = S = sparse.csr_matrix(
+            (np.ones(3 * m), mesh.triangles.ravel(), row_starts), shape=(m, mesh.n_nodes)
+        )
+        grads = mesh.basis_gradients()
+        grad_u0 = fem.element_gradient(mesh, self.ground.u, grads)
+        coupling = np.einsum("tid,td->ti", grads, grad_u0)  # ∇φ_i·∇u0
+        del grads
+        # on S's own index arrays, the mesh's triangles, which neither matrix ever sorts in place
         self._coupling = sparse.csr_matrix((coupling.ravel(), S.indices, S.indptr), shape=S.shape)
         self.gu0_sq = np.einsum("td,td->t", grad_u0, grad_u0)
         # the lumped-mass projection of |∇u0|² onto the nodes, as evaluate projects e_lin

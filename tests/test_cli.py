@@ -579,7 +579,6 @@ class TestExportCommand:
                 triangles=np.arange(3 * rows).reshape(rows, 3) * 7919,
                 boundary_nodes=np.arange(0),
                 elem_area=np.ones(rows),
-                elem_basis_grad=np.zeros((rows, 3, 2)),
             )
             # field values must be finite; the coordinates still carry inf
             finite = np.where(np.isfinite(special), special, 0.5)

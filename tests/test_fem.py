@@ -4,6 +4,8 @@ from scipy import sparse
 
 from lowcontrast import fem
 from lowcontrast.mesh import from_arrays, generate_unit_square
+from test_eig import sunflower_disk
+from test_mesh import flipped_shuffle
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +68,39 @@ class TestStiffness:
         grads = fem.element_gradient(square, f)
         energy = float(np.sum(square.elem_area * coeff * (grads**2).sum(axis=1)))
         assert float(f @ (K @ f)) == pytest.approx(energy, rel=1e-12)
+
+
+def einsum_stiffness(mesh, coeff):
+    """The assembly with each local matrix as one 3×3 ``einsum``: the bit-for-bit reference."""
+    g = mesh.basis_gradients()
+    local = (mesh.elem_area * coeff)[:, None, None] * np.einsum("tid,tjd->tij", g, g)
+    rows = np.repeat(mesh.triangles, 3, axis=1).ravel()
+    cols = np.tile(mesh.triangles, (1, 3)).ravel()
+    n = mesh.n_nodes
+    return sparse.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+
+
+KERNEL_MESHES = {
+    "square32": lambda: generate_unit_square(32, 32),
+    "disk4200": lambda: sunflower_disk(4200),
+    "flipped_shuffle40": lambda: from_arrays(*flipped_shuffle(generate_unit_square(40, 40), 6)),
+    # its one off-diagonal entry is (0, −1)·(−1, 0) = −0 + −0 with no other triangle to add
+    "right_angle_at_2": lambda: from_arrays([(1, 0), (0, 1), (1, 1)], [(0, 1, 2)]),
+}
+
+
+@pytest.mark.parametrize("coeff", ["ones", "binary_seed1", "alpha1e100", "alpha1e-100"])
+@pytest.mark.parametrize("kind", sorted(KERNEL_MESHES))
+def test_six_entry_kernel_keeps_the_einsum_bits(kind, coeff):
+    mesh = KERNEL_MESHES[kind]()
+    if coeff == "binary_seed1":  # as --random-theta --seed 1; all-zero triangles give exact zeros
+        theta = (np.random.default_rng(1).random(mesh.n_nodes) < 0.5).astype(float)
+        c = fem.element_average(mesh, theta)
+    else:
+        c = np.full(mesh.n_elems, {"ones": 1.0, "alpha1e100": 1e100, "alpha1e-100": 1e-100}[coeff])
+    K, expected = fem.assemble_stiffness(mesh, c), einsum_stiffness(mesh, c)
+    assert np.array_equal(K.indptr, expected.indptr) and np.array_equal(K.indices, expected.indices)
+    assert np.array_equal(K.data.view(np.int64), expected.data.view(np.int64))
 
 
 class TestMass:

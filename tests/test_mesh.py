@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 from itertools import combinations
 
@@ -11,6 +12,7 @@ from lowcontrast.mesh import (
     generate_unit_square,
     import_msh,
 )
+from test_eig import sunflower_disk
 
 
 def write_msh(path, coords, triangles):
@@ -45,6 +47,43 @@ def annulus_mesh_arrays(n_seg=8, radii=(2.0, 1.5, 1.0)):
             tris.append((o + k, o + k1, i + k))
             tris.append((o + k1, i + k1, i + k))
     return np.array(coords), np.array(tris)
+
+
+def flipped_shuffle(mesh, seed):
+    """Raw (coords, triangles) of ``mesh`` renumbered, its triangles reordered
+    and every other one given clockwise, for :func:`from_arrays` to flip back."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(mesh.n_nodes)
+    inv = np.argsort(perm)
+    tris = inv[mesh.triangles][rng.permutation(mesh.n_elems)]
+    tris[::2] = tris[::2, [0, 2, 1]]
+    return mesh.node_coords[perm], tris
+
+
+def stored_gradients(node_coords, triangles):
+    """The basis gradients as ``from_arrays`` computed and stored them before
+    they were formed per call: orientation first, then the differences over
+    the signed double area."""
+    coords = np.asarray(node_coords, dtype=float).reshape(-1, 2)
+    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3).copy()
+    p0, p1, p2 = coords[tris[:, 0]], coords[tris[:, 1]], coords[tris[:, 2]]
+    signed2 = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p1[:, 1] - p0[:, 1]) * (
+        p2[:, 0] - p0[:, 0]
+    )
+    flip = signed2 < 0
+    if flip.any():
+        tris[flip] = tris[flip][:, [0, 2, 1]]
+        p1, p2 = coords[tris[:, 1]], coords[tris[:, 2]]
+        signed2 = np.abs(signed2)
+    grads = np.empty((tris.shape[0], 3, 2))
+    grads[:, 0, 0] = p1[:, 1] - p2[:, 1]
+    grads[:, 0, 1] = p2[:, 0] - p1[:, 0]
+    grads[:, 1, 0] = p2[:, 1] - p0[:, 1]
+    grads[:, 1, 1] = p0[:, 0] - p2[:, 0]
+    grads[:, 2, 0] = p0[:, 1] - p1[:, 1]
+    grads[:, 2, 1] = p1[:, 0] - p0[:, 0]
+    grads /= signed2[:, None, None]
+    return grads
 
 
 class TestGenerateUnitSquare:
@@ -85,23 +124,36 @@ class TestComputeGeometry:
         m = from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
         assert m.elem_area[0] == pytest.approx(0.5, abs=1e-15)
         expected = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(m.elem_basis_grad[0], expected, atol=1e-14)
+        np.testing.assert_allclose(m.basis_gradients()[0], expected, atol=1e-14)
 
     def test_partition_of_unity(self):
         m = generate_unit_square(6, 4)
-        sums = m.elem_basis_grad.sum(axis=1)
+        sums = m.basis_gradients().sum(axis=1)
         assert np.abs(sums).max() <= 1e-13
 
     def test_affine_scaling(self):
         m = from_arrays([(0, 0), (2, 0), (0, 2)], [(0, 1, 2)])
         assert m.elem_area[0] == pytest.approx(2.0, abs=1e-14)
         expected = 0.5 * np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(m.elem_basis_grad[0], expected, atol=1e-14)
+        np.testing.assert_allclose(m.basis_gradients()[0], expected, atol=1e-14)
 
     def test_orientation_normalized(self):
         m = from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 2, 1)])  # clockwise input
         assert m.elem_area[0] > 0
-        assert m.elem_basis_grad[0].sum(axis=0) == pytest.approx(np.zeros(2), abs=1e-14)
+        assert m.basis_gradients()[0].sum(axis=0) == pytest.approx(np.zeros(2), abs=1e-14)
+
+    @pytest.mark.parametrize("kind", ["square32", "disk4200", "flipped_shuffle40"])
+    def test_basis_gradients_keep_the_stored_bits(self, kind):
+        if kind == "flipped_shuffle40":
+            raw = flipped_shuffle(generate_unit_square(40, 40), 5)
+        else:
+            mesh = generate_unit_square(32, 32) if kind == "square32" else sunflower_disk(4200)
+            raw = mesh.node_coords, mesh.triangles
+        m = from_arrays(*raw)
+        grads = m.basis_gradients()
+        assert grads.shape == (m.n_elems, 3, 2)
+        assert np.array_equal(grads.view(np.int64), stored_gradients(*raw).view(np.int64))
+        assert np.array_equal(m.basis_gradients(), grads)  # the same on every call
 
     def test_degenerate_names_element(self):
         coords = [(0, 0), (1, 0), (0, 1), (2, 0)]
@@ -260,6 +312,30 @@ def test_boundary_matches_edge_count_reference(mesh):
     counts = Counter(tuple(sorted(e)) for t in mesh.triangles.tolist() for e in combinations(t, 2))
     expected = sorted({n for e, c in counts.items() if c == 1 for n in e})
     np.testing.assert_array_equal(mesh.boundary_nodes, expected)
+
+
+class TestFootprint:
+    @pytest.mark.parametrize("make", [lambda: generate_unit_square(5, 4), lambda: from_arrays(*annulus_mesh_arrays())])
+    def test_int32_triangles_and_no_gradient_array(self, make):
+        m = make()
+        assert m.triangles.dtype == np.int32 and m.triangles.flags.c_contiguous
+        for field in dataclasses.fields(m):
+            assert getattr(m, field.name).shape != (m.n_elems, 3, 2), field.name
+
+    def test_more_than_2_31_nodes_rejected(self):
+        # a zero-stride view: the count is checked before any pass over the nodes
+        coords = np.broadcast_to(np.zeros(2), (2**31 + 1, 2))
+        with pytest.raises(ValueError, match="2\\*\\*31"):
+            from_arrays(coords, [(0, 1, 2)])
+
+    def test_boundary_keys_past_int32_products(self):
+        # 47,089 nodes: a min·n + max edge key overflows int32 from 46,341 nodes on
+        m = generate_unit_square(216, 216)
+        assert m.n_nodes == 47_089 and m.n_elems == 93_312
+        x, y = m.node_coords.T
+        on_edge = np.flatnonzero((x == 0.0) | (x == 1.0) | (y == 0.0) | (y == 1.0))
+        assert m.boundary_nodes.size == 864
+        np.testing.assert_array_equal(m.boundary_nodes, on_edge)
 
 
 def test_free_nodes_complement_boundary():

@@ -8,6 +8,7 @@ from lowcontrast import fem
 from lowcontrast.eig import Discretization
 from lowcontrast.expansion import compute_series
 from lowcontrast.mesh import from_arrays, generate_unit_square
+from lowcontrast.optimizer import OptimizerConfig, run
 from lowcontrast.relax import RelaxedObjective
 from test_eig import sunflower_disk
 
@@ -36,7 +37,7 @@ def reference_objective(prob):
     area, tris = mesh.elem_area, mesh.triangles.ravel()
     grad_u0 = fem.element_gradient(mesh, prob.ground.u)
     gu0_sq = np.einsum("td,td->t", grad_u0, grad_u0)
-    coupling = np.einsum("tid,td->ti", mesh.elem_basis_grad, grad_u0)
+    coupling = np.einsum("tid,td->ti", mesh.basis_gradients(), grad_u0)
 
     def project(e):
         out = np.zeros(mesh.n_nodes)
@@ -111,7 +112,7 @@ def out_of_place_objective(disc, epsilon):
     pattern = (mesh.triangles.ravel(), np.arange(0, 3 * m + 1, 3))
     S = sparse.csr_matrix((np.ones(3 * m), *pattern), shape=(m, mesh.n_nodes))
     grad_u0 = fem.element_gradient(mesh, disc.ground.u)
-    coupling = np.einsum("tid,td->ti", mesh.elem_basis_grad, grad_u0)
+    coupling = np.einsum("tid,td->ti", mesh.basis_gradients(), grad_u0)
     C = sparse.csr_matrix((coupling.ravel(), *pattern), shape=(m, mesh.n_nodes))
     gu0_sq = np.einsum("td,td->t", grad_u0, grad_u0)
 
@@ -187,6 +188,31 @@ def test_in_place_evaluation_keeps_the_bits(pinned_disc, epsilon, kind):
 def test_coupling_shares_the_incidence_index_map(prob):
     S, C = prob._incidence, prob._coupling
     assert np.shares_memory(C.indices, S.indices) and np.shares_memory(C.indptr, S.indptr)
+
+
+def test_incidence_holds_the_triangles_buffer():
+    # S's indices are the mesh's own triangles: an in-place sort of them would reorder the mesh
+    mesh = generate_unit_square(16, 16)
+    before = mesh.triangles.tobytes()
+    problem = RelaxedObjective(Discretization(mesh, 1.0), 0.3)
+    assert np.shares_memory(problem._incidence.indices, mesh.triangles)
+    state, final, _ = run(problem, OptimizerConfig(volume_fraction=0.4, max_iters=20))
+    problem.hessian_form(state.theta - 0.4)
+    problem.kkt(state.theta, final.grad_density, 0.0)
+    assert mesh.triangles.tobytes() == before
+
+
+def test_setup_peak_memory():
+    # mesh, pencil, ground pair and objective maps at 64²: the peak is reached
+    # in build_pencil, at 48 element-sized float arrays (73.3 with the
+    # gradients stored on the mesh, int64 triangles and a 3×3 einsum kernel)
+    tracemalloc.start()
+    try:
+        problem = RelaxedObjective(Discretization(generate_unit_square(64, 64), 1.0), 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8 * problem.mesh.n_elems) <= 52.0
 
 
 def test_evaluation_peak_memory():
