@@ -5,7 +5,7 @@ perturbation series with remainder-order certification, the relaxed
 second-order design objective, and a volume-constrained projected
 gradient optimizer.
 """
-from .eig import Discretization, EigenPair, ShiftedSolver, SolverError
+from .eig import Discretization, EigenPair, SolverError
 from .expansion import ExpansionSeries, RemainderReport, compute_series, direct_eigenvalue, remainder_report
 from .fem import SparsePencil, assemble_mass, assemble_stiffness, build_pencil, element_gradient
 from .mesh import Mesh, MshParseError, generate_unit_square, import_msh
@@ -24,7 +24,6 @@ __all__ = [
     "RelaxedEval",
     "RelaxedObjective",
     "RemainderReport",
-    "ShiftedSolver",
     "SolverError",
     "SparsePencil",
     "assemble_mass",

@@ -281,7 +281,8 @@ def cmd_optimize(args) -> int:
     )
     disc = Discretization(m, args.alpha)
     # the descent needs the pinned LU; factored here, it drops the LU of K − σM before the
-    # objective's arrays are built (built after them, the 200² peak RSS rose by 1 MB)
+    # objective's arrays are built (built after them, the 200² peak RSS rose from
+    # 109.6–110.0 MB to 110.8–111.0 MB over 6 alternating launches each)
     disc.solver
     problem = relax.RelaxedObjective(disc, args.epsilon)
     state, final, kkt = optimizer.run(problem, config)

@@ -13,6 +13,8 @@ the fallback (:func:`certified_smallest_pair`), of K − λ(1 + δ)M under λ₂
 for a λ_ε past the Krahn–Szegő bound.  The pinned singular solve pins one
 node where u₀ ≠ 0, which leaves an SPD system, and M-orthogonalizes its
 result against u₀; the deflated PCG keeps every iterate on u₀ᵀMv = 0.
+Both run behind :meth:`Discretization.singular_solve`, which checks each
+load and each result once.
 
 Every sparse factorization keeps its pivots on the diagonal of one symmetric
 fill-reducing order per discretization, picked when K − σM is factored; the
@@ -233,32 +235,6 @@ def _checked_pair(pencil, lam, u, res) -> EigenPair:
     return EigenPair(lam=lam, u=pencil.extend(u), residual=res)
 
 
-def _compatible_load(f, u0f, Mu0, lambda0):
-    """``(g, ‖f‖)`` for a singular-solve load f on free nodes, g = f − (u₀ᵀf)·Mu₀.
-
-    The Fredholm condition |u₀ᵀf| ≤ FREDHOLM_TOL·|f|, plus a floor for the
-    rounding of u₀ᵀf, is enforced; a violation signals an inconsistent load
-    upstream.  Loads and u₀ᵀf scale with α and 1/|Ω| as λ₀ does; when the
-    terms of u₀ᵀf cancel, the rounding left in it is not a violation however
-    small |f| is, so the floor is 1e3·ε_mach·|λ₀|.  A zero load gives g = f.
-    """
-    f = np.asarray(f, dtype=float)
-    if f.shape != u0f.shape:
-        raise ValueError("load vector must live on free nodes")
-    fnorm = float(np.linalg.norm(f))
-    if fnorm == 0.0:
-        return f, fnorm
-    mu = float(u0f @ f)
-    floor = 1e3 * np.finfo(float).eps * abs(lambda0)
-    bound = FREDHOLM_TOL * fnorm + floor
-    if abs(mu) > bound:
-        raise SolverError(
-            f"compatibility violation: |u0.f| = {abs(mu):.3e} "
-            f"> {FREDHOLM_TOL:.1e}*|f| + {floor:.1e} = {bound:.3e}"
-        )
-    return f - mu * Mu0, fnorm
-
-
 def _deflated_cg(pencil, lambda0, u0f, Mu0, precond, g, fnorm):
     """``(v, steps)``: the singular solve of a compatible load g by deflated PCG.
 
@@ -270,8 +246,8 @@ def _deflated_cg(pencil, lambda0, u0f, Mu0, precond, g, fnorm):
     1 − (λ₀ − σ)/(λ_j − σ), in [0.95, 1) on the squares and [0.999, 1) on the
     disks.  Each step deflates the residual, r ← r − (u₀ᵀr)·Mu₀: without it a
     rounding-only load (constant θ on a disk) stalled at 9e-7 of its norm.
-    The iteration stops at |r| ≤ 1e-14·|f| or after _COLD_STEPS steps; v
-    must then meet the pinned solve's own contract, |(K − λ₀M)v − g| ≤ 1e-8·|f|.
+    The iteration stops at |r| ≤ 1e-14·|f| or after _COLD_STEPS steps; a
+    breakdown stops it early, and the caller's residual check reports it.
     """
     K, M = pencil.K, pencil.M
     x = np.zeros_like(g)
@@ -285,7 +261,7 @@ def _deflated_cg(pencil, lambda0, u0f, Mu0, precond, g, fnorm):
         p = z if p is None else z + (rz / rz_old) * p
         Ap = K @ p - lambda0 * (M @ p)
         pAp = float(p @ Ap)
-        if not (np.isfinite(pAp) and pAp > 0):  # a breakdown: the check below reports it
+        if not (np.isfinite(pAp) and pAp > 0):  # a breakdown: the caller's residual check reports it
             break
         step = rz / pAp
         x += step * p
@@ -293,9 +269,6 @@ def _deflated_cg(pencil, lambda0, u0f, Mu0, precond, g, fnorm):
         r -= float(u0f @ r) * Mu0
         rz_old = rz
         steps += 1
-    resid = np.linalg.norm(K @ x - lambda0 * (M @ x) - g) / fnorm
-    if not np.isfinite(resid) or resid > 1e-8:
-        raise SolverError(f"singular solve breakdown: residual {resid:.3e} after {steps} CG steps")
     return x, steps
 
 
@@ -305,20 +278,18 @@ class ShiftedSolver:
     A is positive semi-definite with kernel span(u₀), so with the row and
     column of node k = argmax|u₀| set to the identity's (in place, on K's
     pattern; a solve zeroes v_k) it is SPD, and :func:`factor` keeps K's fill,
-    which does not depend on α.  A solve maps a load f to v with
-    A v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, reusing the factorization (one per
-    cascade order / objective evaluation).  λ₀, and u₀ and Mu₀ on free nodes,
-    are the discretization's.  Of A only row k is kept, for the correction of
-    a solve's row-k residual; the contract |A v − g| ≤ 1e-8·|f| is checked as
-    K v − λ₀·(M v) − g on the pencil, so no third value array on K's pattern
-    stays resident next to K's and M's.
+    which does not depend on α.  A solve maps a compatible load g
+    (u₀ᵀg = 0 up to rounding) to v with A v = g and u₀ᵀMv = 0, reusing the
+    factorization (one per cascade order / objective evaluation); the load's
+    checks and the result's are :meth:`Discretization.singular_solve`'s.
+    λ₀, and u₀ and Mu₀ on free nodes, are the discretization's.  Of A only
+    row k is kept, for the correction of a solve's row-k residual.
     """
 
     def __init__(self, disc):
-        self.pencil = pencil = disc.pencil
-        self.lambda0 = float(disc.ground.lam)
+        pencil = disc.pencil
         self.u0f, self.Mu0 = disc.u0f, disc.Mu0
-        A = fem.add_on_pattern(pencil.K, pencil.M, -self.lambda0)
+        A = fem.add_on_pattern(pencil.K, pencil.M, -float(disc.ground.lam))
         k = int(np.argmax(np.abs(self.u0f)))
         self._k, self._Ak = k, A[k]
         A.data[A.indices == k] = 0.0
@@ -335,24 +306,12 @@ class ShiftedSolver:
         self._z[k] = 0.0
         self._zk = (self._Ak @ self._z)[0] - self.Mu0[k]
 
-    def solve(self, f: np.ndarray) -> np.ndarray:
-        """Solve for v given a free-node load f.
-
-        The load passes :func:`_compatible_load`; g = f − (u₀ᵀf)·Mu₀ is then
-        solved pinned, and the result M-orthogonalized against u₀.
-        """
-        g, fnorm = _compatible_load(f, self.u0f, self.Mu0, self.lambda0)
-        if fnorm == 0.0:
-            return np.zeros_like(g)
+    def solve(self, g: np.ndarray) -> np.ndarray:
+        """v for a compatible free-node load g: solved pinned, row k corrected, M-orthogonalized against u₀."""
         w = self._solve(g)
         w[self._k] = 0.0
         w -= ((self._Ak @ w)[0] - g[self._k]) / self._zk * self._z
-        v = w - float(self.Mu0 @ w) * self.u0f
-        K, M = self.pencil.K, self.pencil.M
-        resid = np.linalg.norm(K @ v - self.lambda0 * (M @ v) - g) / fnorm
-        if not np.isfinite(resid) or resid > 1e-8:
-            raise SolverError(f"pinned solve breakdown: residual {resid:.3e}")
-        return v
+        return w - float(self.Mu0 @ w) * self.u0f
 
 
 class Discretization:
@@ -406,20 +365,47 @@ class Discretization:
         self._last_theta_stiffness = None
 
     def singular_solve(self, f: np.ndarray) -> np.ndarray:
-        """v with (K − λ₀M)v = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, for a free-node load f.
+        """v with (K − λ₀M)v = g = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, for a free-node load f.
 
-        The pinned direct solve (:meth:`ShiftedSolver.solve`) once the LU of
-        K − σM is gone; until then a deflated PCG on that LU (:func:`_deflated_cg`),
-        which saves the pinned factorization a single solve would not repay.
-        Both check the load's Fredholm condition and meet the same contract.
+        The one singular solve: each check runs here, once per load.  A zero
+        load returns zero before anything is factored.  Otherwise f must meet
+        the Fredholm condition |u₀ᵀf| ≤ FREDHOLM_TOL·|f| plus a floor for the
+        rounding of u₀ᵀf; a violation signals an inconsistent load upstream.
+        Loads and u₀ᵀf scale with α and 1/|Ω| as λ₀ does; when the terms of
+        u₀ᵀf cancel, the rounding left in it is not a violation however small
+        |f| is, so the floor is 1e3·ε_mach·|λ₀|.  g is then solved pinned
+        (:meth:`ShiftedSolver.solve`) once the LU of K − σM is gone, and until
+        then by deflated PCG on that LU (:func:`_deflated_cg`), which saves the
+        pinned factorization a single solve would not repay.  Either result
+        must meet |(K − λ₀M)v − g| ≤ 1e-8·|f|, checked as K v − λ₀·(M v) − g on
+        the pencil, so no third value array on K's pattern stays resident.
         """
-        if self._shifted_solve is None:  # dropped by the pinned factorization or the first Kθ
-            return self.solver.solve(f)
-        lam0 = self.ground.lam
-        g, fnorm = _compatible_load(f, self.u0f, self.Mu0, lam0)
+        f = np.asarray(f, dtype=float)
+        if f.shape != self.u0f.shape:
+            raise ValueError("load vector must live on free nodes")
+        fnorm = float(np.linalg.norm(f))
         if fnorm == 0.0:
-            return np.zeros_like(g)
-        return _deflated_cg(self.pencil, lam0, self.u0f, self.Mu0, self._shifted_solve, g, fnorm)[0]
+            return np.zeros_like(f)
+        lam0 = self.ground.lam
+        mu = float(self.u0f @ f)
+        floor = 1e3 * np.finfo(float).eps * abs(lam0)
+        bound = FREDHOLM_TOL * fnorm + floor
+        if abs(mu) > bound:
+            raise SolverError(
+                f"compatibility violation: |u0.f| = {abs(mu):.3e} "
+                f"> {FREDHOLM_TOL:.1e}*|f| + {floor:.1e} = {bound:.3e}"
+            )
+        g = f - mu * self.Mu0
+        if self._shifted_solve is None:  # dropped by the pinned factorization or the first Kθ
+            v, what, after = self.solver.solve(g), "pinned", ""
+        else:
+            v, steps = _deflated_cg(self.pencil, lam0, self.u0f, self.Mu0, self._shifted_solve, g, fnorm)
+            what, after = "singular", f" after {steps} CG steps"
+        K, M = self.pencil.K, self.pencil.M
+        resid = np.linalg.norm(K @ v - lam0 * (M @ v) - g) / fnorm
+        if not np.isfinite(resid) or resid > 1e-8:
+            raise SolverError(f"{what} solve breakdown: residual {resid:.3e}{after}")
+        return v
 
     @cached_property
     def solver(self) -> ShiftedSolver:

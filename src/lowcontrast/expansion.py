@@ -58,8 +58,9 @@ def compute_series(disc, theta, order: int) -> ExpansionSeries:
     """Run the perturbation cascade to the requested order.
 
     Order 0 is the ground state of the discretization's α-Laplacian.  Each
-    further order costs one singular solve; the Fredholm compatibility of
-    every load is checked and the normalization identities
+    further order costs one singular solve (``disc.singular_solve``, on the
+    pinned system: Kθ is assembled first), which checks the Fredholm
+    compatibility of every load; the normalization identities
     u0ᵀMu_i = −½ Σ_{k=1}^{i−1} u_kᵀMu_{i−k} are enforced by shifting along u0.
     An order whose modes exceed physical memory raises ValueError before they are allocated.
     """
@@ -94,7 +95,7 @@ def compute_series(disc, theta, order: int) -> ExpansionSeries:
         for k in range(1, i + 1):
             f = f + lams[k] * Mmodes[i - k]
         try:
-            v = disc.solver.solve(f)
+            v = disc.singular_solve(f)
         except SolverError as exc:
             raise SolverError(f"cascade order {i}: {exc}") from exc
 
@@ -147,7 +148,7 @@ def _refined_eigenvalue(disc, Kt, epsilon: float, floor: float, S, Z, A0, At):
     overflowed (huge ε) or a check failed.
     """
     M, K0, u0, Mu0, lam0 = disc.pencil.M, disc.pencil.K, disc.u0f, disc.Mu0, disc.ground.lam
-    solve = disc.solver.solve
+    solve = disc.singular_solve
     with np.errstate(over="raise", invalid="raise"):
         try:
             K = fem.add_on_pattern(K0, Kt, epsilon)

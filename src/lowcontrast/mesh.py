@@ -92,15 +92,17 @@ class Mesh:
 def _boundary_nodes(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
     """Nodes lying on edges owned by exactly one triangle."""
     m = triangles.shape[0]
-    # key each edge as one int64, min·n + max, far cheaper to unique than rows
+    # key each edge as one int64, min·n + max, far cheaper to sort than rows
     keys = np.empty(3 * m, dtype=np.int64)
     for k in range(3):
         a, b, key = triangles[:, k], triangles[:, (k + 1) % 3], keys[k * m : (k + 1) * m]
         np.minimum(a, b, out=key)
         key *= n_nodes
         key += np.maximum(a, b)
-    keys, counts = np.unique(keys, return_counts=True)
-    single = keys[counts == 1]
+    keys.sort()
+    # a single-owner edge is a run of one: its key differs from both neighbours
+    starts = np.r_[True, keys[1:] != keys[:-1], True]
+    single = keys[starts[:-1] & starts[1:]]
     return np.unique(np.concatenate([single // n_nodes, single % n_nodes]))
 
 
@@ -122,10 +124,13 @@ def from_arrays(node_coords, triangles) -> Mesh:
     if bad.size:
         x, y = coords[bad[0]].tolist()
         raise ValueError(f"node {bad[0]} has non-finite coordinates ({x}, {y})")
-    tris = np.asarray(triangles, dtype=np.int64).reshape(-1, 3)
+    tris = np.asarray(triangles)
+    if tris.dtype.kind not in "iu":  # an integer array is range-checked in its own dtype
+        tris = tris.astype(np.int64)
+    tris = tris.reshape(-1, 3)
     if tris.size and (tris.min() < 0 or tris.max() >= coords.shape[0]):
         raise ValueError("triangle references node index out of range")
-    tris = tris.astype(np.int32)
+    tris = tris.astype(np.int32)  # a copy, which the orientation flip may write
 
     p0 = coords[tris[:, 0]]
     p1 = coords[tris[:, 1]]
@@ -162,23 +167,29 @@ def generate_unit_square(nx: int, ny: int) -> Mesh:
     ys = np.linspace(0.0, 1.0, ny + 1)
     xv, yv = np.meshgrid(xs, ys, indexing="ij")
     coords = np.column_stack([xv.ravel(), yv.ravel()])
+    del xv, yv
+    return from_arrays(coords, _square_triangles(nx, ny))
 
-    def nid(i, j):
-        return i * (ny + 1) + j
 
-    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
-    i, j = i.ravel(), j.ravel()
-    n00 = nid(i, j)
-    n10 = nid(i + 1, j)
-    n01 = nid(i, j + 1)
-    n11 = nid(i + 1, j + 1)
+def _square_triangles(nx: int, ny: int) -> np.ndarray:
+    """(2·nx·ny, 3) int32 triangles of the crossed pattern, two per cell, cells in row-major (i, j) order.
+
+    A function of its own so that its int64 index arrays are freed before
+    `from_arrays` allocates.
+    """
+    i, j = np.divmod(np.arange(nx * ny), ny)
+    n00 = i * (ny + 1) + j  # node (i, j); n10 = n00 + ny + 1, n01 = n00 + 1, n11 = n00 + ny + 2
     even = (i + j) % 2 == 0
-
-    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
-    # even cells: diagonal n00-n11; odd cells: diagonal n10-n01
-    tris[0::2] = np.where(even[:, None], np.column_stack([n00, n10, n11]), np.column_stack([n00, n10, n01]))
-    tris[1::2] = np.where(even[:, None], np.column_stack([n00, n11, n01]), np.column_stack([n10, n11, n01]))
-    return from_arrays(coords, tris)
+    del i, j
+    tris = np.empty((nx * ny, 2, 3), dtype=np.int32)
+    # even cells: (n00, n10, n11) and (n00, n11, n01); odd cells: (n00, n10, n01) and (n10, n11, n01)
+    tris[:, 0, 0] = n00
+    tris[:, 0, 1] = n00 + (ny + 1)
+    tris[:, 0, 2] = np.where(even, n00 + (ny + 2), n00 + 1)
+    tris[:, 1, 0] = np.where(even, n00, n00 + (ny + 1))
+    tris[:, 1, 1] = n00 + (ny + 2)
+    tris[:, 1, 2] = n00 + 1
+    return tris.reshape(-1, 3)
 
 
 def import_msh(path) -> Mesh:

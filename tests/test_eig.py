@@ -170,7 +170,7 @@ class TestSmallestEigenpair:
 
         monkeypatch.setattr(eig.spla, "eigsh", no_eigsh)
         disc = unit_disc(8)
-        assert disc.solver.lambda0 == disc.ground.lam
+        assert disc.solver.fill > 0
         RelaxedObjective(disc, 0.1).evaluate(np.full(disc.mesh.n_nodes, 0.4))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 8])
@@ -258,16 +258,26 @@ def setup():
     return unit_disc(6)
 
 
-def compatible(solver, f):
-    """f minus its u0 component along M u0, so that u0.f = 0."""
-    return f - float(solver.u0f @ f) * solver.Mu0
+def compatible(owner, f):
+    """f minus its u0 component along M u0, so that u0.f = 0 (``owner``: a discretization or its pinned solver)."""
+    return f - float(owner.u0f @ f) * owner.Mu0
+
+
+def pinned_disc(n=6, alpha=1.0):
+    """A discretization whose singular solves take the pinned path: its pinned system is factored."""
+    disc = unit_disc(n, alpha)
+    disc.solver
+    return disc
 
 
 class TestShiftedSolver:
-    def test_zero_load(self, setup):
-        pencil = setup.pencil
-        v = ShiftedSolver(setup).solve(np.zeros(pencil.n_free))
+    def test_zero_load(self):
+        # a zero load returns before the pinned system would be factored
+        disc = unit_disc(6)
+        disc.theta_stiffness(np.zeros(disc.mesh.n_nodes))  # drops the LU of K − σM
+        v = disc.singular_solve(np.zeros(disc.pencil.n_free))
         assert np.abs(v).max() == 0.0
+        assert "solver" not in vars(disc)
 
     def test_spectral_oracle(self, setup):
         # f = M w for the second eigenvector w  =>  v = w / (lam2 - lam0)
@@ -305,41 +315,40 @@ class TestShiftedSolver:
         kept = [a for a in vars(solver).values() if sparse.issparse(a)]
         assert kept and all(a.shape[0] <= 1 for a in kept)
 
-    def test_corrupted_solve_raises_breakdown(self, setup):
-        # the contract is checked as K v − λ0·(M v) − g, on the pencil itself
-        solver = ShiftedSolver(setup)
-        exact = solver._solve
-        f = compatible(solver, np.random.default_rng(14).standard_normal(setup.pencil.n_free))
-        solver.solve(f)
-        solver._solve = lambda g: 2.0 * exact(g)
-        with pytest.raises(SolverError, match="pinned solve breakdown"):
-            solver.solve(f)
+    def test_corrupted_solve_raises_breakdown(self):
+        # the singular solve checks the pinned result as K v − λ0·(M v) − g, on the pencil itself
+        disc = pinned_disc()
+        exact = disc.solver._solve
+        f = compatible(disc, np.random.default_rng(14).standard_normal(disc.pencil.n_free))
+        disc.singular_solve(f)
+        disc.solver._solve = lambda g: 2.0 * exact(g)
+        with pytest.raises(SolverError, match="pinned solve breakdown: residual"):
+            disc.singular_solve(f)
 
-    def test_compatibility_violation_raises(self, setup):
-        pencil = setup.pencil
-        f = pencil.M @ pencil.restrict(setup.ground.u)  # u0.f = 1: maximally incompatible
-        solver = ShiftedSolver(setup)
+    def test_compatibility_violation_raises(self):
+        disc = pinned_disc()
+        f = disc.Mu0  # u0.f = 1: maximally incompatible
         with pytest.raises(SolverError, match="compat"):
-            solver.solve(f)
+            disc.singular_solve(f)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3])
     @pytest.mark.parametrize("alpha", [1e-12, 1.0, 1e6])
     def test_incompatible_load_raises_at_any_alpha(self, alpha, scale):
         # f = s·λ0·Mu0 has u0.f = s·λ0 and scales with α, as the cascade's loads do
-        solver = unit_disc(16, alpha).solver
+        disc = pinned_disc(16, alpha)
         with pytest.raises(SolverError, match="compat"):
-            solver.solve(scale * solver.lambda0 * solver.Mu0)
+            disc.singular_solve(scale * disc.ground.lam * disc.Mu0)
 
     @pytest.mark.parametrize("alpha", [1e-12, 1e-6, 1e6])
     def test_fill_independent_of_alpha(self, alpha):
         # the pinned K − λ0·M keeps diagonal pivots, so α scales it and leaves its fill alone
         ref = unit_disc(64).solver.fill
-        solver = unit_disc(64, alpha).solver
-        assert solver.fill == pytest.approx(ref, rel=0.01)
-        pencil = solver.pencil
-        f = compatible(solver, alpha * np.random.default_rng(13).standard_normal(pencil.n_free))
-        v = solver.solve(f)  # raises on a breakdown residual above 1e-8
-        A = pencil.K - solver.lambda0 * pencil.M
+        disc = pinned_disc(64, alpha)
+        assert disc.solver.fill == pytest.approx(ref, rel=0.01)
+        pencil = disc.pencil
+        f = compatible(disc, alpha * np.random.default_rng(13).standard_normal(pencil.n_free))
+        v = disc.singular_solve(f)  # raises on a breakdown residual above 1e-8
+        A = pencil.K - disc.ground.lam * pencil.M
         assert np.linalg.norm(A @ v - f) <= 1e-8 * np.linalg.norm(f)
 
     def test_inexact_shift_absorbed_by_mu0(self):
@@ -352,14 +361,14 @@ class TestShiftedSolver:
         solver = ShiftedSolver(disc)
         x, y = disc.mesh.node_coords.T
         f = compatible(solver, pencil.restrict(np.sin(3.0 * x) * y))
-        v = solver.solve(f)
-        A = pencil.K - solver.lambda0 * pencil.M
+        v = solver.solve(compatible(solver, f))
+        A = pencil.K - disc.ground.lam * pencil.M
         assert np.linalg.norm(A @ v - compatible(solver, f)) <= 1e-12 * np.linalg.norm(f)
 
-    def test_wrong_shape(self, setup):
-        solver = ShiftedSolver(setup)
-        with pytest.raises(ValueError):
-            solver.solve(np.zeros(3))
+    def test_wrong_shape(self):
+        disc = pinned_disc()
+        with pytest.raises(ValueError, match="free nodes"):
+            disc.singular_solve(np.zeros(3))
 
 
 class TestDiscretization:
@@ -379,7 +388,7 @@ class TestDiscretization:
         assert "solver" not in vars(disc)
         solver = disc.solver
         assert disc.solver is solver
-        assert solver.lambda0 == disc.ground.lam
+        assert disc._shifted_solve is None  # the LU of K − σM goes before the pinned one is factored
 
     def test_theta_stiffness_kept_for_last_density(self):
         mesh = generate_unit_square(6, 6)
@@ -483,7 +492,7 @@ class TestSingularSolve:
         solver = disc.solver
         assert disc._shifted_solve is None
         steps = count_cg_steps(monkeypatch)
-        assert np.array_equal(disc.singular_solve(f), solver.solve(f)) and steps == []
+        assert np.array_equal(disc.singular_solve(f), solver.solve(compatible(disc, f))) and steps == []
 
     def test_shifted_lu_dropped_by_theta_stiffness(self):
         disc = unit_disc(8)
@@ -639,14 +648,15 @@ class TestOrdering:
         # the pinned solve gave 2.9e-12 here and 1.1e-10 at 400²
         shuffled = square150[2]
         disc = Discretization(shuffled, 1.0)
-        solver, pencil = disc.solver, disc.pencil
+        disc.solver
+        pencil = disc.pencil
         x, y = shuffled.node_coords.T
-        f = compatible(solver, pencil.restrict(np.sin(3.0 * x) * y))
-        v = solver.solve(f)
-        g = f - float(solver.u0f @ f) * solver.Mu0
-        A = pencil.K - solver.lambda0 * pencil.M
+        f = compatible(disc, pencil.restrict(np.sin(3.0 * x) * y))
+        v = disc.singular_solve(f)
+        g = compatible(disc, f)
+        A = pencil.K - disc.ground.lam * pencil.M
         assert np.linalg.norm(A @ v - g) <= 1e-10 * np.linalg.norm(f)
-        assert abs(float(solver.Mu0 @ v)) <= 1e-11 * np.sqrt(v @ (pencil.M @ v))
+        assert abs(float(disc.Mu0 @ v)) <= 1e-11 * np.sqrt(v @ (pencil.M @ v))
 
 
 class TestRefine:

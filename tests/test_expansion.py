@@ -134,6 +134,25 @@ class TestComputeSeries:
         with pytest.raises(ValueError, match="finite"):
             compute_series(disc8, theta, 1)
 
+    def test_one_singular_solve_per_order(self, monkeypatch, mesh8):
+        # each order past 0 is one call of the discretization's singular solve, on the pinned system
+        calls = []
+        solve = Discretization.singular_solve
+        monkeypatch.setattr(Discretization, "singular_solve", lambda self, f: calls.append(1) or solve(self, f))
+        disc = Discretization(mesh8, 1.0)
+        compute_series(disc, np.random.default_rng(25).uniform(0, 1, mesh8.n_nodes), 3)
+        assert len(calls) == 3 and "solver" in vars(disc)
+
+    def test_zero_density_factors_nothing(self, monkeypatch, mesh8):
+        # θ ≡ 0 makes every load zero, and a zero load returns before the pinned system is factored
+        disc = Discretization(mesh8, 1.0)
+        lus = count_splu(monkeypatch)
+        compute_series(disc, np.zeros(mesh8.n_nodes), 3)
+        assert "solver" not in vars(disc)
+        with pytest.warns(UserWarning, match="floor"):
+            remainder_report(disc, np.zeros(mesh8.n_nodes), 2, [0.1, 0.01])
+        assert "solver" not in vars(disc) and lus == []
+
     def test_truncated_requires_computed_order(self, mesh8, disc8):
         series = compute_series(disc8, np.zeros(mesh8.n_nodes), 1)
         with pytest.raises(ValueError):
@@ -537,7 +556,8 @@ class TestCertifiedSweep:
         disc = Discretization(mesh16, 1.0)
         lus = count_splu(monkeypatch)
         report = remainder_report(disc, np.full(mesh16.n_nodes, value), 2, self.EPS)
-        assert len(lus) == 1  # the pinned system
+        # the pinned system, unless θ ≡ 0 makes every load zero
+        assert len(lus) == (0 if value == 0.0 else 1)
         assert bases[0][1].shape[1] == (1 if value == 0.0 else 2)
         exact = (1.0 + value * report.eps_values) * disc.ground.lam
         np.testing.assert_allclose(report.lambda_eps, exact, rtol=1e-14, atol=0)

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from collections import Counter
 from itertools import combinations
 
@@ -314,7 +315,47 @@ def test_boundary_matches_edge_count_reference(mesh):
     np.testing.assert_array_equal(mesh.boundary_nodes, expected)
 
 
+def int64_unit_square(nx, ny):
+    """The unit square built as generate_unit_square once built it, on int64 index arrays."""
+    xv, yv = np.meshgrid(np.linspace(0.0, 1.0, nx + 1), np.linspace(0.0, 1.0, ny + 1), indexing="ij")
+    coords = np.column_stack([xv.ravel(), yv.ravel()])
+    i, j = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
+    i, j = i.ravel(), j.ravel()
+    n00, n10, n01, n11 = (a * (ny + 1) + b for a, b in ((i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1)))
+    even = (i + j) % 2 == 0
+    tris = np.empty((2 * nx * ny, 3), dtype=np.int64)
+    tris[0::2] = np.where(even[:, None], np.column_stack([n00, n10, n11]), np.column_stack([n00, n10, n01]))
+    tris[1::2] = np.where(even[:, None], np.column_stack([n00, n11, n01]), np.column_stack([n10, n11, n01]))
+    return from_arrays(coords, tris)
+
+
 class TestFootprint:
+    @pytest.mark.parametrize("nx, ny", [(1, 1), (3, 5), (300, 7), (216, 216)])
+    def test_square_matches_int64_construction(self, nx, ny):
+        m, ref = generate_unit_square(nx, ny), int64_unit_square(nx, ny)
+        for field in dataclasses.fields(m):
+            a, b = getattr(m, field.name), getattr(ref, field.name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+
+    def test_square_build_peak(self):
+        # traced 31.8 MiB at 400² with int32 triangles built in a helper and the
+        # edge keys sorted in place; the int64 build with np.unique took 52.7 MiB
+        generate_unit_square(4, 4)
+        tracemalloc.start()
+        try:
+            generate_unit_square(400, 400)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 36 * 2**20
+
+    def test_int32_input_left_unchanged(self):
+        # an int32 array is range-checked as it is, and the orientation flip writes a copy
+        tris = np.array([(0, 2, 1), (1, 3, 2)], dtype=np.int32)  # the first clockwise
+        m = from_arrays([(0, 0), (1, 0), (0, 1), (1, 1)], tris)
+        assert tris.tolist() == [[0, 2, 1], [1, 3, 2]]
+        assert m.triangles.tolist() == [[0, 1, 2], [1, 3, 2]] and (m.elem_area > 0).all()
+
     @pytest.mark.parametrize("make", [lambda: generate_unit_square(5, 4), lambda: from_arrays(*annulus_mesh_arrays())])
     def test_int32_triangles_and_no_gradient_array(self, make):
         m = make()
