@@ -409,7 +409,10 @@ class Discretization:
 
     @cached_property
     def solver(self) -> ShiftedSolver:
-        """Pinned solver for K − λ₀M, factorized on first access, after the LU of K − σM is dropped."""
+        """Pinned solver for K − λ₀M, factorized on first access, after the LU of K − σM is dropped.
+
+        A remainder report drops it before its first certificate LU; the next access factors it again.
+        """
         self._shifted_solve = None
         return ShiftedSolver(self)
 

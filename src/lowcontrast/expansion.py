@@ -133,19 +133,15 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     return certified_smallest_pair(replace(disc.pencil, K=K), lower)
 
 
-def _refined_eigenvalue(disc, Kt, epsilon: float, floor: float, S, Z, A0, At):
-    """``(λ, floor)``: the smallest eigenvalue of K0 + ε·Kθ from a Ritz start (or None), and a floor under λ₂.
+def _refined_eigenvalue(disc, Kt, epsilon: float, S, Z, A0, At):
+    """``(λ, top)``: an eigenvalue of K0 + ε·Kθ refined from a Ritz start and top = λ(1 + δ), or None.
 
     The lowest Ritz pair of A0 + ε·At on the basis S·Z (:func:`eig._ritz_basis`,
     A0 = SᵀK0S, At = SᵀKθS), its value clamped to the bounds it meets in exact
     arithmetic, goes to :func:`eig._refine` on the deflated singular solve
     b ↦ solve(b − (u₀ᵀb)·Mu₀) (Mu_j ↦ u_j/(λ_j − λ₀), Mu₀ ↦ 0).  λ is
-    kept when it meets the residual contract, λ₀ ≤ λ ≤ R_ε(u₀) and λ(1 + δ) < λ₂(K0)
-    (δ: :func:`eig._rounding_share`): either λ(1 + δ) < ``floor``, or K0 − λ(1 + δ)M
-    has at most one pivot ≤ 0 (:func:`eig._slice`) and λ(1 + δ) is the floor returned.
-    K0 + εKθ ≥ K0 for ε > 0, so by Weyl λ₂ of the ε-pencil lies above λ₂(K0), and λ
-    is the smallest eigenvalue.  None: the step cap was reached, the arithmetic
-    overflowed (huge ε) or a check failed.
+    kept when it meets the residual contract and λ₀ ≤ λ ≤ R_ε(u₀) (δ: :func:`eig._rounding_share`);
+    nothing is factored.  None: the step cap was reached, the arithmetic overflowed (huge ε) or a check failed.
     """
     M, K0, u0, Mu0, lam0 = disc.pencil.M, disc.pencil.K, disc.u0f, disc.Mu0, disc.ground.lam
     solve = disc.singular_solve
@@ -157,15 +153,10 @@ def _refined_eigenvalue(disc, Kt, epsilon: float, floor: float, S, Z, A0, At):
             lam = min(max(float(vals[0]), lam0), upper)
             lam, u, res = _refine(K, M, lam, S @ (Z @ Y[:, 0]), lambda b: solve(b - float(u0 @ b) * Mu0))
         except FloatingPointError:
-            return None, floor
+            return None
     if not (res <= RESIDUAL_TOL and lam0 <= lam <= upper):
-        return None, floor
-    top = lam * (1.0 + _rounding_share(K, M, lam, u))
-    if top < floor:
-        return lam, floor
-    if top < np.inf and _slice(fem.add_on_pattern(K0, M, -top))[1] <= 1:
-        return lam, top
-    return None, floor
+        return None
+    return lam, lam * (1.0 + _rounding_share(K, M, lam, u))
 
 
 @dataclass(frozen=True)
@@ -198,11 +189,10 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     fit with a warning.
     Kθ comes first, then the cascade to N = max(order, _RITZ_ORDER); its
     order-``order`` prefix is the series reported.  K0, Kθ and M are projected
-    once onto its modes, which span u_ε up to O(ε^{N+1}), for each λ_ε's Ritz
-    start (:func:`_refined_eigenvalue`), certified under a floor below λ₂: the
-    Krahn–Szegő bound, raised by a pivot count, which from the largest ε down
-    usually serves the whole grid.  An ε whose certificate fails (large ε, a
-    small gap) falls back to :func:`direct_eigenvalue`, certified by inertia.
+    once onto its modes, which span u_ε up to O(ε^{N+1}).  Refine, then certify: each λ_ε
+    is refined from its Ritz start (:func:`_refined_eigenvalue`), then, from the largest ε
+    down, certified under a floor below λ₂ (Krahn–Szegő, raised by a pivot count) or
+    solved by :func:`direct_eigenvalue`; the pinned LU goes before the first such LU.
     """
     eps = np.sort(np.asarray(eps_values, dtype=float))[::-1]
     if eps.size == 0:
@@ -224,11 +214,20 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     del series
     S, Z = _ritz_basis(S, disc.pencil.M)
     ritz = (S, Z, S.T @ (disc.pencil.K @ S), S.T @ (Kt @ S))
-    floor = 2.0 * disc.faber_krahn  # Krahn–Szegő: λ₂(Ω) ≥ 2π·j₀₁²·α/|Ω|, and the P1 λ₂ lies above it
+    refined = [_refined_eigenvalue(disc, Kt, e, *ritz) for e in eps]
+    del S, Z, ritz  # the Ritz basis goes before any certificate LU
+    below_lambda2 = 2.0 * disc.faber_krahn  # Krahn–Szegő: λ₂(Ω) ≥ 2π·j₀₁²·α/|Ω|, and the P1 λ₂ lies above it
     lam_eps = []
-    for e in eps:
-        lam, floor = _refined_eigenvalue(disc, Kt, e, floor, *ritz)
-        lam_eps.append(direct_eigenvalue(disc, theta, e).lam if lam is None else lam)
+    for e, pair in zip(eps, refined):
+        lam, top = pair or (None, np.nan)
+        # K0 + εKθ ≥ K0 (Weyl): λ₂ of the ε-pencil lies above λ₂(K0), so a top under it certifies λ
+        if not top < below_lambda2:  # a NaN top is refuted too
+            vars(disc).pop("solver", None)  # the pinned LU goes before any certificate LU
+            if top < np.inf and _slice(fem.add_on_pattern(disc.pencil.K, disc.pencil.M, -top))[1] <= 1:
+                below_lambda2 = top
+            else:
+                lam = direct_eigenvalue(disc, theta, e).lam
+        lam_eps.append(lam)
     lam_eps = np.array(lam_eps)
     finite = np.isfinite(lam_eps) & np.isfinite(trunc)
     if not finite.all():

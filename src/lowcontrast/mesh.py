@@ -132,13 +132,10 @@ def from_arrays(node_coords, triangles) -> Mesh:
         raise ValueError("triangle references node index out of range")
     tris = tris.astype(np.int32)  # a copy, which the orientation flip may write
 
-    p0 = coords[tris[:, 0]]
-    p1 = coords[tris[:, 1]]
-    p2 = coords[tris[:, 2]]
-    signed2 = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p1[:, 1] - p0[:, 1]) * (
-        p2[:, 0] - p0[:, 0]
-    )
-    del p0, p1, p2
+    x, y = coords.T
+    t0, t1, t2 = tris.T  # gathered one coordinate at a time: no (m, 2) corner copies
+    signed2 = (x[t1] - x[t0]) * (y[t2] - y[t0])
+    signed2 -= (y[t1] - y[t0]) * (x[t2] - x[t0])
     flip = signed2 < 0
     if flip.any():
         tris[flip] = tris[flip][:, [0, 2, 1]]

@@ -317,6 +317,30 @@ def stiffness_at(disc, theta, eps):
     return fem.add_on_pattern(disc.pencil.K, disc.theta_stiffness(theta), eps)
 
 
+def live_lus_at_factor(monkeypatch):
+    """From here on, record how many LUs of :func:`eig.factor` are alive as each one is factored."""
+    factor, live, alive_at_factor = eig.factor, [], []
+
+    class Tracked:
+        def __init__(self, A):
+            self.lu = factor(A)
+
+        def __getattr__(self, name):
+            return getattr(self.lu, name)
+
+        def solve(self, b):  # a bound method keeps the proxy, and its LU, alive
+            return self.lu.solve(b)
+
+    def tracked(A):
+        alive_at_factor.append(sum(ref() is not None for ref in live))
+        lu = Tracked(A)
+        live.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(eig, "factor", tracked)
+    return alive_at_factor
+
+
 class TestInertiaCertificate:
     """The direct fallback's pair counts only if K_ε − (1 − δ)λM has every pivot > 0."""
 
@@ -367,25 +391,7 @@ class TestInertiaCertificate:
     def test_one_slice_lu_alive_at_a_time(self, monkeypatch, mesh32, disc32):
         # the bisection of test_bisection_certifies factors several LUs; each must be
         # released before the next is factored, so the fallback holds one at a time
-        factor, live, alive_at_factor = eig.factor, [], []
-
-        class Tracked:
-            def __init__(self, A):
-                self.lu = factor(A)
-
-            def __getattr__(self, name):
-                return getattr(self.lu, name)
-
-            def solve(self, b):  # a bound method keeps the proxy, and its LU, alive
-                return self.lu.solve(b)
-
-        def tracked(A):
-            alive_at_factor.append(sum(ref() is not None for ref in live))
-            lu = Tracked(A)
-            live.append(weakref.ref(lu))
-            return lu
-
-        monkeypatch.setattr(eig, "factor", tracked)
+        alive_at_factor = live_lus_at_factor(monkeypatch)
         direct_eigenvalue(disc32, density("binary", mesh32.n_nodes), 1e100)
         assert len(alive_at_factor) > 3
         assert max(alive_at_factor) == 0
@@ -477,12 +483,31 @@ class TestCertifiedSweep:
         theta = density("binary", mesh16.n_nodes)
         Kt, ritz = disc16.theta_stiffness(theta), ritz_projection(disc16, theta)
         for e in (10.0, 1e6):
-            assert _refined_eigenvalue(disc16, Kt, e, 2.0 * disc16.faber_krahn, *ritz)[0] is None
+            assert _refined_eigenvalue(disc16, Kt, e, *ritz) is None
         report = remainder_report(disc16, theta, 2, [10.0, 1e6])
         direct = [direct_eigenvalue(disc16, theta, e).lam for e in report.eps_values]
         assert list(report.lambda_eps) == direct
         assert report.lambda_eps[0] == pytest.approx(3071.92, abs=0.01)
         assert report.lambda_eps[0] > second_eigenvalue(disc16.pencil)
+
+    @pytest.mark.parametrize("kind, eps", [("binary", [10.0, 1e6]), ("one", [1.0, 0.5])])
+    def test_one_lu_alive_at_a_time(self, monkeypatch, mesh16, kind, eps):
+        # refine, then certify: the pinned LU goes before the first fallback LU
+        # (binary) or floor slice (θ ≡ 1 at ε = 1), so each LU is factored alone
+        disc = Discretization(mesh16, 1.0)
+        alive_at_factor = live_lus_at_factor(monkeypatch)
+        remainder_report(disc, density(kind, mesh16.n_nodes), 2, eps)
+        assert len(alive_at_factor) >= 2  # the pinned system and a certificate LU
+        assert max(alive_at_factor) == 0
+
+    def test_dropped_pinned_lu_factored_again(self, mesh16):
+        # after a fallback the pinned LU is gone; the diagnostic's cascade factors it
+        # again on demand, and gets the bits of a fresh discretization
+        disc = Discretization(mesh16, 1.0)
+        remainder_report(disc, density("binary", mesh16.n_nodes), 2, [10.0, 1e6])
+        assert "solver" not in vars(disc)
+        fresh = mode_bound_diagnostic(Discretization(mesh16, 1.0), samples=1)
+        assert mode_bound_diagnostic(disc, samples=1) == fresh
 
     @pytest.mark.parametrize("kind", ["square128", "disk4200"])
     def test_default_grid_needs_no_lambda2(self, monkeypatch, kind):

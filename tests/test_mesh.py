@@ -349,6 +349,18 @@ class TestFootprint:
             tracemalloc.stop()
         assert peak <= 36 * 2**20
 
+    def test_from_arrays_peak(self):
+        # traced 15.6 MiB at 400² with the signed area gathered one coordinate at a
+        # time; three (m, 2) corner copies took it to 25.6 MiB
+        square = generate_unit_square(400, 400)
+        tracemalloc.start()
+        try:
+            from_arrays(square.node_coords, square.triangles)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 18 * 2**20
+
     def test_int32_input_left_unchanged(self):
         # an int32 array is range-checked as it is, and the orientation flip writes a copy
         tris = np.array([(0, 2, 1), (1, 3, 2)], dtype=np.int32)  # the first clockwise
