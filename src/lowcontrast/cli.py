@@ -2,14 +2,19 @@
 certification, relaxed-objective evaluation and density optimization.
 
 Exit codes: 0 success, 2 usage / parameter errors and exhausted memory, 3
-input-data errors (missing or malformed files), 4 solver failures.
+input-data errors (missing or malformed files), 4 solver failures.  A
+reader that closes stdout early ends the command quietly, with nothing on
+stderr (:func:`console`, the process entry).
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import json
+import os
+import select
 import sys
 from pathlib import Path
 
@@ -207,10 +212,11 @@ def cmd_mesh(args) -> int:
         m = generate_unit_square(args.nx, args.ny)
     else:
         m = import_msh(args.file)
+    if args.out:  # written before anything is printed: a closed stdout cannot stop it
+        vtkio.export_vtk(m, {}, args.out)
     print(f"{m.n_nodes} nodes, {m.n_elems} triangles, {m.boundary_nodes.size} boundary nodes")
     print(f"total area {m.total_area:.12g}")
     if args.out:
-        vtkio.export_vtk(m, {}, args.out)
         print(f"wrote {args.out}")
     return 0
 
@@ -327,6 +333,12 @@ def cmd_eval(args) -> int:
     else:
         multiplier = args.multiplier
     kkt = problem.kkt(theta, ev.grad_density, multiplier)
+    if args.out:  # written before anything is printed: a closed stdout cannot stop it
+        vtkio.export_vtk(
+            m,
+            {"theta": theta, "u0": problem.ground.u, "v_inf": ev.v_inf, "grad_density": ev.grad_density},
+            args.out,
+        )
     print(f"F = {ev.F:.12g}")
     print(f"lambda1 = {ev.lambda1:.12g}")
     print(f"volume = {float(lumped @ theta):.12g}")
@@ -334,11 +346,6 @@ def cmd_eval(args) -> int:
     print(f"KKT interior residual = {kkt[0]:.6g}")
     print(f"KKT sign violation = {kkt[1]:.6g}")
     if args.out:
-        vtkio.export_vtk(
-            m,
-            {"theta": theta, "u0": problem.ground.u, "v_inf": ev.v_inf, "grad_density": ev.grad_density},
-            args.out,
-        )
         print(f"wrote {args.out}")
     return 0
 
@@ -515,7 +522,23 @@ def _apply_config(args, parser) -> None:
         setattr(args, attr, _config_value(flags[attr], value))
 
 
+def _stdout_reader_gone() -> bool:
+    """Whether stdout is a pipe whose reader has left: poll flags the writing end POLLERR (Linux).
+
+    A broken pipe elsewhere, such as an output file that is a FIFO, stays an
+    input error like any other OSError.
+    """
+    try:
+        fd = sys.stdout.fileno()
+    except OSError:  # no descriptor: an in-process capture
+        return False
+    poller = select.poll()
+    poller.register(fd, select.POLLOUT)
+    return any(events & select.POLLERR for _, events in poller.poll(0))
+
+
 def main(argv=None) -> int:
+    """Run one command on argv (default ``sys.argv[1:]``) and return its exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
@@ -523,6 +546,8 @@ def main(argv=None) -> int:
             _apply_config(args, parser)
         return args.func(args)
     except (InputError, MshParseError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError) and _stdout_reader_gone():
+            raise  # no input error: console() ends the process quietly
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, MemoryError) as exc:  # numpy's MemoryError names the array it could not allocate
@@ -533,5 +558,34 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
 
 
+def console() -> int:
+    """The process entry of ``lowcontrast`` and ``python -m lowcontrast``: :func:`main`, then two exit steps.
+
+    A reader that closed stdout early (``lowcontrast ... | head -1``) shows
+    as a BrokenPipeError from a print or, at the latest, from the flush
+    here.  stdout is then pointed at /dev/null, so that the interpreter's own
+    flush at exit meets no pipe, and the process exits with nothing on
+    stderr: with the command's code if only the flush failed, and 0 if a
+    print did (output files are written before anything is printed).  Then
+    every live object is frozen out of the collector: the interpreter's
+    final collection would otherwise walk and tear down the ~42k objects
+    that numpy and scipy leave tracked, ~42 ms of every command.  Both steps
+    act on the whole process, so :func:`main`, which the tests call
+    in-process, takes neither.
+    """
+    code = 0
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's: --help, or a usage error
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    finally:
+        gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console())

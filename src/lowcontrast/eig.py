@@ -16,10 +16,11 @@ result against u₀; the deflated PCG keeps every iterate on u₀ᵀMv = 0.
 Both run behind :meth:`Discretization.singular_solve`, which checks each
 load and each result once.
 
-Every sparse factorization keeps its pivots on the diagonal of one symmetric
-fill-reducing order per discretization, picked when K − σM is factored; the
-free nodes are then numbered in it, so every later LU (:func:`factor`: the
-pinned system, each sliced matrix) factors the pencil's own arrays.
+Every sparse factorization is made by :func:`factor` and keeps its pivots on
+the diagonal of one symmetric fill-reducing order per discretization, picked
+when K − σM is factored; the free nodes are then numbered in it, so every
+later LU (the pinned system, each sliced matrix) factors the pencil's own
+arrays in natural order.
 """
 from __future__ import annotations
 
@@ -135,18 +136,19 @@ def _ritz_basis(S, M):
     return S, V[:, keep] / np.sqrt(g[keep])
 
 
-def factor(A):
-    """SuperLU's LU of the symmetric CSR matrix A in natural order, with diagonal pivots.
+def factor(A, order="NATURAL"):
+    """SuperLU's LU of the symmetric CSR matrix A, with diagonal pivots: every factorization.
 
     A's own arrays are read as its CSC (``A.T``), which they are for a bitwise-symmetric
-    A; SuperLU leaves canonical ones uncopied.  A discretization's numbering is
-    the fill-reducing order of its ground LU, and every matrix it factors
-    stores K's pattern.  Partial pivoting would swap rows away from that order:
-    on a randomly numbered mesh the fill, and the time, grew by orders of
-    magnitude.  One column per panel keeps SuperLU's workspace out of the peak
-    memory.  The fill is ``SuperLU.nnz``; L.nnz + U.nnz would copy both factors.
+    A; SuperLU leaves canonical ones uncopied.  ``order`` is SuperLU's column
+    order: the ground LU picks a fill-reducing one (``"MMD_AT_PLUS_A"``), the
+    discretization's numbering is that order, and every later matrix it factors
+    stores K's pattern and takes ``"NATURAL"``.  Partial pivoting would swap rows away
+    from the order: on a randomly numbered mesh the fill, and the time, grew by
+    orders of magnitude.  One column per panel keeps SuperLU's workspace out of
+    the peak memory.  The fill is ``SuperLU.nnz``; L.nnz + U.nnz would copy both factors.
     """
-    return spla.splu(A.T, permc_spec="NATURAL", panel_size=1, **_DIAGONAL_PIVOTS)
+    return spla.splu(A.T, permc_spec=order, panel_size=1, **_DIAGONAL_PIVOTS)
 
 
 def _slice(A):
@@ -348,9 +350,9 @@ class Discretization:
         # conforming P1 λ₀ lies above λ₀(Ω) by min–max
         self.faber_krahn = float(np.pi * _J01**2 * alpha / mesh.total_area)
         try:
-            # the shifted matrix's arrays read as its CSC, as in factor; it is gone once its LU exists
-            lu = spla.splu(fem.add_on_pattern(pencil.K, pencil.M, -_SHIFT_SHARE * self.faber_krahn).T,
-                           permc_spec="MMD_AT_PLUS_A", panel_size=1, **_DIAGONAL_PIVOTS)
+            # the shifted matrix is gone once its LU exists
+            lu = factor(fem.add_on_pattern(pencil.K, pencil.M, -_SHIFT_SHARE * self.faber_krahn),
+                        "MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
         self.fill = lu.nnz

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -941,3 +946,101 @@ def test_pinned_solver_error_exit_4_on_optimize(monkeypatch, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err == "solver error: pinned solve breakdown: residual 1.000e+00\n"
     assert captured.out == ""
+
+
+# runs the package as `python -m lowcontrast ARG...` does; the atexit hook, run after
+# console() returns, fails the process on stderr unless the collector was frozen
+ENTRY_CHILD = """\
+import atexit, gc, runpy
+def frozen():
+    assert gc.get_freeze_count() > 0, "the process ended with nothing frozen out of the collector"
+atexit.register(frozen)
+runpy.run_module("lowcontrast", run_name="__main__", alter_sys=True)
+"""
+
+
+def run_entry(argv, cwd, stdout=subprocess.PIPE, unbuffered=False):
+    """One `lowcontrast` process in cwd; its stderr and (unless redirected) stdout as bytes."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-c", ENTRY_CHILD, *argv], cwd=cwd, env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=60)
+
+
+class TestProcessEntry:
+    """`python -m lowcontrast` and the console script run ``cli.console()``: main, then the exit steps."""
+
+    EVAL = ["eval", "--nx", "16", "--ny", "16", "--epsilon", "0.1"]
+    EVAL_OUT = EVAL + ["--random-theta", "--seed", "1", "--out", "out.vtk"]
+
+    @pytest.mark.parametrize(
+        "code, argv",
+        [
+            (0, EVAL_OUT),
+            (cli.EXIT_USAGE, EVAL + ["--random-theta", "--alpha", "0"]),
+            (cli.EXIT_INPUT, EVAL + ["--theta", "missing.csv"]),
+        ],
+        ids=["ok", "usage", "input"],
+    )
+    def test_process_matches_main(self, monkeypatch, capsys, tmp_path, code, argv):
+        # the same exit code, stdout, stderr and files as an in-process main run of the same argv
+        child, here = tmp_path / "child", tmp_path / "main"
+        child.mkdir()
+        here.mkdir()
+        proc = run_entry(argv, child)
+        monkeypatch.chdir(here)
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert proc.returncode == code
+        assert proc.stdout == captured.out.encode()
+        assert proc.stderr == captured.err.encode()
+        assert proc.stderr.count(b"\n") == (code != 0)  # one error line, no traceback
+        assert b"Traceback" not in proc.stderr
+        written = sorted(os.listdir(here))
+        assert written == (["out.vtk"] if code == 0 else [])
+        assert sorted(os.listdir(child)) == written
+        for name in written:
+            assert (child / name).read_bytes() == (here / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv, unbuffered", [(EVAL_OUT, False), (EVAL_OUT, True), (["--help"], False)],
+        ids=["buffered", "unbuffered", "help"],
+    )
+    def test_closed_stdout_ends_quietly(self, tmp_path, argv, unbuffered):
+        # the reader is gone before the first print.  Buffered, the final flush meets the
+        # closed pipe, also after argparse's exit from --help; unhandled, that is exit 120
+        # and an ignored BrokenPipeError on stderr.  Unbuffered, the first print meets it;
+        # unhandled, that is exit 3 as an input error, with eval's VTK not yet written
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_entry(argv, tmp_path, stdout=write_end, unbuffered=unbuffered)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == b""
+        if "--out" in argv:
+            assert (tmp_path / "out.vtk").read_bytes().startswith(b"# vtk DataFile")
+
+    def test_broken_output_pipe_exit_3(self, tmp_path):
+        # an --out FIFO whose reader leaves early is an input error, as any OSError of a file
+        # is: only a closed stdout ends quietly
+        fifo = tmp_path / "out.vtk"
+        os.mkfifo(fifo)
+
+        def read_a_little():
+            with open(fifo, "rb") as fh:
+                fh.read(10)
+
+        reader = threading.Thread(target=read_a_little, daemon=True)
+        reader.start()
+        argv = ["eval", "--nx", "64", "--ny", "64", "--random-theta", "--epsilon", "0.1", "--out", "out.vtk"]
+        proc = run_entry(argv, tmp_path)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert proc.returncode == cli.EXIT_INPUT
+        assert proc.stderr == b"input error: [Errno 32] Broken pipe\n"
+        assert proc.stdout == b""
