@@ -1,10 +1,12 @@
 """Command-line entry point: mesh generation/import, expansion-order
 certification, relaxed-objective evaluation and density optimization.
 
-Exit codes: 0 success, 2 usage / parameter errors and exhausted memory, 3
-input-data errors (missing or malformed files), 4 solver failures.  A
-reader that closes stdout early ends the command quietly, with nothing on
-stderr (:func:`console`, the process entry).
+Each command computes, writes its output files and returns its report, the
+lines :func:`main` then prints.  Exit codes: 0 success, 2 usage / parameter
+errors and exhausted memory, 3 input-data errors (missing or malformed
+files, an output that cannot be written), 4 solver failures.  A reader that
+closes stdout early ends the command quietly, with nothing on stderr
+(:func:`console`, the process entry).
 """
 from __future__ import annotations
 
@@ -14,7 +16,6 @@ import gc
 import io
 import json
 import os
-import select
 import sys
 from pathlib import Path
 
@@ -151,11 +152,12 @@ def write_field_csv(path, values) -> None:
 def rasterize_shapes(mesh, specs) -> np.ndarray:
     """0/1 density from shape specs evaluated at element centroids.
 
-    Each spec is ``disk cx cy r`` or ``rect x0 y0 x1 y1`` with finite
-    numbers; repeated specs take the union.  The element indicator is
-    lifted to nodes by maximum over adjacent elements, so it stays 0/1-valued.
+    Each spec is ``disk cx cy r`` with r >= 0 or ``rect x0 y0 x1 y1`` with
+    x0 <= x1 and y0 <= y1, all finite; repeated specs take the union.  The
+    element indicator is lifted to nodes by maximum over adjacent elements,
+    so it stays 0/1-valued.
     """
-    centroids = mesh.node_coords[mesh.triangles].mean(axis=1)
+    x, y = mesh.node_coords[mesh.triangles].mean(axis=1).T  # element centroids
     inside = np.zeros(mesh.n_elems, dtype=bool)
     for spec in specs:
         kind = spec[0]
@@ -165,20 +167,20 @@ def rasterize_shapes(mesh, specs) -> np.ndarray:
             values = [float(x) for x in spec[1:]]
         except ValueError:
             values = []  # reported as malformed below
-        if len(values) != (3 if kind == "disk" else 4) or not np.isfinite(values).all():
+        if len(values) != (3 if kind == "disk" else 4) or not np.isfinite(values).all() or (
+            values[2] < 0 if kind == "disk" else (values[2] < values[0] or values[3] < values[1])
+        ):
             raise ValueError(f"malformed --chi spec {spec}")
         if kind == "disk":
             cx, cy, r = values
-            d2 = (centroids[:, 0] - cx) ** 2 + (centroids[:, 1] - cy) ** 2
-            inside |= d2 <= r * r
+            dx, dy = x - cx, y - cy
+            # scaled by a power of two, which is exact: 1 unless a square could overflow
+            big = max(np.abs(dx).max(), np.abs(dy).max(), r)
+            s = np.ldexp(1.0, min(0, 500 - np.frexp(big)[1]))
+            inside |= (dx * s) ** 2 + (dy * s) ** 2 <= (r * s) * (r * s)
         else:
             x0, y0, x1, y1 = values
-            inside |= (
-                (centroids[:, 0] >= x0)
-                & (centroids[:, 0] <= x1)
-                & (centroids[:, 1] >= y0)
-                & (centroids[:, 1] <= y1)
-            )
+            inside |= (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
     elem = inside.astype(float)
     theta = np.zeros(mesh.n_nodes)
     np.maximum.at(theta, mesh.triangles.ravel(), np.repeat(elem, 3))
@@ -207,21 +209,22 @@ def _theta_from_args(args, mesh) -> np.ndarray:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_mesh(args) -> int:
+def cmd_mesh(args) -> list[str]:
     if args.mesh_cmd == "square":
         m = generate_unit_square(args.nx, args.ny)
     else:
         m = import_msh(args.file)
-    if args.out:  # written before anything is printed: a closed stdout cannot stop it
-        vtkio.export_vtk(m, {}, args.out)
-    print(f"{m.n_nodes} nodes, {m.n_elems} triangles, {m.boundary_nodes.size} boundary nodes")
-    print(f"total area {m.total_area:.12g}")
+    report = [
+        f"{m.n_nodes} nodes, {m.n_elems} triangles, {m.boundary_nodes.size} boundary nodes",
+        f"total area {m.total_area:.12g}",
+    ]
     if args.out:
-        print(f"wrote {args.out}")
-    return 0
+        vtkio.export_vtk(m, {}, args.out)
+        report.append(f"wrote {args.out}")
+    return report
 
 
-def cmd_expand(args) -> int:
+def cmd_expand(args) -> list[str]:
     import warnings
 
     if args.bounds_samples < 0:
@@ -260,24 +263,24 @@ def cmd_expand(args) -> int:
 
     survived = len(report.eps_values) - len(report.excluded)
     if survived == 0:
-        print(f"order {args.order}: all remainders at the solver floor (series exact)")
+        lines = [f"order {args.order}: all remainders at the solver floor (series exact)"]
     elif report.slope is None:
-        print(f"order {args.order}: {survived} remainder above the solver floor, too few to fit a slope")
+        lines = [f"order {args.order}: {survived} remainder above the solver floor, too few to fit a slope"]
     else:
-        print(f"order {args.order} remainder slope: {report.slope:.4f} (constant {report.constant:.6g})")
+        lines = [f"order {args.order} remainder slope: {report.slope:.4f} (constant {report.constant:.6g})"]
     if report.excluded:
-        print(f"excluded eps (floor): {report.excluded}")
+        lines.append(f"excluded eps (floor): {report.excluded}")
     if args.bounds_samples > 0:
         diag = expansion.mode_bound_diagnostic(disc, samples=args.bounds_samples, seed=args.seed or 0)
-        print(
+        lines.append(
             "mode energy norms over {samples} random densities: "
             "max |u1|_E = {max_energy_norm_u1:.6g}, max |u2|_E = {max_energy_norm_u2:.6g}".format(**diag)
         )
-    print(f"wrote {csv_path} and {json_path}")
-    return 0
+    lines.append(f"wrote {csv_path} and {json_path}")
+    return lines
 
 
-def cmd_optimize(args) -> int:
+def cmd_optimize(args) -> list[str]:
     m = _load_mesh(args)
     config = optimizer.OptimizerConfig(
         volume_fraction=args.volume_fraction,
@@ -309,20 +312,18 @@ def cmd_optimize(args) -> int:
     )
 
     total = float(problem.lumped.sum())
-    print(f"iterations: {state.iter}  stalled: {state.stalled}")
-    print(f"F = {final.F:.12g}")
-    print(f"lambda1 = {final.lambda1:.12g}")
-    print(
-        f"volume = {state.vol_history[-1]:.12g} "
-        f"(target {config.volume_fraction * total:.12g})"
-    )
-    print(f"KKT interior residual = {kkt[0]:.6g}")
-    print(f"KKT sign violation = {kkt[1]:.6g}")
-    print(f"wrote {out_dir / 'theta.vtk'}, {out_dir / 'theta.csv'}, {out_dir / 'history.csv'}")
-    return 0
+    return [
+        f"iterations: {state.iter}  stalled: {state.stalled}",
+        f"F = {final.F:.12g}",
+        f"lambda1 = {final.lambda1:.12g}",
+        f"volume = {state.vol_history[-1]:.12g} (target {config.volume_fraction * total:.12g})",
+        f"KKT interior residual = {kkt[0]:.6g}",
+        f"KKT sign violation = {kkt[1]:.6g}",
+        f"wrote {out_dir / 'theta.vtk'}, {out_dir / 'theta.csv'}, {out_dir / 'history.csv'}",
+    ]
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> list[str]:
     m = _load_mesh(args)
     theta = _theta_from_args(args, m)
     problem = relax.RelaxedObjective(Discretization(m, args.alpha), args.epsilon)
@@ -333,24 +334,25 @@ def cmd_eval(args) -> int:
     else:
         multiplier = args.multiplier
     kkt = problem.kkt(theta, ev.grad_density, multiplier)
-    if args.out:  # written before anything is printed: a closed stdout cannot stop it
+    report = [
+        f"F = {ev.F:.12g}",
+        f"lambda1 = {ev.lambda1:.12g}",
+        f"volume = {float(lumped @ theta):.12g}",
+        f"multiplier = {multiplier:.12g}",
+        f"KKT interior residual = {kkt[0]:.6g}",
+        f"KKT sign violation = {kkt[1]:.6g}",
+    ]
+    if args.out:
         vtkio.export_vtk(
             m,
             {"theta": theta, "u0": problem.ground.u, "v_inf": ev.v_inf, "grad_density": ev.grad_density},
             args.out,
         )
-    print(f"F = {ev.F:.12g}")
-    print(f"lambda1 = {ev.lambda1:.12g}")
-    print(f"volume = {float(lumped @ theta):.12g}")
-    print(f"multiplier = {multiplier:.12g}")
-    print(f"KKT interior residual = {kkt[0]:.6g}")
-    print(f"KKT sign violation = {kkt[1]:.6g}")
-    if args.out:
-        print(f"wrote {args.out}")
-    return 0
+        report.append(f"wrote {args.out}")
+    return report
 
 
-def cmd_export(args) -> int:
+def cmd_export(args) -> list[str]:
     m = _load_mesh(args)
     fields = {}
     for item in args.field or []:
@@ -361,8 +363,7 @@ def cmd_export(args) -> int:
             raise ValueError(f"--field '{name}' given twice")
         fields[name] = read_field_csv(path, m.n_nodes)
     vtkio.export_vtk(m, fields, args.out)
-    print(f"wrote {args.out}")
-    return 0
+    return [f"wrote {args.out}"]
 
 
 # -- parser -------------------------------------------------------------------
@@ -522,32 +523,26 @@ def _apply_config(args, parser) -> None:
         setattr(args, attr, _config_value(flags[attr], value))
 
 
-def _stdout_reader_gone() -> bool:
-    """Whether stdout is a pipe whose reader has left: poll flags the writing end POLLERR (Linux).
-
-    A broken pipe elsewhere, such as an output file that is a FIFO, stays an
-    input error like any other OSError.
-    """
-    try:
-        fd = sys.stdout.fileno()
-    except OSError:  # no descriptor: an in-process capture
-        return False
-    poller = select.poll()
-    poller.register(fd, select.POLLOUT)
-    return any(events & select.POLLERR for _, events in poller.poll(0))
-
-
 def main(argv=None) -> int:
-    """Run one command on argv (default ``sys.argv[1:]``) and return its exit code."""
+    """Run one command on argv (default ``sys.argv[1:]``) and return its exit code.
+
+    The command computes, writes its files and returns its report; only then
+    is the report printed and flushed, inside the error mapping: a stdout
+    that fails there is an input error, unless its reader has left, which is
+    re-raised for :func:`console`.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    report = None
     try:
         if args.config:
             _apply_config(args, parser)
-        return args.func(args)
+        report = args.func(args)
+        print("\n".join(report), flush=True)
+        return 0
     except (InputError, MshParseError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError) and _stdout_reader_gone():
-            raise  # no input error: console() ends the process quietly
+        if isinstance(exc, BrokenPipeError) and report is not None:
+            raise  # stdout's reader has left: console() ends the process quietly
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ValueError, MemoryError) as exc:  # numpy's MemoryError names the array it could not allocate
@@ -561,17 +556,18 @@ def main(argv=None) -> int:
 def console() -> int:
     """The process entry of ``lowcontrast`` and ``python -m lowcontrast``: :func:`main`, then two exit steps.
 
-    A reader that closed stdout early (``lowcontrast ... | head -1``) shows
-    as a BrokenPipeError from a print or, at the latest, from the flush
-    here.  stdout is then pointed at /dev/null, so that the interpreter's own
-    flush at exit meets no pipe, and the process exits with nothing on
-    stderr: with the command's code if only the flush failed, and 0 if a
-    print did (output files are written before anything is printed).  Then
-    every live object is frozen out of the collector: the interpreter's
-    final collection would otherwise walk and tear down the ~42k objects
-    that numpy and scipy leave tracked, ~42 ms of every command.  Both steps
-    act on the whole process, so :func:`main`, which the tests call
-    in-process, takes neither.
+    A stdout that cannot be written fails in the report :func:`main` prints
+    and flushes after the command's files, or in the flush here of what
+    argparse printed or of what a failed flush left.  It is then pointed at
+    /dev/null, so that the interpreter's own flush at exit meets nothing left
+    to write.  A reader that closed stdout early
+    (``lowcontrast ... | head -1``) ends the process with the command's code
+    and nothing on stderr; any other failure of the report (a full disk) is
+    :func:`main`'s input error, exit 3.  Then every live object is frozen
+    out of the collector: the interpreter's final collection would
+    otherwise walk and tear down the ~42k objects that numpy and scipy leave
+    tracked, ~42 ms of every command.  Both steps act on the whole process, so :func:`main`,
+    which the tests call in-process, takes neither.
     """
     code = 0
     try:
@@ -580,7 +576,7 @@ def console() -> int:
         except SystemExit as exc:  # argparse's: --help, or a usage error
             code = exc.code
         sys.stdout.flush()
-    except BrokenPipeError:
+    except OSError:  # stdout's: main re-raised its closed pipe, or the flush failed
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     finally:
         gc.freeze()

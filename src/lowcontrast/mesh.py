@@ -90,7 +90,11 @@ class Mesh:
 
 
 def _boundary_nodes(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Nodes lying on edges owned by exactly one triangle."""
+    """Nodes lying on edges owned by exactly one triangle.
+
+    Raises ValueError when triangles overlap: an edge owned by three or more
+    triangles, or no single-owner edge at all (a triangle listed twice).
+    """
     m = triangles.shape[0]
     # key each edge as one int64, min·n + max, far cheaper to sort than rows
     keys = np.empty(3 * m, dtype=np.int64)
@@ -100,9 +104,15 @@ def _boundary_nodes(triangles: np.ndarray, n_nodes: int) -> np.ndarray:
         key *= n_nodes
         key += np.maximum(a, b)
     keys.sort()
+    shared = np.flatnonzero(keys[2:] == keys[:-2])  # a run of three or more equal keys
+    if shared.size:
+        key = keys[shared[0]]
+        raise ValueError(f"triangles overlap: edge ({key // n_nodes}, {key % n_nodes}) belongs to 3 or more")
     # a single-owner edge is a run of one: its key differs from both neighbours
     starts = np.r_[True, keys[1:] != keys[:-1], True]
     single = keys[starts[:-1] & starts[1:]]
+    if m and not single.size:
+        raise ValueError("triangles overlap: no edge belongs to one triangle only, so there is no boundary")
     return np.unique(np.concatenate([single // n_nodes, single % n_nodes]))
 
 
@@ -114,8 +124,9 @@ def from_arrays(node_coords, triangles) -> Mesh:
 
     Triangle orientation is normalized to positive signed area (node order
     flipped where needed), and the triangles are stored as int32.  A zero-area
-    triangle or a non-finite node coordinate raises ValueError naming the
-    offending element or node; so does a mesh of more than 2³¹ nodes.
+    triangle, a non-finite node coordinate or overlapping triangles raise
+    ValueError naming the offending element, node or edge; so does a mesh of
+    more than 2³¹ nodes.
     """
     coords = np.asarray(node_coords, dtype=float).reshape(-1, 2)
     if coords.shape[0] > _MAX_NODES:

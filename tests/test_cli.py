@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lowcontrast import cli, eig, vtkio
 from lowcontrast.eig import ShiftedSolver, SolverError
@@ -191,12 +195,42 @@ class TestExpandCommand:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "spec", [["disk", "nan", 0.5, 0.2], ["disk", 0.5, 0.5, 0.2, 9, 9]], ids=["nan", "extra"]
+        "spec",
+        [
+            ["disk", "nan", 0.5, 0.2],
+            ["disk", 0.5, 0.5, 0.2, 9, 9],
+            ["disk", 0.5, 0.5, -0.25],
+            ["rect", 1, 0, 0, 1],
+            ["rect", 0, 1, 1, 0],
+        ],
+        ids=["nan", "extra", "negative-radius", "reversed-x", "reversed-y"],
     )
     def test_malformed_chi_exit_2(self, tmp_path, capsys, spec):
         code = run_cli(["expand", "--nx", 4, "--ny", 4, "--chi", *spec, "--out-dir", tmp_path])
         assert code == 2
         assert "malformed --chi spec" in capsys.readouterr().err
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(specs=st.lists(
+        st.one_of(
+            st.tuples(st.just("disk"), *[st.floats(allow_nan=False, allow_infinity=False)] * 3),
+            st.tuples(st.just("rect"), *[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+        ),
+        min_size=1, max_size=2,
+    ))
+    def test_any_finite_chi_spec_exit_0_or_2(self, specs):
+        # numbers in positional notation: argparse reads '-1e-05' as a flag, '-0.00001' as a value
+        argv = ["eval", "--nx", "4", "--ny", "4", "--epsilon", "0.1"]
+        for kind, *values in specs:
+            argv += ["--chi", kind, *(np.format_float_positional(v, trim="-") for v in values)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        if code == 0:
+            assert err.getvalue() == "" and "nan" not in out.getvalue()
+        else:
+            assert code == 2
+            assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
     def test_conflicting_theta_sources(self, tmp_path):
         code = run_cli(
@@ -831,6 +865,25 @@ class TestDisconnectedDomain:
 
 @pytest.mark.parametrize(
     "args",
+    [["mesh", "import", "--file"], ["eval", "--random-theta", "--seed", 1, "--epsilon", 0.1, "--mesh-file"]],
+    ids=["mesh-import", "eval"],
+)
+def test_overlapping_triangles_exit_2(tmp_path, capsys, args):
+    # the four-triangle square with its elements listed twice: 0 boundary nodes and total area 2
+    from test_mesh import write_msh
+
+    coords = [(0, 0), (1, 0), (1, 1), (0, 1), (0.5, 0.5)]
+    tris = [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)] * 2
+    path = tmp_path / "twice.msh"
+    write_msh(path, coords, tris)
+    assert run_cli(args + [path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: triangles overlap: edge (0, 4) belongs to 3 or more\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
     [
         ["optimize", "--nx", 4, "--ny", 4, "--epsilon", 0.1, "--volume-fraction", 0.4, "--seed", -1],
         ["expand", "--nx", 4, "--ny", 4, "--random-theta", "--seed", -1],
@@ -970,6 +1023,21 @@ def run_entry(argv, cwd, stdout=subprocess.PIPE, unbuffered=False):
                           stdout=stdout, stderr=subprocess.PIPE, timeout=60)
 
 
+# each command with the files it writes, at 4²; the export reads a theta.csv in its directory
+COMMAND_FILES = {
+    "mesh": (["mesh", "square", "--nx", "4", "--ny", "4", "--out", "out.vtk"], ["out.vtk"]),
+    "eval": (["eval", "--nx", "4", "--ny", "4", "--epsilon", "0.1", "--random-theta", "--seed", "1",
+              "--out", "out.vtk"], ["out.vtk"]),
+    "optimize": (["optimize", "--nx", "4", "--ny", "4", "--epsilon", "0.1", "--volume-fraction", "0.4"],
+                 ["history.csv", "theta.csv", "theta.vtk"]),
+    "expand": (["expand", "--nx", "4", "--ny", "4", "--random-theta", "--seed", "1", "--order", "1",
+                "--bounds-samples", "1"], ["remainder_order1.csv", "remainder_order1.json"]),
+    "export": (["export", "--nx", "4", "--ny", "4", "--field", "theta=theta.csv", "--out", "out.vtk"],
+               ["out.vtk"]),
+}
+CLOSED_MORE = [(name, mode) for name in ["optimize", "expand", "export", "mesh"] for mode in ["buffered", "unbuffered"]]
+
+
 class TestProcessEntry:
     """`python -m lowcontrast` and the console script run ``cli.console()``: main, then the exit steps."""
 
@@ -1006,24 +1074,67 @@ class TestProcessEntry:
             assert (child / name).read_bytes() == (here / name).read_bytes()
 
     @pytest.mark.parametrize(
-        "argv, unbuffered", [(EVAL_OUT, False), (EVAL_OUT, True), (["--help"], False)],
-        ids=["buffered", "unbuffered", "help"],
+        "argv, unbuffered",
+        [(EVAL_OUT, False), (EVAL_OUT, True), (["--help"], False)]
+        + [(COMMAND_FILES[name][0], mode == "unbuffered") for name, mode in CLOSED_MORE],
+        ids=["buffered", "unbuffered", "help"] + [f"{name}-{mode}" for name, mode in CLOSED_MORE],
     )
-    def test_closed_stdout_ends_quietly(self, tmp_path, argv, unbuffered):
-        # the reader is gone before the first print.  Buffered, the final flush meets the
+    def test_closed_stdout_ends_quietly(self, monkeypatch, capsys, tmp_path, argv, unbuffered):
+        # the reader is gone before the report is printed.  Buffered, the final flush meets the
         # closed pipe, also after argparse's exit from --help; unhandled, that is exit 120
-        # and an ignored BrokenPipeError on stderr.  Unbuffered, the first print meets it;
-        # unhandled, that is exit 3 as an input error, with eval's VTK not yet written
+        # and an ignored BrokenPipeError on stderr.  Unbuffered, the report's print meets it;
+        # unhandled, that is exit 3 as an input error.  Either way every file is complete:
+        # the same bytes as an in-process main run writes
+        child, here = tmp_path / "child", tmp_path / "main"
+        for where in (child, here):
+            where.mkdir()
+            cli.write_field_csv(where / "theta.csv", np.linspace(0.0, 1.0, 25))
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = run_entry(argv, tmp_path, stdout=write_end, unbuffered=unbuffered)
+            proc = run_entry(argv, child, stdout=write_end, unbuffered=unbuffered)
         finally:
             os.close(write_end)
         assert proc.returncode == 0
         assert proc.stderr == b""
-        if "--out" in argv:
-            assert (tmp_path / "out.vtk").read_bytes().startswith(b"# vtk DataFile")
+        if argv != ["--help"]:
+            monkeypatch.chdir(here)
+            assert cli.main(argv) == 0
+        assert sorted(os.listdir(child)) == sorted(os.listdir(here))
+        for name in os.listdir(here):
+            assert (child / name).read_bytes() == (here / name).read_bytes(), name
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_full_stdout_exit_3(self, tmp_path, unbuffered):
+        # a stdout that takes no byte fails the report's print (unbuffered) or the final flush
+        # (buffered): one input error either way, and no traceback from the exit flush
+        with open("/dev/full", "wb") as full:
+            proc = run_entry(COMMAND_FILES["mesh"][0][:-2], tmp_path, stdout=full, unbuffered=unbuffered)
+        assert proc.returncode == cli.EXIT_INPUT
+        assert proc.stderr.startswith(b"input error: [Errno 28] ")
+        assert proc.stderr.count(b"\n") == 1
+
+    @pytest.mark.parametrize("name", list(COMMAND_FILES))
+    def test_files_written_before_the_report(self, monkeypatch, tmp_path, name):
+        # a stdout stand-in that, at its first write, lists the command's files not yet written
+        argv, files = COMMAND_FILES[name]
+        monkeypatch.chdir(tmp_path)
+        cli.write_field_csv("theta.csv", np.linspace(0.0, 1.0, 25))
+
+        class FilesFirst(io.StringIO):
+            missing = None
+
+            def write(self, text):
+                if self.missing is None:
+                    self.missing = [f for f in files if not os.path.exists(f)]
+                return super().write(text)
+
+        stdout = FilesFirst()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(argv) == 0
+        assert stdout.missing == []
+        assert stdout.getvalue().endswith("\n")
 
     def test_broken_output_pipe_exit_3(self, tmp_path):
         # an --out FIFO whose reader leaves early is an input error, as any OSError of a file

@@ -166,6 +166,17 @@ class TestComputeGeometry:
         with pytest.raises(ValueError, match="node 2 has non-finite coordinates"):
             from_arrays([(0, 0), (1, 0), (bad, 1)], [(0, 1, 2)])
 
+    def test_overlapping_triangles_name_an_edge(self):
+        # every triangle listed twice, as an MSH file may list each once per physical group
+        sq = generate_unit_square(16, 16)
+        with pytest.raises(ValueError, match=r"triangles overlap: edge \(\d+, \d+\) belongs to 3 or more"):
+            from_arrays(sq.node_coords, np.vstack([sq.triangles, sq.triangles]))
+
+    def test_triangle_listed_twice_has_no_boundary(self):
+        # each edge has two owners, so no node would be Dirichlet
+        with pytest.raises(ValueError, match="triangles overlap: no edge belongs to one triangle only"):
+            from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2), (0, 2, 1)])
+
     def test_bad_index(self):
         with pytest.raises(ValueError, match="out of range"):
             from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 5)])
