@@ -16,6 +16,7 @@ import gc
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -225,8 +226,6 @@ def cmd_mesh(args) -> list[str]:
 
 
 def cmd_expand(args) -> list[str]:
-    import warnings
-
     if args.bounds_samples < 0:
         raise ValueError("--bounds-samples must be >= 0")
     m = _load_mesh(args)
@@ -238,9 +237,7 @@ def cmd_expand(args) -> list[str]:
         except ValueError:
             raise ValueError(f"--eps value {x!r} is not a number") from None
     disc = Discretization(m, args.alpha)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # excluded points printed below
-        report = expansion.remainder_report(disc, theta, args.order, eps)
+    report = expansion.remainder_report(disc, theta, args.order, eps)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -390,8 +387,20 @@ def _add_theta_source(p):
     p.add_argument("--seed", type=int, default=None)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but an argument that starts with "-", an optional ".", then a digit is a value.
+
+    argparse's own test reads ``-1e-05`` as a flag; no flag of this CLI looks like a negative number.
+    ``add_subparsers`` builds every subparser from this class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lowcontrast",
         description="Two-phase ground-state design in the low-contrast regime.",
     )

@@ -413,10 +413,15 @@ class Discretization:
     def solver(self) -> ShiftedSolver:
         """Pinned solver for K − λ₀M, factorized on first access, after the LU of K − σM is dropped.
 
-        A remainder report drops it before its first certificate LU; the next access factors it again.
+        :meth:`release` drops it; the next access factors it again.
         """
         self._shifted_solve = None
         return ShiftedSolver(self)
+
+    def release(self) -> None:
+        """Drop every LU held, the K − σM solve and the pinned ``solver``, before a caller factors its own."""
+        self._shifted_solve = None
+        self.__dict__.pop("solver", None)
 
     def theta_stiffness(self, theta) -> sparse.csr_matrix:
         """Free-node stiffness Kθ with coefficient α·(vertex average of θ), gathered on K's index arrays.

@@ -11,7 +11,6 @@ the fitted log-log slopes are free of discretization error.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -19,19 +18,9 @@ import numpy as np
 from . import fem
 from .eig import _SHIFT_SHARE, RESIDUAL_TOL, SolverError, certified_smallest_pair
 from .eig import _refine, _ritz_basis, _rounding_share, _slice
+from .fem import check_density
 
 _RITZ_ORDER = 6  # the cascade order whose modes are the ε-sweep's Rayleigh–Ritz basis
-
-
-def check_density(theta, n_nodes: int) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (n_nodes,):
-        raise ValueError(f"density must have one value per node ({n_nodes})")
-    if not np.isfinite(theta).all():
-        raise ValueError("density values must be finite")
-    if (theta < 0).any() or (theta > 1).any():
-        raise ValueError("density values must lie in [0, 1]")
-    return theta
 
 
 @dataclass(frozen=True)
@@ -117,8 +106,8 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     α·(1 + ε·avg θ); K0 and M are the discretization's α-pencil.  The pair is
     :func:`eig.certified_smallest_pair`, on LUs of K0 + εKθ − τM from
     τ = min(1, 1 + ε)·_SHIFT_SHARE·``disc.faber_krahn``: K0 + εKθ ≥
-    min(1, 1 + ε)·K0 (Weyl) and Faber–Krahn keep it below λ_ε.
-    A K0 + εKθ that overflows raises ValueError.
+    min(1, 1 + ε)·K0 (Weyl) and Faber–Krahn keep it below λ_ε.  The first
+    slice is factored after ``disc.release()``.  A K0 + εKθ that overflows raises ValueError.
     """
     if not np.isfinite(epsilon):
         raise ValueError("epsilon must be finite")
@@ -130,6 +119,7 @@ def direct_eigenvalue(disc, theta, epsilon: float):
     if not np.isfinite(K.data).all():
         raise ValueError(f"epsilon = {epsilon:g} overflows the stiffness at alpha = {disc.alpha:g}")
     lower = min(1.0, 1.0 + epsilon) * _SHIFT_SHARE * disc.faber_krahn
+    disc.release()
     return certified_smallest_pair(replace(disc.pencil, K=K), lower)
 
 
@@ -186,7 +176,7 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     slope of the order-n remainder is n+1 exactly.  Remainders at the solver
     noise floor (100·RESIDUAL_TOL·|λ0|, a hundred times the eigen residual
     contract; it scales with α as the remainders do) are excluded from the
-    fit with a warning.
+    fit and listed in ``excluded``.
     Kθ comes first, then the cascade to N = max(order, _RITZ_ORDER); its
     order-``order`` prefix is the series reported.  K0, Kθ and M are projected
     once onto its modes, which span u_ε up to O(ε^{N+1}).  Refine, then certify: each λ_ε
@@ -222,7 +212,7 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
         lam, top = pair or (None, np.nan)
         # K0 + εKθ ≥ K0 (Weyl): λ₂ of the ε-pencil lies above λ₂(K0), so a top under it certifies λ
         if not top < below_lambda2:  # a NaN top is refuted too
-            vars(disc).pop("solver", None)  # the pinned LU goes before any certificate LU
+            disc.release()  # the pinned LU goes before any certificate LU
             if top < np.inf and _slice(fem.add_on_pattern(disc.pencil.K, disc.pencil.M, -top))[1] <= 1:
                 below_lambda2 = top
             else:
@@ -241,11 +231,6 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     floor = 100.0 * RESIDUAL_TOL * abs(disc.ground.lam)
     keep = rem > floor
     excluded = [float(e) for e in eps[~keep]]
-    if excluded:
-        warnings.warn(
-            f"{len(excluded)} remainder point(s) at the solver floor excluded from the fit",
-            stacklevel=2,
-        )
 
     if keep.sum() >= 2:
         coef = np.polyfit(np.log(eps[keep]), np.log(rem[keep]), 1)

@@ -34,6 +34,17 @@ def _check_elem(mesh, e) -> np.ndarray:
     return e
 
 
+def check_density(theta, n_nodes: int) -> np.ndarray:
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (n_nodes,):
+        raise ValueError(f"density must have one value per node ({n_nodes})")
+    if not np.isfinite(theta).all():
+        raise ValueError("density values must be finite")
+    if (theta < 0).any() or (theta > 1).any():
+        raise ValueError("density values must lie in [0, 1]")
+    return theta
+
+
 def assemble_stiffness(mesh, coeff) -> sparse.csr_matrix:
     """Assemble the full stiffness matrix for the form ∫ coeff ∇u·∇v.
 

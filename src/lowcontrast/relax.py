@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from . import fem
-from .expansion import check_density
+from .fem import check_density
 
 _KKT_BAND = 0.01  # nodes within this distance of 0 or 1 count as at the bound
 

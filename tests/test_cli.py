@@ -219,10 +219,9 @@ class TestExpandCommand:
         min_size=1, max_size=2,
     ))
     def test_any_finite_chi_spec_exit_0_or_2(self, specs):
-        # numbers in positional notation: argparse reads '-1e-05' as a flag, '-0.00001' as a value
         argv = ["eval", "--nx", "4", "--ny", "4", "--epsilon", "0.1"]
         for kind, *values in specs:
-            argv += ["--chi", kind, *(np.format_float_positional(v, trim="-") for v in values)]
+            argv += ["--chi", kind, *map(repr, values)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(argv)
@@ -525,6 +524,34 @@ class TestEvalCommand:
         code = run_cli(["eval", "--nx", 4, "--ny", 4, "--theta", path, "--epsilon", 0.1])
         assert code == 2
         assert "error: density values must be finite" in capsys.readouterr().err
+
+
+class TestNegativeNumbers:
+    """A negative number is a value in exponent notation too; any other word after "-" is a flag."""
+
+    EVAL = ["eval", "--nx", 4, "--ny", 4, "--epsilon", 0.1, "--chi", "rect"]
+
+    def test_exponent_notation_reads_as_positional(self, capsys):
+        assert run_cli(self.EVAL + ["-1e-05", 0, 1, 1]) == 0
+        exponent = capsys.readouterr()
+        assert run_cli(self.EVAL + ["-0.00001", 0, 1, 1]) == 0
+        assert capsys.readouterr() == exponent
+
+    def test_negative_multiplier(self, capsys):
+        assert run_cli(self.EVAL + [0, 0, 1, 1, "--multiplier", "-1e-3"]) == 0
+        assert "multiplier = -0.001\n" in capsys.readouterr().out
+
+    def test_negative_eps_reaches_the_library(self, tmp_path, capsys):
+        code = run_cli(["expand", "--nx", 4, "--ny", 4, "--random-theta", "--seed", 1, "--eps", "-1e-3",
+                        "--out-dir", tmp_path])
+        assert code == 2
+        assert capsys.readouterr().err == "error: eps values must be positive and finite\n"
+
+    def test_non_numeric_word_is_a_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(self.EVAL + [0, 0, 1, 1, "--multiplier", "-x"])
+        assert exc.value.code == 2
+        assert "argument --multiplier: expected one argument" in capsys.readouterr().err
 
 
 class TestFieldCsv:

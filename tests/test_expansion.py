@@ -149,8 +149,8 @@ class TestComputeSeries:
         lus = count_splu(monkeypatch)
         compute_series(disc, np.zeros(mesh8.n_nodes), 3)
         assert "solver" not in vars(disc)
-        with pytest.warns(UserWarning, match="floor"):
-            remainder_report(disc, np.zeros(mesh8.n_nodes), 2, [0.1, 0.01])
+        report = remainder_report(disc, np.zeros(mesh8.n_nodes), 2, [0.1, 0.01])
+        assert report.excluded == [0.1, 0.01]
         assert "solver" not in vars(disc) and lus == []
 
     def test_truncated_requires_computed_order(self, mesh8, disc8):
@@ -216,8 +216,8 @@ class TestRemainderReport:
         rng = np.random.default_rng(32)
         theta = (rng.random(mesh16.n_nodes) < 0.5).astype(float)
         # the 1e-3 point sits at the conservative floor and is excluded
-        with pytest.warns(UserWarning, match="floor"):
-            report = remainder_report(disc16, theta, 2, self.EPS)
+        report = remainder_report(disc16, theta, 2, self.EPS)
+        assert report.excluded == [1e-3]
         assert report.slope >= 2.95
 
     def test_order0_slope(self, mesh16, disc16):
@@ -231,17 +231,15 @@ class TestRemainderReport:
         # excludes the same points and fits the same slope
         rng = np.random.default_rng(1)
         theta = (rng.random(mesh16.n_nodes) < 0.5).astype(float)
-        with pytest.warns(UserWarning, match="floor"):
-            ref = remainder_report(disc16, theta, 2, self.EPS)
-        with pytest.warns(UserWarning, match="floor"):
-            small = remainder_report(Discretization(mesh16, 1e-6), theta, 2, self.EPS)
+        ref = remainder_report(disc16, theta, 2, self.EPS)
+        small = remainder_report(Discretization(mesh16, 1e-6), theta, 2, self.EPS)
+        assert ref.excluded
         assert small.excluded == ref.excluded
         assert small.slope == pytest.approx(ref.slope, rel=1e-6)
 
     def test_exact_series_floors_out(self, mesh8, disc8):
         # theta = 1 reproduces (1+eps) lam0 at any order >= 1: everything floors
-        with pytest.warns(UserWarning, match="floor"):
-            report = remainder_report(disc8, np.ones(mesh8.n_nodes), 1, self.EPS)
+        report = remainder_report(disc8, np.ones(mesh8.n_nodes), 1, self.EPS)
         assert report.slope is None
         assert (report.remainders <= report.floor).all()
         assert len(report.excluded) == len(self.EPS)
@@ -396,6 +394,18 @@ class TestInertiaCertificate:
         assert len(alive_at_factor) > 3
         assert max(alive_at_factor) == 0
 
+    def test_releases_the_pinned_lu_after_a_cascade(self, monkeypatch, mesh16):
+        # a cascade leaves the pinned LU alive; the fallback releases it before its first
+        # slice, and a later cascade factors it again with the bits of a fresh discretization
+        disc, fresh = Discretization(mesh16, 1.0), Discretization(mesh16, 1.0)
+        theta = density("binary", mesh16.n_nodes)
+        alive_at_factor = live_lus_at_factor(monkeypatch)
+        compute_series(disc, theta, 2)
+        direct_eigenvalue(disc, theta, 10.0)
+        assert len(alive_at_factor) >= 3  # the pinned system and the slices
+        assert max(alive_at_factor) == 0
+        assert mode_bound_diagnostic(disc, samples=1) == mode_bound_diagnostic(fresh, samples=1)
+
     def test_fallback_runs_no_lanczos(self, monkeypatch, mesh16, disc16):
         # past λ₂ both ε fall back, and no path of the library calls ARPACK
         def no_eigsh(*args, **kwargs):
@@ -467,7 +477,6 @@ class TestDirectEigenvalueProperties:
         assert np.isfinite(pair.lam) and pair.lam >= (1 - delta) * min(1.0, 1.0 + eps) * disc.ground.lam
 
 
-@pytest.mark.filterwarnings("ignore:.*solver floor:UserWarning")
 class TestCertifiedSweep:
     EPS = TestRemainderReport.EPS  # the default `expand --eps` grid
 
@@ -563,8 +572,8 @@ class TestCertifiedSweep:
         direct, direct_ = [], expansion.direct_eigenvalue
         monkeypatch.setattr(expansion, "direct_eigenvalue", lambda *a: direct.append(a[2]) or direct_(*a))
         disc = Discretization(mesh8, 1.0)
-        with pytest.warns(UserWarning, match="floor"):
-            report = remainder_report(disc, np.ones(mesh8.n_nodes), 1, [2.0])
+        report = remainder_report(disc, np.ones(mesh8.n_nodes), 1, [2.0])
+        assert report.excluded == [2.0]
         assert len(counts) == 1 and counts[0] >= 2
         assert direct == [2.0]
         assert report.lambda_eps[0] == pytest.approx(3.0 * disc.ground.lam, rel=1e-12)
@@ -592,8 +601,8 @@ class TestCertifiedSweep:
         mesh = generate_unit_square(2, 2)
         disc = Discretization(mesh, 1.0)
         theta = density("uniform", mesh.n_nodes)
-        with pytest.warns(UserWarning, match="floor"):  # order 1 is exact on a 1x1 pencil
-            report = remainder_report(disc, theta, 1, [0.1, 0.01])
+        report = remainder_report(disc, theta, 1, [0.1, 0.01])
+        assert report.excluded == [0.1, 0.01]  # order 1 is exact on a 1x1 pencil
         M = disc.pencil.M[0, 0]
         exact = [stiffness_at(disc, theta, e)[0, 0] / M for e in report.eps_values]
         np.testing.assert_allclose(report.lambda_eps, exact, rtol=4 * np.finfo(float).eps, atol=0)
