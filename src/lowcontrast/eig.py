@@ -330,8 +330,9 @@ class Discretization:
     remainder report's first floor), refines the ground pair on that LU and
     renumbers the pencil in its order (``pencil.renumbered``; each Kθ is
     gathered through its ``pick``).  The LU serves :meth:`singular_solve` until
-    the pinned system (``solver``) is factored or Kθ first assembled, so
-    ``eval`` factors once, and a command that loops over loads twice.
+    the pinned system (``solver``) is factored or a Kθ assembled, so
+    ``eval`` factors once, and a command that loops over loads twice.  Its
+    only state past the mesh's is these LUs (:meth:`release`): no density is kept.
     """
 
     def __init__(self, mesh, alpha: float):
@@ -364,7 +365,6 @@ class Discretization:
         self.ground = replace(ground, residual=_refine(pencil.K, pencil.M, ground.lam, self.u0f, None, 0)[2])
         self.Mu0 = pencil.M @ self.u0f
         self._shifted_solve = lambda r: lu.solve(r[lu.perm_c])[perm]  # in and out of the LU's own numbering
-        self._last_theta_stiffness = None
 
     def singular_solve(self, f: np.ndarray) -> np.ndarray:
         """v with (K − λ₀M)v = g = f − (u₀ᵀf)·Mu₀ and u₀ᵀMv = 0, for a free-node load f.
@@ -398,7 +398,7 @@ class Discretization:
                 f"> {FREDHOLM_TOL:.1e}*|f| + {floor:.1e} = {bound:.3e}"
             )
         g = f - mu * self.Mu0
-        if self._shifted_solve is None:  # dropped by the pinned factorization or the first Kθ
+        if self._shifted_solve is None:  # dropped by the pinned factorization or a Kθ
             v, what, after = self.solver.solve(g), "pinned", ""
         else:
             v, steps = _deflated_cg(self.pencil, lam0, self.u0f, self.Mu0, self._shifted_solve, g, fnorm)
@@ -426,14 +426,10 @@ class Discretization:
     def theta_stiffness(self, theta) -> sparse.csr_matrix:
         """Free-node stiffness Kθ with coefficient α·(vertex average of θ), gathered on K's index arrays.
 
-        The last result is kept, so an ε-sweep and a cascade over one
-        density assemble it once.  The LU of K − σM is dropped first.
+        The one place a density is checked and Kθ assembled; nothing is
+        kept.  The LU of K − σM is dropped first.
         """
-        theta = np.asarray(theta, dtype=float)
-        last = self._last_theta_stiffness
-        if last is None or not np.array_equal(last[0], theta):
-            self._shifted_solve = None
-            theta_e = fem.element_average(self.mesh, theta)
-            Kt = self.pencil.gather(fem.assemble_stiffness(self.mesh, self.alpha * theta_e))
-            last = self._last_theta_stiffness = (theta.copy(), Kt)
-        return last[1]
+        theta = fem.check_density(theta, self.mesh.n_nodes)
+        self._shifted_solve = None
+        theta_e = fem.element_average(self.mesh, theta)
+        return self.pencil.gather(fem.assemble_stiffness(self.mesh, self.alpha * theta_e))

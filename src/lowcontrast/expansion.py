@@ -18,7 +18,6 @@ import numpy as np
 from . import fem
 from .eig import _SHIFT_SHARE, RESIDUAL_TOL, SolverError, certified_smallest_pair
 from .eig import _refine, _ritz_basis, _rounding_share, _slice
-from .fem import check_density
 
 _RITZ_ORDER = 6  # the cascade order whose modes are the ε-sweep's Rayleigh–Ritz basis
 
@@ -40,36 +39,38 @@ class ExpansionSeries:
         n = self.order if order is None else order
         if n > self.order:
             raise ValueError(f"series only computed to order {self.order}")
-        return float(np.polyval(self.lambdas[: n + 1][::-1], eps))
+        return _partial_sum(self.lambdas, eps, n)
 
 
-def compute_series(disc, theta, order: int) -> ExpansionSeries:
-    """Run the perturbation cascade to the requested order.
+def _partial_sum(lambdas, eps: float, n: int) -> float:
+    return float(np.polyval(lambdas[: n + 1][::-1], eps))
+
+
+def _checked_order(disc, order: int, least: int = 0) -> int:
+    """max(order, least), once order is ≥ 0 and the full-node modes to it fit in physical memory."""
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    n = max(order, least)
+    need = 8.0 * (n + 1) * disc.mesh.n_nodes  # bytes of the full-node modes
+    if hasattr(os, "sysconf") and need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        raise ValueError(f"order {n} needs {need / 2**30:.3g} GiB of modes, more than physical memory")
+    return n
+
+
+def _cascade(disc, Kt, order: int):
+    """Run the perturbation cascade on Kθ: ``(lambdas, modes)``, the free-node modes as rows.
 
     Order 0 is the ground state of the discretization's α-Laplacian.  Each
     further order costs one singular solve (``disc.singular_solve``, on the
     pinned system: Kθ is assembled first), which checks the Fredholm
     compatibility of every load; the normalization identities
     u0ᵀMu_i = −½ Σ_{k=1}^{i−1} u_kᵀMu_{i−k} are enforced by shifting along u0.
-    An order whose modes exceed physical memory raises ValueError before they are allocated.
     """
-    theta = check_density(theta, disc.mesh.n_nodes)
-    if order < 0:
-        raise ValueError("order must be >= 0")
-    need = 8.0 * (order + 1) * disc.mesh.n_nodes  # bytes of the full-node modes
-    if hasattr(os, "sysconf") and need > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
-        raise ValueError(f"order {order} needs {need / 2**30:.3g} GiB of modes, more than physical memory")
-
-    pencil = disc.pencil
-    lam0, u0f = disc.ground.lam, disc.u0f
-    Kt = disc.theta_stiffness(theta)
-    M = pencil.M
-
+    lam0, u0f, M = disc.ground.lam, disc.u0f, disc.pencil.M
     lams = [lam0]
-    modes = [u0f]
+    modes = np.empty((order + 1, u0f.size))
+    modes[0] = u0f
     Mmodes = [disc.Mu0]  # cache M @ u_k
-    full_modes = np.zeros((order + 1, pencil.n_nodes))
-    full_modes[0, pencil.free] = u0f
 
     for i in range(1, order + 1):
         Ku_prev = Kt @ modes[i - 1]
@@ -91,19 +92,26 @@ def compute_series(disc, theta, order: int) -> ExpansionSeries:
         shift = -0.5 * sum(
             float(modes[k] @ Mmodes[i - k]) for k in range(1, i)
         )
-        u_i = v + shift * u0f
-        modes.append(u_i)
-        Mmodes.append(M @ u_i)
-        full_modes[i, pencil.free] = u_i
+        modes[i] = v + shift * u0f
+        Mmodes.append(M @ modes[i])
 
-    return ExpansionSeries(order=order, lambdas=np.array(lams), modes=full_modes)
+    return np.array(lams), modes
+
+
+def compute_series(disc, theta, order: int) -> ExpansionSeries:
+    """:func:`_cascade` to ``order`` with full-node modes; the order is checked before Kθ is assembled."""
+    _checked_order(disc, order)
+    lambdas, modes = _cascade(disc, disc.theta_stiffness(theta), order)
+    full_modes = np.zeros((order + 1, disc.pencil.n_nodes))
+    full_modes[:, disc.pencil.free] = modes
+    return ExpansionSeries(order=order, lambdas=lambdas, modes=full_modes)
 
 
 def direct_eigenvalue(disc, theta, epsilon: float):
     """Smallest eigenpair of the two-phase pencil (K0 + ε·Kθ, M) at finite contrast.
 
-    Kθ uses the per-element vertex average of θ, so the coefficient is
-    α·(1 + ε·avg θ); K0 and M are the discretization's α-pencil.  The pair is
+    Kθ (``disc.theta_stiffness``, which checks θ) uses the per-element vertex average
+    of θ: the coefficient is α·(1 + ε·avg θ); K0 and M are the α-pencil.  The pair is
     :func:`eig.certified_smallest_pair`, on LUs of K0 + εKθ − τM from
     τ = min(1, 1 + ε)·_SHIFT_SHARE·``disc.faber_krahn``: K0 + εKθ ≥
     min(1, 1 + ε)·K0 (Weyl) and Faber–Krahn keep it below λ_ε.  The first
@@ -113,9 +121,13 @@ def direct_eigenvalue(disc, theta, epsilon: float):
         raise ValueError("epsilon must be finite")
     if epsilon <= -1:
         raise ValueError("epsilon must exceed -1 for a positive coefficient")
-    theta = check_density(theta, disc.mesh.n_nodes)
+    return _direct(disc, disc.theta_stiffness(theta), epsilon)
+
+
+def _direct(disc, Kt, epsilon: float):
+    """:func:`direct_eigenvalue`'s pair for an assembled Kθ."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        K = fem.add_on_pattern(disc.pencil.K, disc.theta_stiffness(theta), epsilon)
+        K = fem.add_on_pattern(disc.pencil.K, Kt, epsilon)
     if not np.isfinite(K.data).all():
         raise ValueError(f"epsilon = {epsilon:g} overflows the stiffness at alpha = {disc.alpha:g}")
     lower = min(1.0, 1.0 + epsilon) * _SHIFT_SHARE * disc.faber_krahn
@@ -176,13 +188,13 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
     slope of the order-n remainder is n+1 exactly.  Remainders at the solver
     noise floor (100·RESIDUAL_TOL·|λ0|, a hundred times the eigen residual
     contract; it scales with α as the remainders do) are excluded from the
-    fit and listed in ``excluded``.
-    Kθ comes first, then the cascade to N = max(order, _RITZ_ORDER); its
+    fit and listed in ``excluded``.  The order is checked before the one Kθ
+    (``disc.theta_stiffness``) and the cascade to N = max(order, _RITZ_ORDER); its
     order-``order`` prefix is the series reported.  K0, Kθ and M are projected
     once onto its modes, which span u_ε up to O(ε^{N+1}).  Refine, then certify: each λ_ε
     is refined from its Ritz start (:func:`_refined_eigenvalue`), then, from the largest ε
     down, certified under a floor below λ₂ (Krahn–Szegő, raised by a pivot count) or
-    solved by :func:`direct_eigenvalue`; the pinned LU goes before the first such LU.
+    solved by :func:`_direct` on the same Kθ; the pinned LU goes before the first such LU.
     """
     eps = np.sort(np.asarray(eps_values, dtype=float))[::-1]
     if eps.size == 0:
@@ -191,18 +203,13 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
         raise ValueError("eps values must be positive and finite")
     if np.unique(eps).size != eps.size:
         raise ValueError("eps values must be distinct")
-    if order < 0:
-        raise ValueError("order must be >= 0")
-
-    theta = check_density(theta, disc.mesh.n_nodes)
+    n = _checked_order(disc, order, _RITZ_ORDER)
     # assembled before the pinned LU exists, so its temporaries do not add to the LU's peak memory
     Kt = disc.theta_stiffness(theta)
-    series = compute_series(disc, theta, max(order, _RITZ_ORDER))
+    lambdas, S = _cascade(disc, Kt, n)  # S: the modes, one per row
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        trunc = np.array([series.truncated(e, order) for e in eps])
-    S = series.modes[:, disc.pencil.free].T  # the full-node modes go before the basis is built
-    del series
-    S, Z = _ritz_basis(S, disc.pencil.M)
+        trunc = np.array([_partial_sum(lambdas, e, order) for e in eps])
+    S, Z = _ritz_basis(S.T, disc.pencil.M)  # the modes go once the basis is built
     ritz = (S, Z, S.T @ (disc.pencil.K @ S), S.T @ (Kt @ S))
     refined = [_refined_eigenvalue(disc, Kt, e, *ritz) for e in eps]
     del S, Z, ritz  # the Ritz basis goes before any certificate LU
@@ -216,7 +223,7 @@ def remainder_report(disc, theta, order: int, eps_values) -> RemainderReport:
             if top < np.inf and _slice(fem.add_on_pattern(disc.pencil.K, disc.pencil.M, -top))[1] <= 1:
                 below_lambda2 = top
             else:
-                lam = direct_eigenvalue(disc, theta, e).lam
+                lam = _direct(disc, Kt, e).lam
         lam_eps.append(lam)
     lam_eps = np.array(lam_eps)
     finite = np.isfinite(lam_eps) & np.isfinite(trunc)

@@ -48,7 +48,7 @@ def check_density(theta, n_nodes: int) -> np.ndarray:
 def assemble_stiffness(mesh, coeff) -> sparse.csr_matrix:
     """Assemble the full stiffness matrix for the form ∫ coeff ∇u·∇v.
 
-    ``coeff`` is an element field, required nonnegative.  Row sums of the
+    ``coeff`` is an element field, required finite and nonnegative.  Row sums of the
     returned matrix vanish (constants lie in the kernel) until Dirichlet
     restriction is applied.
 
@@ -58,8 +58,8 @@ def assemble_stiffness(mesh, coeff) -> sparse.csr_matrix:
     included, is that of the 3×3 ``einsum`` formula.
     """
     coeff = _check_elem(mesh, coeff)
-    if (coeff < 0).any():
-        raise ValueError("stiffness coefficient must be nonnegative")
+    if not ((coeff >= 0) & (coeff < np.inf)).all():  # NaN fails both
+        raise ValueError("stiffness coefficient must be finite and nonnegative")
     g = mesh.basis_gradients()  # (m, 3, 2)
     scale = mesh.elem_area * coeff
     local = np.empty((mesh.n_elems, 3, 3))

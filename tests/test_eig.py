@@ -390,15 +390,22 @@ class TestDiscretization:
         assert disc.solver is solver
         assert disc._shifted_solve is None  # the LU of K − σM goes before the pinned one is factored
 
-    def test_theta_stiffness_kept_for_last_density(self):
+    def test_theta_stiffness_of_ones_is_k(self):
         mesh = generate_unit_square(6, 6)
         disc = Discretization(mesh, 1.0)
         theta = np.linspace(0, 1, mesh.n_nodes)
         Kt = disc.theta_stiffness(theta)
-        assert disc.theta_stiffness(theta.copy()) is Kt
         ones = disc.theta_stiffness(np.ones(mesh.n_nodes))
         assert ones is not Kt
         np.testing.assert_allclose(ones.toarray(), disc.pencil.K.toarray(), rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("value, message", [(np.nan, "finite"), (2.0, r"lie in \[0, 1\]")])
+    def test_theta_stiffness_checks_the_density(self, value, message):
+        # the one place Kθ is assembled checks θ first, so a rejected density drops no LU
+        disc = Discretization(generate_unit_square(6, 6), 1.0)
+        with pytest.raises(ValueError, match=message):
+            disc.theta_stiffness(np.full(disc.mesh.n_nodes, value))
+        assert disc._shifted_solve is not None
 
     @pytest.mark.parametrize("kind", ["zero", "binary", "disk"])
     def test_theta_stiffness_has_k_pattern(self, kind):

@@ -569,8 +569,8 @@ class TestCertifiedSweep:
         # above λ₂ = 53.09, so K0 − λ(1 + δ)M has three pivots ≤ 0 and ε falls back
         counts, slice_ = [], expansion._slice
         monkeypatch.setattr(expansion, "_slice", lambda A: counts.append((out := slice_(A))[1]) or out)
-        direct, direct_ = [], expansion.direct_eigenvalue
-        monkeypatch.setattr(expansion, "direct_eigenvalue", lambda *a: direct.append(a[2]) or direct_(*a))
+        direct, direct_ = [], expansion._direct
+        monkeypatch.setattr(expansion, "_direct", lambda *a: direct.append(a[2]) or direct_(*a))
         disc = Discretization(mesh8, 1.0)
         report = remainder_report(disc, np.ones(mesh8.n_nodes), 1, [2.0])
         assert report.excluded == [2.0]
@@ -586,7 +586,7 @@ class TestCertifiedSweep:
         bases = []
         ritz_basis = expansion._ritz_basis
         monkeypatch.setattr(expansion, "_ritz_basis", lambda S, M: bases.append(ritz_basis(S, M)) or bases[-1])
-        monkeypatch.setattr(expansion, "direct_eigenvalue", lambda *a: pytest.fail("took the direct fallback"))
+        monkeypatch.setattr(expansion, "_direct", lambda *a: pytest.fail("took the direct fallback"))
         disc = Discretization(mesh16, 1.0)
         lus = count_splu(monkeypatch)
         report = remainder_report(disc, np.full(mesh16.n_nodes, value), 2, self.EPS)
@@ -643,6 +643,58 @@ class TestCertifiedSweep:
         remainder_report(Discretization(mesh16, 1.0), theta, 2, [1e6, 0.1])
         assert len(calls) == 4
         assert all(kw["diag_pivot_thresh"] == 0 for kw in calls)
+
+
+def count_assemblies(monkeypatch):
+    """Record every stiffness assembly from here on."""
+    calls, assemble = [], fem.assemble_stiffness
+    monkeypatch.setattr(fem, "assemble_stiffness", lambda *a: calls.append(1) or assemble(*a))
+    return calls
+
+
+class TestOneKthetaPerCall:
+    """A Discretization keeps no density: each call checks θ and assembles its Kθ once."""
+
+    def test_order_checked_before_assembly(self, monkeypatch, mesh8):
+        disc = Discretization(mesh8, 1.0)
+        assembled = count_assemblies(monkeypatch)
+        theta = np.ones(mesh8.n_nodes)
+        with pytest.raises(ValueError, match="physical memory"):
+            remainder_report(disc, theta, 10**12, [0.1])
+        with pytest.raises(ValueError, match="physical memory"):
+            compute_series(disc, theta, 10**12)
+        assert assembled == []
+
+    def test_fallback_report_assembles_once(self, monkeypatch, mesh8):
+        # θ ≡ 1 at ε = 2 falls back (test_floor_refutes_pair), on the report's own Kθ
+        disc = Discretization(mesh8, 1.0)
+        direct, direct_ = [], expansion._direct
+        monkeypatch.setattr(expansion, "_direct", lambda *a: direct.append(a[2]) or direct_(*a))
+        assembled = count_assemblies(monkeypatch)
+        remainder_report(disc, np.ones(mesh8.n_nodes), 1, [2.0])
+        assert direct == [2.0] and len(assembled) == 1
+
+    def test_interleaved_densities_match_fresh_discretizations(self, monkeypatch, mesh8):
+        # θa, θb, θa on one discretization give the bits of a fresh one per call;
+        # θa ≡ 1 falls back at ε = 2 in its report, the binary θb does not
+        direct, direct_ = [], expansion._direct
+        monkeypatch.setattr(expansion, "_direct", lambda *a: direct.append(a[2]) or direct_(*a))
+
+        def results(disc_for, theta):
+            series = compute_series(disc_for(), theta, 2)
+            pair = direct_eigenvalue(disc_for(), theta, 0.3)
+            report = remainder_report(disc_for(), theta, 1, [2.0, 0.1])
+            return [series.lambdas, series.modes, [pair.lam], pair.u, report.lambda_eps, report.truncated]
+
+        shared = Discretization(mesh8, 1.0)
+        theta_a, theta_b = np.ones(mesh8.n_nodes), density("binary", mesh8.n_nodes)
+        for theta, fallback in ((theta_a, [2.0]), (theta_b, []), (theta_a, [2.0])):
+            direct.clear()
+            got = results(lambda: shared, theta)
+            assert direct == [0.3] + fallback
+            want = results(lambda: Discretization(mesh8, 1.0), theta)
+            for g, w in zip(got, want):
+                assert np.array_equal(np.asarray(g).view(np.int64), np.asarray(w).view(np.int64))
 
 
 def test_mode_bound_diagnostic(mesh8, disc8):

@@ -49,6 +49,16 @@ class TestStiffness:
         with pytest.raises(ValueError, match="nonnegative"):
             fem.assemble_stiffness(square, coeff)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3])
+    def test_non_finite_or_negative_coefficient_rejected(self, square, bad):
+        # a NaN passed the sign check and gave an all-NaN K, an inf a non-finite one; build_pencil inherits the check
+        coeff = np.ones(square.n_elems)
+        coeff[3] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fem.assemble_stiffness(square, coeff)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fem.build_pencil(square, coeff)
+
     def test_constants_in_kernel(self, square):
         K = fem.assemble_stiffness(square, np.ones(square.n_elems))
         row_sums = np.asarray(K.sum(axis=1)).ravel()
