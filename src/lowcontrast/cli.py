@@ -286,18 +286,14 @@ def cmd_optimize(args) -> list[str]:
         seed=args.seed,
     )
     disc = Discretization(m, args.alpha)
-    # the descent needs the pinned LU; factored here, it drops the LU of K − σM before the
-    # objective's arrays are built (built after them, the 200² peak RSS rose from
-    # 109.6–110.0 MB to 110.8–111.0 MB over 6 alternating launches each)
-    disc.solver
-    problem = relax.RelaxedObjective(disc, args.epsilon)
-    state, final, kkt = optimizer.run(problem, config)
+    state, kkt = optimizer.run(disc, args.epsilon, config)
+    final = state.last_eval
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     vtkio.export_vtk(
         m,
-        {"theta": state.theta, "u0": problem.ground.u, "grad_density": final.grad_density},
+        {"theta": state.theta, "u0": disc.ground.u, "grad_density": final.grad_density},
         out_dir / "theta.vtk",
     )
     write_field_csv(out_dir / "theta.csv", state.theta)
@@ -308,7 +304,7 @@ def cmd_optimize(args) -> list[str]:
          state.rho_history, state.Lambda_history, state.l1_history],
     )
 
-    total = float(problem.lumped.sum())
+    total = float(disc.pencil.lumped.sum())
     return [
         f"iterations: {state.iter}  stalled: {state.stalled}",
         f"F = {final.F:.12g}",

@@ -136,7 +136,7 @@ def _ritz_basis(S, M):
     return S, V[:, keep] / np.sqrt(g[keep])
 
 
-def factor(A, order="NATURAL"):
+def factor(A, failure: str, order="NATURAL"):
     """SuperLU's LU of the symmetric CSR matrix A, with diagonal pivots: every factorization.
 
     A's own arrays are read as its CSC (``A.T``), which they are for a bitwise-symmetric
@@ -147,8 +147,13 @@ def factor(A, order="NATURAL"):
     from the order: on a randomly numbered mesh the fill, and the time, grew by
     orders of magnitude.  One column per panel keeps SuperLU's workspace out of
     the peak memory.  The fill is ``SuperLU.nnz``; L.nnz + U.nnz would copy both factors.
+    SuperLU's one failure, an exactly singular pivot, raises :class:`SolverError`
+    as ``"{failure}: {SuperLU's message}"``, the prefix naming the caller's matrix.
     """
-    return spla.splu(A.T, permc_spec=order, panel_size=1, **_DIAGONAL_PIVOTS)
+    try:
+        return spla.splu(A.T, permc_spec=order, panel_size=1, **_DIAGONAL_PIVOTS)
+    except RuntimeError as exc:
+        raise SolverError(f"{failure}: {exc}") from exc
 
 
 def _slice(A):
@@ -158,10 +163,7 @@ def _slice(A):
     scaling, so by Sylvester's law of inertia the count is that of A's
     eigenvalues ≤ 0.  Reading U copies it.
     """
-    try:
-        lu = factor(A)
-    except RuntimeError as exc:  # an exactly singular pivot
-        raise SolverError(f"spectrum slicing LU failed: {exc}") from exc
+    lu = factor(A, "spectrum slicing LU failed")
     if not np.array_equal(lu.perm_r, np.arange(A.shape[0])):
         raise SolverError("a row swap in the LU voids its pivot count")
     return lu.solve, int(np.count_nonzero(~(lu.U.diagonal() > 0)))
@@ -297,10 +299,7 @@ class ShiftedSolver:
         A.data[A.indices == k] = 0.0
         row = slice(A.indptr[k], A.indptr[k + 1])
         A.data[row] = A.indices[row] == k
-        try:
-            lu = factor(A)
-        except RuntimeError as exc:
-            raise SolverError(f"pinned factorization failed: {exc}") from exc
+        lu = factor(A, "pinned factorization failed")
         self._solve, self.fill = lu.solve, lu.nnz  # each solution's entry k is zeroed
         # a pinned solve leaves its load's rounding-level inconsistency in row k, where
         # it grows with the mesh; a multiple of z = pinned⁻¹Mu₀ moves it onto Mu₀
@@ -350,12 +349,9 @@ class Discretization:
         # Faber–Krahn: λ₀(Ω) ≥ π·j₀₁²/|Ω| on the mesh's polygon Ω, and the
         # conforming P1 λ₀ lies above λ₀(Ω) by min–max
         self.faber_krahn = float(np.pi * _J01**2 * alpha / mesh.total_area)
-        try:
-            # the shifted matrix is gone once its LU exists
-            lu = factor(fem.add_on_pattern(pencil.K, pencil.M, -_SHIFT_SHARE * self.faber_krahn),
-                        "MMD_AT_PLUS_A")
-        except RuntimeError as exc:
-            raise SolverError(f"factorization failed (indefinite pencil?): {exc}") from exc
+        # the shifted matrix is gone once its LU exists
+        lu = factor(fem.add_on_pattern(pencil.K, pencil.M, -_SHIFT_SHARE * self.faber_krahn),
+                    "factorization failed (indefinite pencil?)", "MMD_AT_PLUS_A")
         self.fill = lu.nnz
         ground = smallest_eigenpair(pencil, lu.solve)
         perm = np.argsort(lu.perm_c)

@@ -30,7 +30,7 @@ class OptimizerConfig:
     volume_fraction is the target m/|Ω| in (0,1).  A seed switches the
     uniform feasible initialization to a projected random one.  The first
     step |Ω|/λ0, the Armijo constants and the volume tolerance are fixed; the
-    contrast ε and the discretization belong to the :class:`RelaxedObjective`.
+    contrast ε and the discretization are :func:`run`'s own arguments.
     """
 
     volume_fraction: float
@@ -178,15 +178,21 @@ def step(state: OptimizerState, config: OptimizerConfig, problem: RelaxedObjecti
     return state
 
 
-def run(problem: RelaxedObjective, config: OptimizerConfig):
-    """Minimize the relaxed objective from a feasible uniform start.
+def run(disc, epsilon: float, config: OptimizerConfig):
+    """Minimize the relaxed objective at contrast ε on ``disc`` from a feasible uniform start.
 
-    Returns (state, final RelaxedEval, (interior_residual, sign_violation)).
-    The KKT residuals use the sign-adjusted multiplier −Λ/ρ, with Λ re-bisected
+    The set-up keeps one order: the pinned system ``disc.solver``, which the
+    descent's many singular solves use, is factored first, which drops the LU
+    of K − σM; only then are the arrays of ``RelaxedObjective(disc, epsilon)``
+    built, so the two never peak together.  Returns (state, (interior_residual,
+    sign_violation)), the final evaluation being ``state.last_eval``.  The KKT
+    residuals use the sign-adjusted multiplier −Λ/ρ, with Λ re-bisected
     by projecting the final iterate once more (the shift stored during the
     last accepted step belongs to the projection that produced the iterate,
     which lags one step behind stationarity).
     """
+    disc.solver
+    problem = RelaxedObjective(disc, epsilon)
     n_nodes = problem.mesh.n_nodes
     lumped = problem.lumped
     total = float(lumped.sum())
@@ -200,7 +206,6 @@ def run(problem: RelaxedObjective, config: OptimizerConfig):
         theta0, _ = project_volume(lumped, rng.uniform(0.0, 1.0, n_nodes), m, tol_vol)
 
     rho0 = total / problem.ground.lam
-    problem.disc.solver  # the descent makes many singular solves: factor the pinned system for them
     ev0 = problem.evaluate(theta0)
     state = OptimizerState(theta=theta0, iter=0, rho=rho0, last_eval=ev0)
     state.F_history.append(ev0.F)
@@ -218,4 +223,4 @@ def run(problem: RelaxedObjective, config: OptimizerConfig):
     tilde = state.theta - rho * state.last_eval.grad_density
     _, lam_probe = project_volume(lumped, tilde, m, tol_vol)
     kkt = problem.kkt(state.theta, state.last_eval.grad_density, -lam_probe / rho)
-    return state, state.last_eval, kkt
+    return state, kkt

@@ -46,9 +46,9 @@ class RelaxedObjective:
     own int32 triangle buffer, not a copy.  The basis gradients are formed
     once here, for ∇u0 and C, and not kept.  The state v(θ) is the
     discretization's :meth:`~lowcontrast.eig.Discretization.singular_solve`,
-    which factors nothing for a single evaluation; a caller that evaluates
-    many densities (:func:`lowcontrast.optimizer.run`) factors the pinned
-    system ``disc.solver`` first.
+    which factors nothing for a single evaluation; the descent
+    (:func:`lowcontrast.optimizer.run`), which evaluates many densities,
+    factors the pinned system ``disc.solver`` before it builds its objective.
     """
 
     def __init__(self, disc, epsilon: float):

@@ -195,20 +195,21 @@ class TestExpandCommand:
         assert code == 0
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, message",
         [
-            ["disk", "nan", 0.5, 0.2],
-            ["disk", 0.5, 0.5, 0.2, 9, 9],
-            ["disk", 0.5, 0.5, -0.25],
-            ["rect", 1, 0, 0, 1],
-            ["rect", 0, 1, 1, 0],
+            (["disk", "nan", 0.5, 0.2], "malformed --chi spec"),
+            (["disk", 0.5, 0.5, 0.2, 9, 9], "malformed --chi spec"),
+            (["disk", 0.5, 0.5, -0.25], "malformed --chi spec"),
+            (["rect", 1, 0, 0, 1], "malformed --chi spec"),
+            (["rect", 0, 1, 1, 0], "malformed --chi spec"),
+            (["tri", 0, 0, 1], "unknown shape 'tri' (use disk or rect)"),
         ],
-        ids=["nan", "extra", "negative-radius", "reversed-x", "reversed-y"],
+        ids=["nan", "extra", "negative-radius", "reversed-x", "reversed-y", "unknown-shape"],
     )
-    def test_malformed_chi_exit_2(self, tmp_path, capsys, spec):
+    def test_malformed_chi_exit_2(self, tmp_path, capsys, spec, message):
         code = run_cli(["expand", "--nx", 4, "--ny", 4, "--chi", *spec, "--out-dir", tmp_path])
         assert code == 2
-        assert "malformed --chi spec" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(specs=st.lists(
@@ -525,6 +526,12 @@ class TestEvalCommand:
         assert code == 2
         assert "error: density values must be finite" in capsys.readouterr().err
 
+    def test_missing_mesh_source_exit_2(self, capsys):
+        assert run_cli(["eval", "--nx", 4, "--epsilon", 0.1, "--random-theta"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: provide either --mesh-file or both --nx and --ny\n"
+        assert captured.out == ""
+
 
 class TestNegativeNumbers:
     """A negative number is a value in exponent notation too; any other word after "-" is a flag."""
@@ -676,6 +683,17 @@ class TestExportCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: field 'theta' has the non-finite value {float(value)} at node 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("write, message", [
+        (lambda path: export_vtk(generate_unit_square(1, 1), {"a": np.zeros(3)}, path),
+         "field 'a' is not a nodal array"),
+        (lambda path: write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(2)]), "CSV columns differ in length"),
+    ], ids=["vtk-field-off-the-nodes", "ragged-csv"])
+    def test_table_of_the_wrong_shape_writes_no_file(self, tmp_path, write, message):
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            write(out)
         assert not out.exists()
 
     def test_bad_field_spec(self, tmp_path):
@@ -1026,6 +1044,38 @@ def test_pinned_solver_error_exit_4_on_optimize(monkeypatch, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err == "solver error: pinned solve breakdown: residual 1.000e+00\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "nth, argv, message",
+    [
+        (1, ["eval", "--nx", 4, "--ny", 4, "--random-theta", "--seed", 1, "--epsilon", 0.1],
+         "factorization failed (indefinite pencil?)"),
+        (2, ["optimize", "--nx", 4, "--ny", 4, "--epsilon", 0.1, "--volume-fraction", 0.4],
+         "pinned factorization failed"),
+        # ε = 2 puts λ_ε above λ₂: the third LU is the pivot count of K0 − λ(1 + δ)M
+        (3, ["expand", "--nx", 8, "--ny", 8, "--chi", "rect", 0, 0, 1, 1, "--order", 1, "--eps", 2],
+         "spectrum slicing LU failed"),
+    ],
+    ids=["ground", "pinned", "slice"],
+)
+def test_singular_pivot_exit_4(monkeypatch, capsys, tmp_path, nth, argv, message):
+    # SuperLU's one failure, an exactly singular pivot, in the command's nth factorization
+    calls, splu = [], eig.spla.splu
+
+    def singular_at_nth(*a, **kw):
+        calls.append(1)
+        if len(calls) == nth:
+            raise RuntimeError("Factor is exactly singular")
+        return splu(*a, **kw)
+
+    monkeypatch.setattr(eig.spla, "splu", singular_at_nth)
+    out = [] if argv[0] == "eval" else ["--out-dir", tmp_path]
+    assert run_cli(argv + out) == 4
+    captured = capsys.readouterr()
+    assert captured.err == f"solver error: {message}: Factor is exactly singular\n"
+    assert captured.out == ""
+    assert len(calls) == nth
 
 
 # runs the package as `python -m lowcontrast ARG...` does; the atexit hook, run after

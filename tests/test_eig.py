@@ -594,7 +594,7 @@ class TestOrdering:
         else:
             shape = generate_unit_square(64, 64) if mesh == "square64" else sunflower_disk(4200)
         disc = Discretization(shape, 1.0)
-        assert factor(disc.pencil.K).nnz == disc.fill
+        assert factor(disc.pencil.K, "LU of K failed").nnz == disc.fill
 
     @pytest.mark.parametrize("mesh", ["square16", "disk4200", "shuffled150"])
     def test_factored_matrices_canonical_and_symmetric(self, request, mesh):
@@ -675,7 +675,7 @@ class TestRefine:
         lam = float(u @ (K @ u))
         assert backward_error(K, M, lam, u) > RESIDUAL_TOL
 
-        lam, u, res = _refine(K, M, lam, u, factor(K).solve)
+        lam, u, res = _refine(K, M, lam, u, factor(K, "LU of K failed").solve)
         assert res <= RESIDUAL_TOL
         assert res == pytest.approx(backward_error(K, M, lam, u))
         assert lam == pytest.approx(disc.ground.lam, rel=1e-12)
@@ -719,7 +719,7 @@ class TestRefine:
         pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
         with np.errstate(all="ignore"):
             try:
-                lam = smallest_eigenpair(pencil, factor(pencil.K).solve).lam
+                lam = smallest_eigenpair(pencil, factor(pencil.K, "LU of K failed").solve).lam
             except SolverError as exc:
                 assert "residual inf exceeds tol" in str(exc)
             else:
@@ -742,7 +742,7 @@ class TestRefine:
         for alpha in (1e-100, 1e-150):
             pencil = fem.build_pencil(mesh, alpha * np.ones(mesh.n_elems))
             sigma = eig._SHIFT_SHARE * np.pi * eig._J01**2 * alpha / mesh.total_area
-            solve = factor(fem.add_on_pattern(pencil.K, pencil.M, -sigma)).solve
+            solve = factor(fem.add_on_pattern(pencil.K, pencil.M, -sigma), "LU of K - sigma M failed").solve
             res[alpha] = smallest_eigenpair(pencil, solve).residual
         assert res[1e-150] > 0
         assert res[1e-100] / 2 <= res[1e-150] <= 2 * res[1e-100]

@@ -134,6 +134,14 @@ class TestComputeSeries:
         with pytest.raises(ValueError, match="finite"):
             compute_series(disc8, theta, 1)
 
+    def test_solver_error_names_its_order(self, monkeypatch, mesh8, disc8):
+        def fail(self, f):
+            raise eig.SolverError("boom")
+
+        monkeypatch.setattr(Discretization, "singular_solve", fail)
+        with pytest.raises(eig.SolverError, match="^cascade order 1: boom$"):
+            compute_series(disc8, np.full(mesh8.n_nodes, 0.5), 1)
+
     def test_one_singular_solve_per_order(self, monkeypatch, mesh8):
         # each order past 0 is one call of the discretization's singular solve, on the pinned system
         calls = []
@@ -320,8 +328,8 @@ def live_lus_at_factor(monkeypatch):
     factor, live, alive_at_factor = eig.factor, [], []
 
     class Tracked:
-        def __init__(self, A):
-            self.lu = factor(A)
+        def __init__(self, A, failure):
+            self.lu = factor(A, failure)
 
         def __getattr__(self, name):
             return getattr(self.lu, name)
@@ -329,9 +337,9 @@ def live_lus_at_factor(monkeypatch):
         def solve(self, b):  # a bound method keeps the proxy, and its LU, alive
             return self.lu.solve(b)
 
-    def tracked(A):
+    def tracked(A, failure):
         alive_at_factor.append(sum(ref() is not None for ref in live))
-        lu = Tracked(A)
+        lu = Tracked(A, failure)
         live.append(weakref.ref(lu))
         return lu
 
@@ -347,7 +355,7 @@ class TestInertiaCertificate:
         # 8691.57, above λ_min = 4895.73; the pivot count sees the eigenvalue below
         K, M = stiffness_at(disc32, density("binary", mesh32.n_nodes), 1e14), disc32.pencil.M
         u0 = disc32.u0f
-        lam, u, res = eig._refine(K, M, float(u0 @ (K @ u0)), u0, eig.factor(K).solve)
+        lam, u, res = eig._refine(K, M, float(u0 @ (K @ u0)), u0, eig.factor(K, "LU of K_eps failed").solve)
         assert res <= eig.RESIDUAL_TOL and lam == pytest.approx(8691.57, rel=1e-6)
         delta = eig._rounding_share(K, M, lam, u)
         assert 0 < delta < 1e-12

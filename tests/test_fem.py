@@ -59,6 +59,11 @@ class TestStiffness:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             fem.build_pencil(square, coeff)
 
+    def test_coefficient_per_element(self):
+        mesh = generate_unit_square(4, 4)
+        with pytest.raises(ValueError, match=r"^element field has length \(33,\), mesh has 32 elements$"):
+            fem.assemble_stiffness(mesh, np.ones(mesh.n_elems + 1))
+
     def test_constants_in_kernel(self, square):
         K = fem.assemble_stiffness(square, np.ones(square.n_elems))
         row_sums = np.asarray(K.sum(axis=1)).ravel()

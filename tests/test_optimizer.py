@@ -17,6 +17,11 @@ def objective(mesh, epsilon):
     return RelaxedObjective(Discretization(mesh, 1.0), epsilon)
 
 
+def descend(mesh, epsilon, config):
+    """``run`` on a fresh discretization of ``mesh`` at α = 1."""
+    return run(Discretization(mesh, 1.0), epsilon, config)
+
+
 @pytest.fixture(scope="module")
 def mesh():
     return generate_unit_square(12, 12)
@@ -91,6 +96,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             OptimizerConfig(volume_fraction=0.5, **{field: value})
 
+    @pytest.mark.parametrize("field, value", [("max_iters", 0), ("tol_step", -1.0)])
+    def test_non_positive_fields(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be positive$"):
+            OptimizerConfig(volume_fraction=0.5, **{field: value})
+
     @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
     def test_negative_seed(self, seed):
         # numpy's generators take no negative seed
@@ -115,7 +125,7 @@ class TestConfig:
 class TestRun:
     def test_monotone_descent_and_feasibility(self, mesh):
         config = OptimizerConfig(volume_fraction=0.3, max_iters=100)
-        state, final, kkt = run(objective(mesh, 1e-6), config)
+        state, kkt = descend(mesh, 1e-6, config)
         F = np.array(state.F_history)
         assert (np.diff(F) <= 0).all()
         vols = np.array(state.vol_history)
@@ -124,20 +134,20 @@ class TestRun:
 
     def test_high_volume_fraction(self, mesh):
         config = OptimizerConfig(volume_fraction=0.9, max_iters=100)
-        state, final, kkt = run(objective(mesh, 1e-6), config)
+        state, kkt = descend(mesh, 1e-6, config)
         assert state.F_history[-1] <= state.F_history[0]
         assert abs(state.vol_history[-1] - 0.9) <= 1e-9
 
     def test_larger_contrast_keeps_mixture(self, mesh):
         config = OptimizerConfig(volume_fraction=0.4, max_iters=200)
-        state, final, kkt = run(objective(mesh, 0.1), config)
+        state, kkt = descend(mesh, 0.1, config)
         mixed = (state.theta > 0.05) & (state.theta < 0.95)
         assert mixed.any()
 
     def test_seeded_start_is_feasible_and_reproducible(self, mesh):
         config = OptimizerConfig(volume_fraction=0.25, max_iters=5, seed=9)
-        s1, _, _ = run(objective(mesh, 1e-6), config)
-        s2, _, _ = run(objective(mesh, 1e-6), config)
+        s1, _ = descend(mesh, 1e-6, config)
+        s2, _ = descend(mesh, 1e-6, config)
         np.testing.assert_array_equal(s1.theta, s2.theta)
         assert abs(s1.vol_history[0] - 0.25) <= 1e-9
 
@@ -145,7 +155,7 @@ class TestRun:
         single = from_arrays([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
         config = OptimizerConfig(volume_fraction=0.5, max_iters=5)
         with pytest.raises(ValueError, match="free"):
-            run(objective(single, 1e-6), config)
+            descend(single, 1e-6, config)
 
     def test_permutation_equivariance(self):
         mesh = generate_unit_square(6, 6)
@@ -155,10 +165,10 @@ class TestRun:
         inv[perm] = np.arange(mesh.n_nodes)
         triangles = inv[mesh.triangles]
         config = OptimizerConfig(volume_fraction=0.35, max_iters=6)
-        s_ref, _, _ = run(objective(mesh, 0.05), config)
+        s_ref, _ = descend(mesh, 0.05, config)
         # renumbered nodes, then also reordered triangles
         for tris in (triangles, triangles[rng.permutation(mesh.n_elems)]):
-            s_perm, _, _ = run(objective(from_arrays(mesh.node_coords[perm], tris), 0.05), config)
+            s_perm, _ = descend(from_arrays(mesh.node_coords[perm], tris), 0.05, config)
             np.testing.assert_allclose(s_perm.theta[inv], s_ref.theta, atol=1e-6)
 
     def test_invariant_under_alpha_and_domain_scale(self):
@@ -169,9 +179,8 @@ class TestRun:
 
         def optimize(L, alpha):
             mesh = from_arrays(square.node_coords * L, square.triangles)
-            problem = RelaxedObjective(Discretization(mesh, alpha), 0.1)
-            state, final, _ = run(problem, config)
-            return state.iter, final.F * L**2 / alpha, state.theta
+            state, _ = run(Discretization(mesh, alpha), 0.1, config)
+            return state.iter, state.last_eval.F * L**2 / alpha, state.theta
 
         iters, F, theta = optimize(1, 1.0)
         for L in (1, 10, 1000):
@@ -184,7 +193,7 @@ class TestRun:
     def test_kkt_at_convergence(self, mesh):
         config = OptimizerConfig(volume_fraction=0.2, max_iters=500, tol_step=1e-9
         )
-        state, final, kkt = run(objective(mesh, 1e-6), config)
+        state, kkt = descend(mesh, 1e-6, config)
         lam0 = 2 * np.pi**2
         assert kkt[0] <= 1e-3 * lam0
         assert kkt[1] <= 1e-3 * lam0

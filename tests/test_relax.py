@@ -185,6 +185,17 @@ def test_in_place_evaluation_keeps_the_bits(pinned_disc, epsilon, kind):
     assert np.array_equal(bits(problem.hessian_form(phi)), bits(hessian_form(phi)))
 
 
+def test_fields_off_the_nodes_rejected():
+    # on 4², 25 nodes: a density or a direction with 3 values is refused before any solve
+    disc = Discretization(generate_unit_square(4, 4), 1.0)
+    problem = RelaxedObjective(disc, 0.1)
+    for check in (problem.evaluate, disc.theta_stiffness):
+        with pytest.raises(ValueError, match=r"^density must have one value per node \(25\)$"):
+            check(np.zeros(3))
+    with pytest.raises(ValueError, match="^direction must be a nodal field$"):
+        problem.hessian_form(np.zeros(3))
+
+
 def test_coupling_shares_the_incidence_index_map(prob):
     S, C = prob._incidence, prob._coupling
     assert np.shares_memory(C.indices, S.indices) and np.shares_memory(C.indptr, S.indptr)
@@ -194,11 +205,12 @@ def test_incidence_holds_the_triangles_buffer():
     # S's indices are the mesh's own triangles: an in-place sort of them would reorder the mesh
     mesh = generate_unit_square(16, 16)
     before = mesh.triangles.tobytes()
-    problem = RelaxedObjective(Discretization(mesh, 1.0), 0.3)
+    disc = Discretization(mesh, 1.0)
+    problem = RelaxedObjective(disc, 0.3)
     assert np.shares_memory(problem._incidence.indices, mesh.triangles)
-    state, final, _ = run(problem, OptimizerConfig(volume_fraction=0.4, max_iters=20))
+    state, _ = run(disc, 0.3, OptimizerConfig(volume_fraction=0.4, max_iters=20))
     problem.hessian_form(state.theta - 0.4)
-    problem.kkt(state.theta, final.grad_density, 0.0)
+    problem.kkt(state.theta, state.last_eval.grad_density, 0.0)
     assert mesh.triangles.tobytes() == before
 
 
